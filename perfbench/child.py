@@ -1,6 +1,6 @@
 """One measured unit of work, run in a fresh process by ``run.py``.
 
-Modes (the first argument):
+Modes (the first argument after the options):
 
 ``setup <workload> <seed>``
     Import permcm, generate the workload's inputs and build them, then
@@ -11,13 +11,22 @@ Modes (the first argument):
     would, with stdout captured.  Reports the exit code, the wall time
     of ``main`` and the SHA-256 of stdout.
 ``classify``
-    Read a gallery (a JSON list of ``{"n", "edges"}``) from stdin and
-    classify each graph in order through ``permcm.classify`` plus the
-    report's JSON, timing each call.
+    Read graphs (JSON ``{"n", "edges"}``), one a line, from stdin and
+    answer each with one JSON line: the wall time of ``permcm.classify``
+    plus the report's JSON, the report's SHA-256 and a few of its facts.
+    Memo tables carry over from graph to graph.  At end of input, one
+    more line closes the session.
 
-With ``--trace-dir DIR`` before the mode, the tracer is installed first
-and its per-layer counters are added to the report.  The report is one
-JSON line on stdout.
+Options, before the mode: ``--work-dir DIR`` (required for ``cli`` and
+``classify``) is where pool workers forked by this process leave their
+reports; ``--trace`` installs the tracer of ``tracer.py`` first and adds
+its per-layer counters to the report.
+
+Every report (the last line of ``cli``, the closing line of
+``classify``) has ``peak_rss_kib``: this process's peak resident set
+plus the peak of each pool worker it forked, summed.  A worker's peak
+also counts the pages it shares with this process, so the sum is an
+upper bound on the peak of the process tree.
 """
 
 from __future__ import annotations
@@ -26,10 +35,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import resource
 import sys
 import time
 import traceback
+from multiprocessing import util as mp_util
 
 
 def _digest(text: str) -> str:
@@ -39,6 +50,60 @@ def _digest(text: str) -> str:
 def _child_cpu_s() -> float:
     ru = resource.getrusage(resource.RUSAGE_CHILDREN)
     return ru.ru_utime + ru.ru_stime
+
+
+def _peak_rss_kib() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+class Workers:
+    """Reports of the pool workers forked from this process.
+
+    Each worker, at exit, writes its peak RSS and, when tracing, its own
+    counters (reset at fork, so the parent's are not counted twice) to
+    ``work_dir``.
+    """
+
+    def __init__(self, work_dir: str, tracer=None) -> None:
+        self.work_dir, self.tracer, self.parent = work_dir, tracer, os.getpid()
+        mp_util.register_after_fork(self, Workers._in_worker)
+
+    def _prefix(self) -> str:
+        return f"worker-{self.parent}-"
+
+    def _in_worker(self) -> None:
+        if self.tracer is not None:
+            self.tracer.reset()
+        path = os.path.join(self.work_dir, f"{self._prefix()}{os.getpid()}.json")
+        mp_util.Finalize(None, self._dump, args=(path,), exitpriority=100)
+
+    def _dump(self, path: str) -> None:
+        report = {"peak_rss_kib": _peak_rss_kib()}
+        if self.tracer is not None:
+            report["trace"] = self.tracer.snapshot()
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh)
+
+    def report(self) -> dict:
+        """Peak RSS of this process and its workers, and the merged trace."""
+        peak = _peak_rss_kib()
+        trace = self.tracer.snapshot() if self.tracer is not None else None
+        for name in sorted(os.listdir(self.work_dir)):
+            if not name.startswith(self._prefix()):
+                continue
+            path = os.path.join(self.work_dir, name)
+            with open(path, encoding="utf-8") as fh:
+                worker = json.load(fh)
+            os.remove(path)  # a later process may get this process's pid
+            peak += worker["peak_rss_kib"]
+            if trace is not None:
+                from tracer import merge
+
+                trace = merge(trace, worker["trace"])
+        out: dict = {"peak_rss_kib": peak}
+        if trace is not None:
+            out["trace"] = trace
+        return out
 
 
 def run_cli(argv: list[str]) -> dict:
@@ -62,62 +127,62 @@ def run_cli(argv: list[str]) -> dict:
     return result
 
 
-def _graphs(items: list[dict]):
+def _graph(item: dict):
     from permcm.graphs import graph_from_edges
 
-    return [graph_from_edges(it["n"], it["edges"]) for it in items]
+    return graph_from_edges(item["n"], item["edges"])
 
 
-def run_classify(items: list[dict]) -> dict:
+def classify_one(item: dict) -> dict:
+    """Classify one graph; the time covers ``classify`` and the JSON."""
     from permcm import classify
 
-    graphs = _graphs(items)
-    latencies, digests, facts, errors = [], [], [], []
-    for g in graphs:
-        start = time.perf_counter()
-        try:
-            report = classify(g).to_dict()
-            text = json.dumps(report, indent=2, sort_keys=True)
-        except Exception:  # one failed item; keep classifying the rest
-            latencies.append(time.perf_counter() - start)
-            digests.append(None)
-            facts.append(None)
-            errors.append(traceback.format_exc(limit=3))
-            continue
-        latencies.append(time.perf_counter() - start)
-        digests.append(_digest(text))
-        facts.append({"is_permutation": report["is_permutation"], "cm": report["cm"],
-                      "facets": len(report["invariants"]["max_independent_sets"])})
-    return {"rc": 0, "latencies_s": latencies, "sha256": digests, "facts": facts,
-            "errors": errors}
+    g = _graph(item)
+    start = time.perf_counter()
+    try:
+        report = classify(g).to_dict()
+        text = json.dumps(report, indent=2, sort_keys=True)
+    except Exception:  # one failed item; the session goes on
+        return {"rc": -1, "wall_s": time.perf_counter() - start, "sha256": None,
+                "error": traceback.format_exc(limit=3)}
+    wall = time.perf_counter() - start
+    return {"rc": 0, "wall_s": wall, "sha256": _digest(text),
+            "facts": {"is_permutation": report["is_permutation"], "cm": report["cm"],
+                      "facets": len(report["invariants"]["max_independent_sets"])}}
 
 
 def main(argv: list[str]) -> int:
-    tracer = trace_dir = None
-    if argv[:1] == ["--trace-dir"]:
-        trace_dir, argv = argv[1], argv[2:]
-        from tracer import install
+    work_dir, tracer = None, None
+    while argv[:1] in (["--work-dir"], ["--trace"]):
+        if argv[0] == "--work-dir":
+            work_dir, argv = argv[1], argv[2:]
+        else:
+            from tracer import install
 
-        tracer = install(trace_dir)
+            tracer, argv = install(), argv[1:]
     mode, rest = argv[0], argv[1:]
     if mode == "setup":
         if rest[0] == "classify-mix":
             from gallery import gallery
 
-            _graphs(gallery(int(rest[1])))
+            for item in gallery(int(rest[1])):
+                _graph(item)
         else:
             import permcm.cli  # noqa: F401
         return 0
+    if work_dir is None or mode not in ("cli", "classify"):
+        print(f"usage: child.py --work-dir DIR [--trace] cli|classify ...; got {argv!r}",
+              file=sys.stderr)
+        return 2
+    workers = Workers(work_dir, tracer)
     if mode == "cli":
         result = run_cli(rest)
-    elif mode == "classify":
-        result = run_classify(json.load(sys.stdin))
     else:
-        print(f"unknown mode {mode!r}", file=sys.stderr)
-        return 2
-    if tracer is not None:
-        result["trace"] = tracer.merge_workers(trace_dir)
-    sys.stdout.write(json.dumps(result) + "\n")
+        for line in sys.stdin:
+            sys.stdout.write(json.dumps(classify_one(json.loads(line))) + "\n")
+            sys.stdout.flush()
+        result = {"rc": 0}
+    sys.stdout.write(json.dumps(result | workers.report()) + "\n")
     return 0
 
 

@@ -4,9 +4,10 @@ From the root of the repository::
 
     python3 perfbench/collect.py --label seed --seeds 1-10 --out BENCH_seed.json
 
-runs ``run.py`` once per workload and seed (``--trace 0`` unless
-``--trace 1`` is given), then writes every run's result and record to
-``--out`` with, per workload and metric, the median, the quartiles
+runs ``run.py`` once per seed on every workload of ``BENCHMARK.json``,
+for its ``run_seconds`` (``--trace 0`` unless ``--trace 1`` is given),
+then writes every run's result and record to ``--out`` with, per
+workload and metric, the median, the quartiles
 (``statistics.quantiles(values, n=4)``) and the spread: the distance
 between the quartiles as a share of the median.  With ``--trace 0`` the
 table also shows each metric's bound from ``BENCHMARK.json`` and flags a
@@ -46,19 +47,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--seeds", required=True, help="e.g. 1-10 or 3,5,8")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     args = parser.parse_args(argv)
 
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     runs, summary, ok = [], {}, True
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in bench["workloads"]):
         per_metric: dict[str, list[float]] = {}
         for seed in parse_seeds(args.seeds):
             proc = subprocess.run(
                 [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", str(seed),
-                 "--seconds", str(args.seconds), "--trace", str(args.trace)],
+                 "--seconds", str(bench["run_seconds"]), "--trace", str(args.trace)],
                 capture_output=True, text=True, cwd=ROOT)
             lines = proc.stdout.strip().splitlines()
             if proc.returncode != 0 or not lines:
@@ -68,9 +67,7 @@ def main(argv: list[str] | None = None) -> int:
             record = json.loads(lines[-2].removeprefix("record: "))
             runs.append({"workload": workload, "seed": seed, "result": result, "record": record})
             ok &= result["correct"] and result["failed"] == 0
-            ref = record["machine"]["ref_loop_s"]
             print(f"{workload} seed {seed}: correct={result['correct']} "
-                  f"ref_loop_s={ref['before']:.3f}/{ref['after']:.3f} "
                   + " ".join(f"{k}={m['value']:.4g}" for k, m in result["metrics"].items()
                              if k in bounds), flush=True)
             for name, m in result["metrics"].items():
@@ -79,11 +76,11 @@ def main(argv: list[str] | None = None) -> int:
         for name, s in summary[workload].items():
             if name not in bounds:
                 continue
-            flag = "" if name == "setup_s" or s["spread"] < bounds[name] / 3 else "  > bound/3"
+            flag = "" if s["spread"] < bounds[name] / 3 else "  > bound/3"
             print(f"  {workload:<13} {name:<14} median {s['median']:.5g}  spread "
                   f"{s['spread']:.4f}  bound {bounds[name]}{flag}")
     Path(args.out).write_text(json.dumps(
-        {"label": args.label, "trace": args.trace, "seconds": args.seconds,
+        {"label": args.label, "trace": args.trace, "seconds": bench["run_seconds"],
          "summary": summary, "runs": runs}, indent=1) + "\n", encoding="utf-8")
     return 0 if ok else 1
 

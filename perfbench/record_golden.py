@@ -17,32 +17,41 @@ import sys
 
 from gallery import pool_item, pool_keys
 from run import (CAPPED_AT_7, HERE, SURVEY_JOBS, SURVEY_N, SWEEP_CAPS, SWEEP_N,
-                 THEOREMS, run_child)
+                 THEOREMS, ClassifySession, run_child, temp_work_dir)
 
 
-def main() -> int:
+def record(work_dir: str) -> dict | None:
     golden: dict = {"verify": {}, "survey": None, "classify": {}}
     for theorem in THEOREMS:
-        res = run_child(["cli", "verify", theorem, "--n", str(SWEEP_N)],
+        res = run_child(["cli", "verify", theorem, "--n", str(SWEEP_N)], work_dir,
                         caps=SWEEP_CAPS if theorem in CAPPED_AT_7 else None)
         if res.get("rc") != 0 or res.get("discrepancies") != 0:
             print(f"verify {theorem} failed: {res}", file=sys.stderr)
-            return 1
+            return None
         golden["verify"][theorem] = res["sha256"]
-    res = run_child(["cli", "survey", "--n", str(SURVEY_N), "--jobs", str(SURVEY_JOBS)])
+    res = run_child(["cli", "survey", "--n", str(SURVEY_N), "--jobs", str(SURVEY_JOBS)], work_dir)
     if res.get("rc") != 0:
         print(f"survey failed: {res}", file=sys.stderr)
-        return 1
+        return None
     golden["survey"] = res["sha256"]
-    items = [pool_item(k) for k in pool_keys()]
-    res = run_child(["classify"], stdin=json.dumps(items), timeout=3600)
-    if res.get("rc") != 0 or res["errors"]:
-        print(f"classify failed: {res.get('error') or res['errors'][:3]}", file=sys.stderr)
+    with ClassifySession(work_dir, timeout=3600) as session:
+        for key in pool_keys():
+            res = session.classify(pool_item(key))
+            if res.get("rc") != 0:
+                print(f"classify {key} failed: {res.get('error')}", file=sys.stderr)
+                return None
+            golden["classify"][key] = res["sha256"]
+    return golden
+
+
+def main() -> int:
+    with temp_work_dir() as work_dir:
+        golden = record(work_dir)
+    if golden is None:
         return 1
-    golden["classify"] = {it["key"]: d for it, d in zip(items, res["sha256"])}
     (HERE / "golden.json").write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                                       encoding="utf-8")
-    print(f"recorded {len(THEOREMS)} verify, 1 survey and {len(items)} classify digests")
+    print(f"recorded {len(THEOREMS)} verify, 1 survey and {len(golden['classify'])} classify digests")
     return 0
 
 

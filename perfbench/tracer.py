@@ -11,19 +11,16 @@ duration minus the durations of the wrapped calls it made.  Calls and
 times are summed per function as they happen instead of being kept as
 spans, because a sweep makes millions of wrapped calls.
 
-Pool workers forked after ``install()`` inherit the wrappers.  Each one
-resets its copy of the counters and, at exit, writes them to the
-directory given to ``install()``; ``Tracer.merge_workers`` adds them in.
+Pool workers forked after ``install()`` inherit the wrappers;
+``child.Workers`` resets each worker's copy of the counters and adds
+what the worker counted to its parent's report.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-import os
 import sys
 import time
-from multiprocessing import util as mp_util
 
 LAYERS: dict[str, tuple[str, ...]] = {
     "graphs": ("graph_from_permutation", "complement", "induced_subgraph",
@@ -134,16 +131,6 @@ class Tracer:
         return {"calls": dict(self.calls), "self_s": dict(self.self_s),
                 "total_s": dict(self.total_s), "counts": counts}
 
-    def merge_workers(self, directory: str) -> dict:
-        """This process's snapshot plus those its pool workers wrote."""
-        merged = self.snapshot()
-        for name in sorted(os.listdir(directory)):
-            if not name.startswith(f"worker-{os.getpid()}-"):
-                continue
-            with open(os.path.join(directory, name), encoding="utf-8") as fh:
-                merged = merge(merged, json.load(fh))
-        return merged
-
 
 def merge(a: dict, b: dict) -> dict:
     out = {}
@@ -179,7 +166,7 @@ def _count_cells(exact_rank, tracer: Tracer):
     return counted
 
 
-def install(worker_dir: str) -> Tracer:
+def install() -> Tracer:
     """Wrap every function in ``LAYERS``; return the tracer that counts them."""
     import permcm.cli  # noqa: F401  (loads every submodule)
 
@@ -201,18 +188,4 @@ def install(worker_dir: str) -> Tracer:
         post_init(self)
 
     graph_cls.__post_init__ = counted_post_init
-
-    parent = os.getpid()
-
-    def in_worker(t: Tracer) -> None:
-        t.reset()
-        path = os.path.join(worker_dir, f"worker-{parent}-{os.getpid()}.json")
-
-        def dump() -> None:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(t.snapshot(), fh)
-
-        mp_util.Finalize(None, dump, exitpriority=100)
-
-    mp_util.register_after_fork(tracer, in_worker)
     return tracer
