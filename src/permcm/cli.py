@@ -32,7 +32,7 @@ from .classify import (
     verify_shedding_certificate,
     _translate_certificate,
 )
-from .cohesive import find_cohesive_order
+from .cohesive import CohesiveOrder, find_cohesive_order
 from .complexes import (
     hilbert_data,
     hochster_betti_table,
@@ -61,9 +61,16 @@ from .invariants import compute_invariants
 
 # -- per-theorem checks ------------------------------------------------------
 #
-# Each check takes a graph and returns None (skipped: the statement does
-# not apply) or a dict with "ok", "predicates" and, when not ok, a
-# human-readable "detail".
+# Each check takes an inversion graph, labelled as built from its
+# permutation, and returns None (skipped: the statement does not apply)
+# or a dict with "ok", "predicates" and, when not ok, a human-readable
+# "detail".
+
+def _inversion_order(g: Graph) -> CohesiveOrder:
+    """The labelling of an inversion graph, which is cohesive by
+    construction, so sweeps need not recognise their graphs."""
+    return CohesiveOrder(tuple(range(1, g.n + 1)))
+
 
 def _strip_isolated(g: Graph) -> Graph:
     kept = [v for v in range(1, g.n + 1) if g.adj[v]]
@@ -74,7 +81,7 @@ def _strip_isolated(g: Graph) -> Graph:
 def _check_vd(g: Graph) -> dict | None:
     comp = independence_complex(g)
     oracle_cm = reisner_cm_test(comp)
-    theorem_cm, _ = cm_by_clique_partition(g)
+    theorem_cm, _ = cm_by_clique_partition(g, _inversion_order(g))
     inv = compute_invariants(g)
     unmixed_vd = inv.unmixed and is_vertex_decomposable(comp)
     ok = oracle_cm == theorem_cm == unmixed_vd
@@ -92,7 +99,7 @@ def _check_cm(g: Graph) -> dict | None:
     comp = independence_complex(g)
     oracle_cm = reisner_cm_test(comp)
     inv = compute_invariants(g)
-    _, parts = cm_by_clique_partition(g)
+    _, parts = cm_by_clique_partition(g, _inversion_order(g))
     count = len(parts)  # 0, 1, or 2 meaning "at least 2"
     if oracle_cm:
         ok = count == 1
@@ -169,7 +176,7 @@ def _check_ainv(g: Graph) -> dict | None:
     reg = hochster_betti_table(comp).reg
     ok = reg == inv.induced_matching
     detail = None if ok else f"betti reg={reg} im={inv.induced_matching}"
-    cm, _ = cm_by_clique_partition(g)
+    cm, _ = cm_by_clique_partition(g, _inversion_order(g))
     formula_ok = True
     window_ok = True
     if ok and cm:
@@ -190,7 +197,7 @@ def _check_ainv(g: Graph) -> dict | None:
 
 
 def _check_bicm(g: Graph) -> dict | None:
-    cm, _ = cm_by_clique_partition(g)
+    cm, _ = cm_by_clique_partition(g, _inversion_order(g))
     inv = compute_invariants(g)
     lhs = cm and inv.induced_matching == 1
     # Cover-ring CM oracle: the cover ideal quotient is CM iff the edge
@@ -214,7 +221,7 @@ def _check_hilb(g: Graph) -> dict | None:
     comp = independence_complex(g)
     hd = hilbert_data(comp)
     identity_ok = (hd.a < 0) == hd.hilbertian
-    cm, _ = cm_by_clique_partition(g)
+    cm, _ = cm_by_clique_partition(g, _inversion_order(g))
     formula_ok = True
     if cm:
         inv = compute_invariants(g)
@@ -235,7 +242,7 @@ def _check_covs(g: Graph) -> dict | None:
     ideal = cover_ideal(g)
     splittable = vertex_splittable_test(ideal) is not None
     linear = linear_quotients_order(ideal) is not None
-    cm, _ = cm_by_clique_partition(g)
+    cm, _ = cm_by_clique_partition(g, _inversion_order(g))
     ok = splittable == linear == cm
     return {
         "ok": ok,
@@ -246,7 +253,7 @@ def _check_covs(g: Graph) -> dict | None:
 
 
 def _check_shed(g: Graph) -> dict | None:
-    cm, _ = cm_by_clique_partition(g)
+    cm, _ = cm_by_clique_partition(g, _inversion_order(g))
     if not cm:
         return None
     stripped = _strip_isolated(g)
@@ -326,6 +333,13 @@ class SweepResult:
         }
 
 
+def _check_sweep_args(n: int, jobs: int) -> None:
+    if n < 0:
+        raise ValueError(f"--n must be nonnegative, got {n}")
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+
+
 def _sweep_chunk(theorem: str, perms: list[tuple[int, ...]]) -> list[tuple[tuple, dict | None]]:
     check = _CHECKS[theorem]
     out = []
@@ -339,6 +353,7 @@ def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
     """Sweep all of S_n for one theorem/oracle pair."""
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem!r}")
+    _check_sweep_args(n, jobs)
     check_cap(theorem, n, "sweep")
     perms = list(permutations(range(1, n + 1)))
     if jobs > 1 and len(perms) > 1:
@@ -394,7 +409,7 @@ _SURVEY_COLUMNS = [
 
 def _survey_row(g: Graph) -> dict:
     inv = compute_invariants(g)
-    cm, _ = cm_by_clique_partition(g)
+    cm, _ = cm_by_clique_partition(g, _inversion_order(g))
     stripped = _strip_isolated(g)
     flags = recognize_structure(stripped)
     gorenstein = flags.is_disjoint_union_of_edges
@@ -437,6 +452,7 @@ def _survey_chunk(perms: list[tuple[int, ...]]) -> list[tuple[tuple, dict]]:
 
 def survey_rows(n: int, jobs: int = 1) -> list[dict]:
     """One row per distinct inversion graph of S_n, deterministic order."""
+    _check_sweep_args(n, jobs)
     check_cap("survey", n, "survey")
     perms = list(permutations(range(1, n + 1)))
     if jobs > 1 and len(perms) > 1:

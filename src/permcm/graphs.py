@@ -124,8 +124,15 @@ class Graph:
         return tuple(v for v in range(1, self.n + 1) if not self.adj[v])
 
 
+def _is_int(x) -> bool:
+    """A plain integer; bool is a subclass of int but not accepted here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_edges(n: int, edges: Iterable[Iterable[int]]) -> Graph:
     """Build a graph from an edge list, rejecting loops and duplicates."""
+    if not _is_int(n):
+        raise ValueError(f"vertex count {n!r} is not an integer")
     adj = [0] * (n + 1)
     seen: set[tuple[int, int]] = set()
     for e in edges:
@@ -133,7 +140,7 @@ def graph_from_edges(n: int, edges: Iterable[Iterable[int]]) -> Graph:
         if len(pair) != 2:
             raise ValueError(f"edge {pair!r} is not a pair")
         u, v = pair
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (_is_int(u) and _is_int(v)):
             raise ValueError(f"non-integer edge {pair!r}")
         if u == v:
             raise ValueError(f"loop {pair!r} rejected")
@@ -332,7 +339,7 @@ def graph_from_json(data: dict | str) -> Graph:
     if "n" not in data or "edges" not in data:
         raise ValueError('graph JSON needs "n" and "edges"')
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError('"n" must be a nonnegative integer')
     edges = data["edges"]
     if not isinstance(edges, list):

@@ -8,7 +8,7 @@ genuine cross-validation.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from permcm import Graph, graph_from_edges
 from permcm.graphs import vbit
@@ -140,12 +140,58 @@ def brute_is_chordal(g: Graph) -> bool:
     return True
 
 
-def brute_has_cohesive_order(g: Graph) -> bool:
-    from permcm import verify_cohesive_order
+def brute_verify_cohesive_order(g: Graph, seq: tuple[int, ...]) -> bool:
+    """Both cohesive axioms, checked triple by triple."""
+    for a, b, c in combinations(range(len(seq)), 3):
+        e_ab = g.has_edge(seq[a], seq[b])
+        e_bc = g.has_edge(seq[b], seq[c])
+        e_ac = g.has_edge(seq[a], seq[c])
+        if e_ab and e_bc and not e_ac:
+            return False
+        if e_ac and not (e_ab or e_bc):
+            return False
+    return True
 
-    return any(
-        verify_cohesive_order(g, perm) for perm in permutations(range(1, g.n + 1))
-    )
+
+def backtrack_cohesive_order(g: Graph) -> tuple[int, ...] | None:
+    """Lexicographically first cohesive order by backtracking, or None.
+
+    Vertices are placed left to right, trying smaller labels first, and a
+    prefix is abandoned as soon as a triple ending at the new vertex
+    violates an axiom.  Exponential in the worst case: keep n small.
+    """
+    n = g.n
+    seq: list[int] = []
+    placed = [False] * (n + 1)
+
+    def fits(v: int) -> bool:
+        for b in range(len(seq)):
+            vb = seq[b]
+            e_bv = g.has_edge(vb, v)
+            for a in range(b):
+                va = seq[a]
+                e_ab = g.has_edge(va, vb)
+                e_av = g.has_edge(va, v)
+                if e_ab and e_bv and not e_av:
+                    return False
+                if e_av and not (e_ab or e_bv):
+                    return False
+        return True
+
+    def extend() -> bool:
+        if len(seq) == n:
+            return True
+        for v in range(1, n + 1):
+            if not placed[v] and fits(v):
+                seq.append(v)
+                placed[v] = True
+                if extend():
+                    return True
+                seq.pop()
+                placed[v] = False
+        return False
+
+    return tuple(seq) if extend() else None
 
 
 def fraction_rank(rows) -> int:

@@ -54,6 +54,18 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify")
         assert code == 2
 
+    def test_c14_without_oracle_finishes(self, capsys, tmp_path):
+        # C_14 is not a permutation graph; recognising that used to take
+        # exponential time
+        from permcm import cycle_graph, graph_to_json
+
+        path = tmp_path / "c14.json"
+        path.write_text(json.dumps(graph_to_json(cycle_graph(14))))
+        code, out, _ = run(capsys, "classify", "--no-oracle", "--graph", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["is_permutation"] is False and report["cohesive_order"] is None
+
     def test_unparseable_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -77,6 +89,15 @@ class TestVerifyCommand:
         monkeypatch.setenv("PERMCM_CAPS", "gap=3")
         code, _, err = run(capsys, "verify", "gap", "--n", "4")
         assert code == 2 and "cap" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "-1"),
+        ("--n", "3", "--jobs", "0"),
+        ("--n", "3", "--jobs", "-2"),
+    ])
+    def test_bad_sweep_sizes_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "cm", *argv)
+        assert code == 2 and out == "" and "must be" in err
 
     def test_unknown_theorem_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -121,6 +142,14 @@ class TestSurveyCommand:
     def test_cap(self, capsys):
         code, _, err = run(capsys, "survey", "--n", "9")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "-3"),
+        ("--n", "3", "--jobs", "0"),
+    ])
+    def test_bad_sweep_sizes_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "survey", *argv)
+        assert code == 2 and out == "" and "must be" in err
 
 
 class TestShedCommand:

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -18,7 +19,27 @@ from permcm import (
     verify_cohesive_order,
 )
 from permcm.graphs import vbit
-from bruteforce import all_graphs, brute_maximal_cliques
+from bruteforce import (
+    all_graphs,
+    backtrack_cohesive_order,
+    brute_maximal_cliques,
+    brute_verify_cohesive_order,
+)
+
+
+def _witness(g):
+    found = find_cohesive_order(g)
+    return None if found is None else found.order
+
+
+def _scrambled_permutation_graph(n, rng):
+    """Inversion graph of a random permutation under a random relabelling."""
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    sigma = list(range(1, n + 1))
+    rng.shuffle(sigma)
+    g = graph_from_permutation(Permutation(tuple(perm)))
+    return graph_from_edges(n, [(sigma[u - 1], sigma[v - 1]) for u, v in g.edges()])
 
 
 class TestVerify:
@@ -41,6 +62,21 @@ class TestVerify:
     def test_not_a_permutation_of_vertices(self):
         with pytest.raises(ValueError):
             verify_cohesive_order(path_graph(3), (1, 2, 2))
+
+    def test_matches_triple_check(self):
+        for n in range(1, 5):
+            for g in all_graphs(n):
+                for p in permutations(range(1, n + 1)):
+                    assert verify_cohesive_order(g, p) == brute_verify_cohesive_order(g, p)
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(5, 9)
+            g = _scrambled_permutation_graph(n, rng)
+            p = list(range(1, n + 1))
+            rng.shuffle(p)
+            assert verify_cohesive_order(g, p) == brute_verify_cohesive_order(g, p)
+            found = find_cohesive_order(g).order
+            assert brute_verify_cohesive_order(g, found)
 
 
 class TestFind:
@@ -80,6 +116,68 @@ class TestFind:
 
     def test_c6_has_none(self):
         assert find_cohesive_order(cycle_graph(6)) is None
+
+
+class TestRecognitionOracle:
+    """The polynomial recogniser against the backtracking search: both
+    must return the same witness, the lexicographically first order."""
+
+    def test_all_graphs_up_to_5(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                assert _witness(g) == backtrack_cohesive_order(g)
+
+    def test_seeded_sample_n6(self):
+        rng = random.Random(6)
+        pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+        for _ in range(600):
+            bits = rng.getrandbits(len(pairs))
+            g = graph_from_edges(6, [p for k, p in enumerate(pairs) if bits >> k & 1])
+            assert _witness(g) == backtrack_cohesive_order(g)
+
+    def test_relabelled_permutation_graphs(self):
+        rng = random.Random(7)
+        for n, count in ((7, 80), (8, 70), (9, 30), (10, 20)):
+            for _ in range(count):
+                g = _scrambled_permutation_graph(n, rng)
+                found = _witness(g)
+                assert found is not None
+                assert found == backtrack_cohesive_order(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(8)
+        rejected = 0
+        for _ in range(100):
+            n = rng.randint(7, 8)
+            density = rng.uniform(0.3, 0.7)
+            g = graph_from_edges(n, [
+                (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                if rng.random() < density
+            ])
+            found = _witness(g)
+            assert found == backtrack_cohesive_order(g)
+            rejected += found is None
+        assert rejected >= 30
+
+
+class TestLargeInputs:
+    """Inputs far beyond an exponential search: recognition must stay
+    polynomial, and C_14 must be rejected, not searched."""
+
+    @pytest.mark.parametrize("n", [16, 100])
+    def test_paths(self, n):
+        g = path_graph(n)
+        found = find_cohesive_order(g)
+        assert found is not None and verify_cohesive_order(g, found)
+        assert brute_verify_cohesive_order(g, found.order)
+
+    def test_scrambled_permutation_graph_n100(self):
+        g = _scrambled_permutation_graph(100, random.Random(100))
+        found = find_cohesive_order(g)
+        assert found is not None and verify_cohesive_order(g, found)
+
+    def test_c14_has_none(self):
+        assert find_cohesive_order(cycle_graph(14)) is None
 
 
 class TestPoset:

@@ -170,3 +170,20 @@ class TestJson:
             graph_from_json({"n": 2, "edges": [[1, 1]]})
         with pytest.raises(ValueError):
             graph_from_json({"n": 2, "edges": [[1, 2], [2, 1]]})
+
+    @pytest.mark.parametrize("payload", [
+        {"n": True, "edges": []},
+        {"n": 2, "edges": [[True, 2]]},
+        {"n": 2, "edges": [[1, False]]},
+        '{"n": true, "edges": []}',
+        '{"n": 3, "edges": [[true, 2]]}',
+    ])
+    def test_rejects_booleans(self, payload):
+        with pytest.raises(ValueError):
+            graph_from_json(payload)
+
+    def test_graph_from_edges_rejects_booleans(self):
+        with pytest.raises(ValueError):
+            graph_from_edges(True, [])
+        with pytest.raises(ValueError):
+            graph_from_edges(2, [(True, 2)])
