@@ -6,6 +6,7 @@ from .caps import CapExceededError, get_cap
 from .classify import (
     ClaimFailureError,
     ClassificationReport,
+    GraphFacts,
     NotPermutationGraphError,
     SheddingCertificate,
     ShedStep,

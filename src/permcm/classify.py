@@ -26,7 +26,8 @@ before the Gorenstein-type calls, which require their absence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 from .caps import get_cap
@@ -39,6 +40,7 @@ from .cohesive import (
     verify_cohesive_order,
 )
 from .complexes import (
+    SimplicialComplex,
     hilbert_data,
     hochster_betti_table,
     independence_complex,
@@ -47,6 +49,7 @@ from .complexes import (
 )
 from .graphs import (
     Graph,
+    StructureFlags,
     delete_vertex,
     induced_subgraph,
     recognize_structure,
@@ -73,13 +76,16 @@ class ClaimFailureError(RuntimeError):
 
 
 def cm_by_clique_partition(
-    g: Graph, order: CohesiveOrder | None = None
+    g: Graph,
+    order: CohesiveOrder | None = None,
+    mis: tuple[tuple[int, ...], ...] | None = None,
 ) -> tuple[bool, tuple[ChainPartition, ...]]:
     """Cohen-Macaulay test: unmixed plus a unique partition of the
     vertex set into alpha(G) disjoint maximal cliques.
 
     Returns the flag and the partitions found (at most 2; a second one
-    is already a counterexample certificate).
+    is already a counterexample certificate).  ``mis``, when given, must
+    be ``maximal_independent_sets(g)``.
     """
     if order is None:
         order = find_cohesive_order(g)
@@ -87,7 +93,8 @@ def cm_by_clique_partition(
         raise NotPermutationGraphError("input admits no cohesive order")
     if g.n == 0:
         return True, ()
-    mis = maximal_independent_sets(g)
+    if mis is None:
+        mis = maximal_independent_sets(g)
     alpha = max(len(s) for s in mis)
     unmixed = all(len(s) == alpha for s in mis)
     parts = maximal_clique_partitions(g, r=alpha, limit=2)
@@ -313,10 +320,8 @@ def gorenstein_by_structure(g: Graph) -> tuple[bool, bool]:
     """
     if g.isolated_vertices():
         raise ValueError("Gorenstein classification requires no isolated vertices")
-    flags = recognize_structure(g)
-    gorenstein = flags.is_disjoint_union_of_edges
-    nearly = g.n >= 3 and (flags.is_complete or flags.is_path_complement) and not gorenstein
-    return gorenstein, nearly
+    facts = GraphFacts(g)
+    return facts.gorenstein, facts.nearly_gorenstein
 
 
 def gap_witness_check(g: Graph) -> bool | None:
@@ -355,12 +360,9 @@ def bicm_and_hilbertian(g: Graph) -> tuple[bool, bool, int]:
     additionally im = 1.  Raises on non-CM input, where the formula is
     not claimed (use the Hilbert oracle there instead).
     """
-    cm, _ = cm_by_clique_partition(g)
-    if not cm:
-        raise ValueError("a-invariant formula requires a Cohen-Macaulay input")
-    inv = compute_invariants(g)
-    a = inv.induced_matching + inv.tau - g.n
-    return inv.induced_matching == 1, a < 0, a
+    facts = GraphFacts(g)
+    a, hilbertian = facts.a_invariant
+    return facts.bicm, hilbertian, a
 
 
 def _translate_certificate(
@@ -372,19 +374,118 @@ def _translate_certificate(
         cohesive_order=tuple(t(v) for v in cert.cohesive_order),
         remaining=tuple(sorted(t(v) for v in cert.remaining)),
         steps=tuple(
-            ShedStep(
+            replace(
+                s,
                 vertices=tuple(sorted(t(v) for v in s.vertices)),
                 order=tuple(t(v) for v in s.order),
                 partition=tuple(tuple(sorted(t(v) for v in b)) for b in s.partition),
-                t=s.t,
                 shedding_vertex=t(s.shedding_vertex),
                 lower_cover=t(s.lower_cover),
-                upset_verified=s.upset_verified,
-                shedding_verified=s.shedding_verified,
             )
             for s in cert.steps
         ),
     )
+
+
+class GraphFacts:
+    """The facts about one graph that the classifiers and the oracles
+    share, each computed on first use and then kept.
+
+    A cohesive order already known (a sweep's inversion labelling) can
+    be passed in; otherwise it is recognised on first use, and it is
+    None for a graph that is not a permutation graph.  An instance holds
+    one graph's facts only and is meant to be dropped with the graph.
+    """
+
+    def __init__(self, g: Graph, order: CohesiveOrder | None = None) -> None:
+        self.g = g
+        if order is not None:
+            self.order = order
+
+    @cached_property
+    def order(self) -> CohesiveOrder | None:
+        return find_cohesive_order(self.g)
+
+    @cached_property
+    def mis(self) -> tuple[tuple[int, ...], ...]:
+        return maximal_independent_sets(self.g)
+
+    @cached_property
+    def invariants(self) -> InvariantSet:
+        return compute_invariants(self.g, mis=self.mis)
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        return independence_complex(self.g, mis=self.mis)
+
+    @cached_property
+    def stripped(self) -> tuple[Graph, dict[int, int]]:
+        """The graph without its isolated vertices, relabelled 1..k, and
+        the old-to-new vertex map."""
+        g = self.g
+        kept = [v for v in range(1, g.n + 1) if g.adj[v]]
+        if len(kept) == g.n:  # nothing to strip, so no copy
+            return g, {v: v for v in kept}
+        return induced_subgraph(g, kept)
+
+    @cached_property
+    def cm_partitions(self) -> tuple[bool, tuple[ChainPartition, ...]]:
+        """``cm_by_clique_partition`` of the graph."""
+        if self.order is None:
+            raise NotPermutationGraphError("input admits no cohesive order")
+        return cm_by_clique_partition(self.g, order=self.order, mis=self.mis)
+
+    @property
+    def cm(self) -> bool:
+        return self.cm_partitions[0]
+
+    @property
+    def bicm(self) -> bool:
+        """bi-Cohen-Macaulay: CM and im(G) = 1."""
+        return self.cm and self.invariants.induced_matching == 1
+
+    @cached_property
+    def a_invariant(self) -> tuple[int, bool]:
+        """(a, Hilbertian) from a = im + tau - n, Hilbertian exactly when
+        a < 0.  The formula is claimed for CM permutation graphs only."""
+        if not self.cm:
+            raise ValueError("a-invariant formula requires a Cohen-Macaulay input")
+        inv = self.invariants
+        a = inv.induced_matching + inv.tau - self.g.n
+        return a, a < 0
+
+    @cached_property
+    def structure(self) -> StructureFlags:
+        """``recognize_structure`` of the stripped graph."""
+        return recognize_structure(self.stripped[0])
+
+    @cached_property
+    def gorenstein(self) -> bool:
+        """Gorenstein: the stripped graph is a disjoint union of edges."""
+        stripped = self.stripped[0]
+        return all(stripped.degree(v) == 1 for v in stripped.vertices())
+
+    @cached_property
+    def nearly_gorenstein(self) -> bool:
+        """Strictly nearly Gorenstein: not Gorenstein, and the stripped
+        graph is complete or a path complement on at least 3 vertices."""
+        if self.stripped[0].n < 3 or self.gorenstein:
+            return False
+        return self.structure.is_complete or self.structure.is_path_complement
+
+    @cached_property
+    def shedding(self) -> SheddingCertificate | None:
+        """Shedding certificate of the stripped graph in the input's
+        labels, from the cohesive order restricted to it; None unless the
+        graph is CM and has an edge."""
+        stripped, old_to_new = self.stripped
+        if not (stripped.n and self.cm):
+            return None
+        order = CohesiveOrder(
+            tuple(old_to_new[v] for v in self.order.order if v in old_to_new)
+        )
+        cert = extract_shedding_order(stripped, order=order)
+        return _translate_certificate(cert, {b: a for a, b in old_to_new.items()})
 
 
 @dataclass(frozen=True)
@@ -447,13 +548,13 @@ def classify(g: Graph, with_oracle: bool = True) -> ClassificationReport:
     """
     if g.n < 1:
         raise ValueError("classification needs at least one vertex")
-    inv = compute_invariants(g)
-    order = find_cohesive_order(g)
-    iso = g.isolated_vertices()
+    facts = GraphFacts(g)
+    inv = facts.invariants
+    order = facts.order
 
     oracle: dict | None = None
     if with_oracle and g.n <= get_cap("hochster"):
-        comp = independence_complex(g)
+        comp = facts.complex
         hil = hilbert_data(comp)
         betti = hochster_betti_table(comp)
         oracle = {
@@ -469,79 +570,46 @@ def classify(g: Graph, with_oracle: bool = True) -> ClassificationReport:
             "h_vector": list(hil.h),
         }
 
-    vd_flag = oracle["vertex_decomposable"] if oracle else None
-
-    if order is None:
-        return ClassificationReport(
-            n=g.n,
-            edges=g.edges(),
-            is_permutation=False,
-            cohesive_order=None,
-            isolated_vertices=iso,
-            invariants=inv,
-            unmixed=inv.unmixed,
-            cm=None,
-            vertex_decomposable=vd_flag,
-            gorenstein=None,
-            nearly_gorenstein=None,
-            bicm=None,
-            hilbertian=oracle["hilbertian"] if oracle else None,
-            a_invariant=oracle["hilbert_a"] if oracle else None,
-            reg=oracle["betti_reg"] if oracle else None,
-            oracle=oracle,
-            witnesses={"clique_partitions": None, "shedding": None, "gap_witness": None},
-        )
-
-    cm_flag, parts = cm_by_clique_partition(g, order=order)
-
-    stripped, old_to_new = induced_subgraph(
-        g, (v for v in range(1, g.n + 1) if g.adj[v])
-    )
-    new_to_old = {b: a for a, b in old_to_new.items()}
-    gorenstein, nearly = gorenstein_by_structure(stripped)
-    gap = None
-    if gorenstein and stripped.n:
-        gap_local = gap_witness_check(stripped)
-        gap = gap_local
-
-    shedding = None
-    if cm_flag and stripped.n:
-        stripped_order = CohesiveOrder(
-            tuple(old_to_new[v] for v in order.order if v in old_to_new)
-        )
-        cert = extract_shedding_order(stripped, order=stripped_order)
-        shedding = _translate_certificate(cert, new_to_old)
-
+    cm_flag = gorenstein = nearly = bicm = None
+    witnesses: dict = {"clique_partitions": None, "shedding": None, "gap_witness": None}
+    if order is not None:
+        cm_flag, parts = facts.cm_partitions
+        gorenstein, nearly = facts.gorenstein, facts.nearly_gorenstein
+        bicm = facts.bicm
+        stripped, _ = facts.stripped
+        witnesses = {
+            "clique_partitions": [[list(b) for b in p.blocks] for p in parts],
+            "shedding": facts.shedding.to_dict() if facts.shedding else None,
+            "gap_witness": (
+                gap_witness_check(stripped) if gorenstein and stripped.n else None
+            ),
+        }
     if cm_flag:
-        a = inv.induced_matching + inv.tau - g.n
-        hilbertian: bool | None = a < 0
-        a_out: int | None = a
+        a, hilbertian = facts.a_invariant
     else:
-        a_out = oracle["hilbert_a"] if oracle else None
+        a = oracle["hilbert_a"] if oracle else None
         hilbertian = oracle["hilbertian"] if oracle else None
+    if order is not None:
+        reg = inv.induced_matching  # reg = im for every permutation graph
+    else:
+        reg = oracle["betti_reg"] if oracle else None
 
     return ClassificationReport(
         n=g.n,
         edges=g.edges(),
-        is_permutation=True,
-        cohesive_order=order.order,
-        isolated_vertices=iso,
+        is_permutation=order is not None,
+        cohesive_order=order.order if order is not None else None,
+        isolated_vertices=g.isolated_vertices(),
         invariants=inv,
         unmixed=inv.unmixed,
         cm=cm_flag,
-        vertex_decomposable=vd_flag,
+        vertex_decomposable=oracle["vertex_decomposable"] if oracle else None,
         gorenstein=gorenstein,
         nearly_gorenstein=nearly,
-        bicm=cm_flag and inv.induced_matching == 1,
+        bicm=bicm,
         hilbertian=hilbertian,
-        a_invariant=a_out,
-        reg=inv.induced_matching,
+        a_invariant=a,
+        reg=reg,
         oracle=oracle,
-        witnesses={
-            "clique_partitions": [
-                [list(b) for b in p.blocks] for p in parts
-            ],
-            "shedding": shedding.to_dict() if shedding else None,
-            "gap_witness": gap,
-        },
+        witnesses=witnesses,
     )

@@ -1,11 +1,11 @@
 """Command-line surface: classify, verify, survey, shed, ideal.
 
-``verify`` runs an exhaustive sweep over all permutations of S_n,
-deduplicates the inversion graphs by labelled edge set, and compares a
-theorem-driven classifier against its independent algebraic oracle; the
-discrepancy list of a correct build is empty.  Exit codes: 0 success,
-1 a theorem/oracle discrepancy (or a shed request on a non-CM graph),
-2 usage or parse errors.
+``verify`` runs an exhaustive sweep over the inversion graphs of all
+permutations of S_n (one graph per permutation, in order of edge set)
+and compares a theorem-driven classifier against its independent
+algebraic oracle; the discrepancy list of a correct build is empty.
+Exit codes: 0 success, 1 a theorem/oracle discrepancy (or a shed
+request on a non-CM graph), 2 usage or parse errors.
 
 Outputs are deterministic: identical invocations produce byte-identical
 bytes, and parallel sweeps merge worker results in canonical order.
@@ -21,22 +21,22 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
+from operator import itemgetter
+from typing import Callable
 
 from .caps import CapExceededError, check_cap
 from .classify import (
     ClaimFailureError,
+    GraphFacts,
     classify,
-    cm_by_clique_partition,
     extract_shedding_order,
     gap_witness_check,
     verify_shedding_certificate,
-    _translate_certificate,
 )
-from .cohesive import CohesiveOrder, find_cohesive_order
+from .cohesive import CohesiveOrder
 from .complexes import (
     hilbert_data,
     hochster_betti_table,
-    independence_complex,
     is_vertex_decomposable,
     reisner_cm_test,
 )
@@ -46,9 +46,7 @@ from .graphs import (
     complement,
     graph_from_json,
     graph_from_permutation,
-    induced_subgraph,
     is_chordal,
-    recognize_structure,
 )
 from .ideals import (
     cover_ideal,
@@ -56,15 +54,15 @@ from .ideals import (
     power_has_linear_quotients,
     vertex_splittable_test,
 )
-from .invariants import compute_invariants
 
 
 # -- per-theorem checks ------------------------------------------------------
 #
-# Each check takes an inversion graph, labelled as built from its
-# permutation, and returns None (skipped: the statement does not apply)
-# or a dict with "ok", "predicates" and, when not ok, a human-readable
-# "detail".
+# Each check takes the facts of one inversion graph, labelled as built
+# from its permutation, and returns None (skipped: the statement does not
+# apply) or a dict with "ok", "predicates" and, when not ok, a
+# human-readable "detail".  Oracle predicates read only the graph, its
+# maximal independent sets or its complex, never a theorem-side fact.
 
 def _inversion_order(g: Graph) -> CohesiveOrder:
     """The labelling of an inversion graph, which is cohesive by
@@ -72,18 +70,11 @@ def _inversion_order(g: Graph) -> CohesiveOrder:
     return CohesiveOrder(tuple(range(1, g.n + 1)))
 
 
-def _strip_isolated(g: Graph) -> Graph:
-    kept = [v for v in range(1, g.n + 1) if g.adj[v]]
-    sub, _ = induced_subgraph(g, kept)
-    return sub
-
-
-def _check_vd(g: Graph) -> dict | None:
-    comp = independence_complex(g)
+def _check_vd(f: GraphFacts) -> dict | None:
+    comp = f.complex
     oracle_cm = reisner_cm_test(comp)
-    theorem_cm, _ = cm_by_clique_partition(g, _inversion_order(g))
-    inv = compute_invariants(g)
-    unmixed_vd = inv.unmixed and is_vertex_decomposable(comp)
+    theorem_cm = f.cm
+    unmixed_vd = f.invariants.unmixed and is_vertex_decomposable(comp)
     ok = oracle_cm == theorem_cm == unmixed_vd
     return {
         "ok": ok,
@@ -95,31 +86,30 @@ def _check_vd(g: Graph) -> dict | None:
     }
 
 
-def _check_cm(g: Graph) -> dict | None:
-    comp = independence_complex(g)
-    oracle_cm = reisner_cm_test(comp)
-    inv = compute_invariants(g)
-    _, parts = cm_by_clique_partition(g, _inversion_order(g))
+def _check_cm(f: GraphFacts) -> dict | None:
+    oracle_cm = reisner_cm_test(f.complex)
+    unmixed = f.invariants.unmixed
+    _, parts = f.cm_partitions
     count = len(parts)  # 0, 1, or 2 meaning "at least 2"
     if oracle_cm:
         ok = count == 1
-    elif inv.unmixed:
+    elif unmixed:
         ok = count != 1
     else:
         ok = True
     return {
         "ok": ok,
-        "predicates": {"oracle_cm": oracle_cm, "unmixed": inv.unmixed,
+        "predicates": {"oracle_cm": oracle_cm, "unmixed": unmixed,
                        "unique_partition": count == 1},
-        "detail": None if ok else f"cm={oracle_cm} unmixed={inv.unmixed} partitions={count}",
+        "detail": None if ok else f"cm={oracle_cm} unmixed={unmixed} partitions={count}",
     }
 
 
-def _check_goren(g: Graph) -> dict | None:
-    if g.isolated_vertices():
+def _check_goren(f: GraphFacts) -> dict | None:
+    if f.g.isolated_vertices():
         return None
-    structural = all(g.degree(v) == 1 for v in range(1, g.n + 1))
-    comp = independence_complex(g)
+    structural = f.gorenstein
+    comp = f.complex
     cm = reisner_cm_test(comp)
     lhs = False
     if cm:
@@ -144,17 +134,14 @@ def _facets_form_path(facets: tuple[tuple[int, ...], ...], n: int) -> bool:
     return _is_path(h)
 
 
-def _check_nearly(g: Graph) -> dict | None:
+def _check_nearly(f: GraphFacts) -> dict | None:
+    g = f.g
     if g.isolated_vertices():
         return None
-    flags = recognize_structure(g)
-    nearly = (
-        g.n >= 3
-        and (flags.is_complete or flags.is_path_complement)
-        and not flags.is_disjoint_union_of_edges
-    )
-    facets = independence_complex(g).facet_sets()
-    points = g.n >= 3 and len(facets) == g.n and all(len(f) == 1 for f in facets)
+    flags = f.structure
+    nearly = f.nearly_gorenstein
+    facets = f.complex.facet_sets()
+    points = g.n >= 3 and len(facets) == g.n and all(len(s) == 1 for s in facets)
     path = g.n >= 3 and _facets_form_path(facets, g.n)
     ok = nearly == (points or path)
     # the facet shapes must correspond respectively
@@ -170,20 +157,20 @@ def _check_nearly(g: Graph) -> dict | None:
     }
 
 
-def _check_ainv(g: Graph) -> dict | None:
-    comp = independence_complex(g)
-    inv = compute_invariants(g)
+def _check_ainv(f: GraphFacts) -> dict | None:
+    comp = f.complex
+    im = f.invariants.induced_matching
     reg = hochster_betti_table(comp).reg
-    ok = reg == inv.induced_matching
-    detail = None if ok else f"betti reg={reg} im={inv.induced_matching}"
-    cm, _ = cm_by_clique_partition(g, _inversion_order(g))
+    ok = reg == im
+    detail = None if ok else f"betti reg={reg} im={im}"
+    cm = f.cm
     formula_ok = True
     window_ok = True
     if ok and cm:
         hd = hilbert_data(comp)
-        a = inv.induced_matching + inv.tau - g.n
+        a, hilbertian = f.a_invariant
         formula_ok = hd.a == a
-        window_ok = (a < 0) == hd.hilbertian
+        window_ok = hilbertian == hd.hilbertian
         if not formula_ok:
             detail = f"hilbert a={hd.a} formula={a}"
         elif not window_ok:
@@ -196,17 +183,16 @@ def _check_ainv(g: Graph) -> dict | None:
     }
 
 
-def _check_bicm(g: Graph) -> dict | None:
-    cm, _ = cm_by_clique_partition(g, _inversion_order(g))
-    inv = compute_invariants(g)
-    lhs = cm and inv.induced_matching == 1
+def _check_bicm(f: GraphFacts) -> dict | None:
+    g = f.g
+    lhs = f.bicm
     # Cover-ring CM oracle: the cover ideal quotient is CM iff the edge
     # ideal has a linear resolution iff the complement is chordal; when
     # the graph has no edges the cover ideal is the unit ideal and the
     # quotient is the zero ring, which is not Cohen-Macaulay.
     oracle = (
         g.edge_count() > 0
-        and reisner_cm_test(independence_complex(g))
+        and reisner_cm_test(f.complex)
         and is_chordal(complement(g))
     )
     ok = lhs == oracle
@@ -217,15 +203,13 @@ def _check_bicm(g: Graph) -> dict | None:
     }
 
 
-def _check_hilb(g: Graph) -> dict | None:
-    comp = independence_complex(g)
-    hd = hilbert_data(comp)
+def _check_hilb(f: GraphFacts) -> dict | None:
+    hd = hilbert_data(f.complex)
     identity_ok = (hd.a < 0) == hd.hilbertian
-    cm, _ = cm_by_clique_partition(g, _inversion_order(g))
+    cm = f.cm
     formula_ok = True
     if cm:
-        inv = compute_invariants(g)
-        formula_ok = ((inv.induced_matching + inv.tau - g.n) < 0) == hd.hilbertian
+        formula_ok = f.a_invariant[1] == hd.hilbertian
     ok = identity_ok and formula_ok
     return {
         "ok": ok,
@@ -235,14 +219,13 @@ def _check_hilb(g: Graph) -> dict | None:
     }
 
 
-def _check_covs(g: Graph) -> dict | None:
-    inv = compute_invariants(g)
-    if not inv.unmixed:
+def _check_covs(f: GraphFacts) -> dict | None:
+    if not f.invariants.unmixed:
         return None
-    ideal = cover_ideal(g)
+    ideal = cover_ideal(f.g, mis=f.mis)
     splittable = vertex_splittable_test(ideal) is not None
     linear = linear_quotients_order(ideal) is not None
-    cm, _ = cm_by_clique_partition(g, _inversion_order(g))
+    cm = f.cm
     ok = splittable == linear == cm
     return {
         "ok": ok,
@@ -252,14 +235,14 @@ def _check_covs(g: Graph) -> dict | None:
     }
 
 
-def _check_shed(g: Graph) -> dict | None:
-    cm, _ = cm_by_clique_partition(g, _inversion_order(g))
-    if not cm:
+def _check_shed(f: GraphFacts) -> dict | None:
+    if not f.cm:
         return None
-    stripped = _strip_isolated(g)
+    stripped, _ = f.stripped
     if stripped.n == 0:
         return {"ok": True, "predicates": {"certificate_verified": True}, "detail": None}
     try:
+        # from the bare graph, so the public extraction path is exercised
         cert = extract_shedding_order(stripped)
     except ClaimFailureError as exc:
         return {
@@ -275,12 +258,12 @@ def _check_shed(g: Graph) -> dict | None:
     }
 
 
-def _check_gap(g: Graph) -> dict | None:
-    stripped = _strip_isolated(g)
+def _check_gap(f: GraphFacts) -> dict | None:
+    stripped, _ = f.stripped
     if stripped.n == 0:
         return None
-    if any(stripped.degree(v) != 1 for v in stripped.vertices()):
-        return None  # not Gorenstein, nothing claimed
+    if not f.gorenstein:
+        return None  # nothing claimed
     result = gap_witness_check(stripped)
     if result is None:
         return None  # alpha < 2: single edge, not applicable
@@ -340,13 +323,34 @@ def _check_sweep_args(n: int, jobs: int) -> None:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
 
 
-def _sweep_chunk(theorem: str, perms: list[tuple[int, ...]]) -> list[tuple[tuple, dict | None]]:
-    check = _CHECKS[theorem]
+def _sweep_chunk(
+    per_graph: Callable[[GraphFacts], dict | None], perms: list[tuple[int, ...]]
+) -> list[tuple[tuple, dict | None]]:
     out = []
     for p in perms:
         g = graph_from_permutation(Permutation(p))
-        out.append((g.edges(), check(g)))
+        out.append((g.edges(), per_graph(GraphFacts(g, order=_inversion_order(g)))))
     return out
+
+
+def _sweep(
+    per_graph: Callable[[GraphFacts], dict | None], n: int, jobs: int
+) -> list[tuple[tuple, dict | None]]:
+    """``per_graph`` of every inversion graph of S_n, keyed by edge tuple
+    and sorted by it.  An inversion set determines its permutation, so
+    there is one graph per permutation."""
+    perms = list(permutations(range(1, n + 1)))
+    if jobs > 1 and len(perms) > 1:
+        chunk = max(1, len(perms) // (jobs * 4))
+        chunks = [perms[i:i + chunk] for i in range(0, len(perms), chunk)]
+        results: list[tuple[tuple, dict | None]] = []
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for part in pool.map(_sweep_chunk, [per_graph] * len(chunks), chunks):
+                results.extend(part)
+    else:
+        results = _sweep_chunk(per_graph, perms)
+    results.sort(key=itemgetter(0))
+    return results
 
 
 def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
@@ -355,26 +359,12 @@ def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
         raise ValueError(f"unknown theorem id {theorem!r}")
     _check_sweep_args(n, jobs)
     check_cap(theorem, n, "sweep")
-    perms = list(permutations(range(1, n + 1)))
-    if jobs > 1 and len(perms) > 1:
-        chunk = max(1, len(perms) // (jobs * 4))
-        chunks = [perms[i:i + chunk] for i in range(0, len(perms), chunk)]
-        results: list[tuple[tuple, dict | None]] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_sweep_chunk, [theorem] * len(chunks), chunks):
-                results.extend(part)
-    else:
-        results = _sweep_chunk(theorem, perms)
-
-    by_key: dict[tuple, dict | None] = {}
-    for key, res in results:
-        by_key.setdefault(key, res)
+    results = _sweep(_CHECKS[theorem], n, jobs)
 
     counts: dict[str, int] = {}
     discrepancies = []
     checked = skipped = 0
-    for key in sorted(by_key):
-        res = by_key[key]
+    for key, res in results:
         if res is None:
             skipped += 1
             continue
@@ -389,8 +379,8 @@ def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
     return SweepResult(
         theorem=theorem,
         n=n,
-        total_permutations=len(perms),
-        distinct_graphs=len(by_key),
+        total_permutations=len(results),
+        distinct_graphs=len(results),
         checked=checked,
         skipped=skipped,
         counts=counts,
@@ -407,22 +397,14 @@ _SURVEY_COLUMNS = [
 ]
 
 
-def _survey_row(g: Graph) -> dict:
-    inv = compute_invariants(g)
-    cm, _ = cm_by_clique_partition(g, _inversion_order(g))
-    stripped = _strip_isolated(g)
-    flags = recognize_structure(stripped)
-    gorenstein = flags.is_disjoint_union_of_edges
-    nearly = (
-        stripped.n >= 3
-        and (flags.is_complete or flags.is_path_complement)
-        and not gorenstein
-    )
+def _survey_row(f: GraphFacts) -> dict:
+    g = f.g
+    inv = f.invariants
+    cm = f.cm
     if cm:
-        a = inv.induced_matching + inv.tau - g.n
-        hilbertian = a < 0
+        a, hilbertian = f.a_invariant
     else:
-        hd = hilbert_data(independence_complex(g))
+        hd = hilbert_data(f.complex)
         a = hd.a
         hilbertian = hd.hilbertian
     return {
@@ -433,41 +415,20 @@ def _survey_row(g: Graph) -> dict:
         "induced_matching": inv.induced_matching,
         "unmixed": inv.unmixed,
         "cm": cm,
-        "gorenstein": gorenstein,
-        "nearly_gorenstein": nearly,
-        "bicm": cm and inv.induced_matching == 1,
+        "gorenstein": f.gorenstein,
+        "nearly_gorenstein": f.nearly_gorenstein,
+        "bicm": f.bicm,
         "hilbertian": hilbertian,
         "a_invariant": a,
         "reg": inv.induced_matching,
     }
 
 
-def _survey_chunk(perms: list[tuple[int, ...]]) -> list[tuple[tuple, dict]]:
-    out = []
-    for p in perms:
-        g = graph_from_permutation(Permutation(p))
-        out.append((g.edges(), _survey_row(g)))
-    return out
-
-
 def survey_rows(n: int, jobs: int = 1) -> list[dict]:
     """One row per distinct inversion graph of S_n, deterministic order."""
     _check_sweep_args(n, jobs)
     check_cap("survey", n, "survey")
-    perms = list(permutations(range(1, n + 1)))
-    if jobs > 1 and len(perms) > 1:
-        chunk = max(1, len(perms) // (jobs * 4))
-        chunks = [perms[i:i + chunk] for i in range(0, len(perms), chunk)]
-        results: list[tuple[tuple, dict]] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_survey_chunk, chunks):
-                results.extend(part)
-    else:
-        results = _survey_chunk(perms)
-    by_key: dict[tuple, dict] = {}
-    for key, row in results:
-        by_key.setdefault(key, row)
-    return [by_key[k] for k in sorted(by_key)]
+    return [row for _, row in _sweep(_survey_row, n, jobs)]
 
 
 def _format_cell(value) -> str:
@@ -541,21 +502,16 @@ def _cmd_survey(args) -> int:
 
 def _cmd_shed(args) -> int:
     g = _load_graph(args)
-    kept = [v for v in range(1, g.n + 1) if g.adj[v]]
-    stripped, old_to_new = induced_subgraph(g, kept)
-    new_to_old = {b: a for a, b in old_to_new.items()}
-    order = find_cohesive_order(g)
-    if order is None:
+    facts = GraphFacts(g)
+    if facts.order is None:
         print("input is not a permutation graph", file=sys.stderr)
         return 1
-    if stripped.n:
-        cm, _ = cm_by_clique_partition(stripped)
-        if not cm:
+    if facts.stripped[0].n:
+        if not facts.cm:
             print("input is not Cohen-Macaulay: no shedding order extracted",
                   file=sys.stderr)
             return 1
-        cert = _translate_certificate(extract_shedding_order(stripped), new_to_old)
-        payload = cert.to_dict()
+        payload = facts.shedding.to_dict()
     else:
         payload = {"order": [], "cohesive_order": [], "remaining": [], "steps": []}
     payload["isolated_vertices_stripped"] = list(g.isolated_vertices())

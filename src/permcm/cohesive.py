@@ -37,9 +37,6 @@ class CohesiveOrder:
 
     order: tuple[int, ...]
 
-    def positions(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.order)}
-
 
 def _as_order(order: CohesiveOrder | Sequence[int]) -> tuple[int, ...]:
     if isinstance(order, CohesiveOrder):

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .caps import check_cap
 from .graphs import Graph, mask_of, vbit, vertices_of
@@ -82,12 +82,6 @@ class SimplicialComplex:
 
     def facet_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(vertices_of(m) for m in self.facets))
-
-    def support(self) -> int:
-        s = 0
-        for m in self.facets:
-            s |= m
-        return s
 
     def has_face(self, face: Iterable[int] | int) -> bool:
         f = face if isinstance(face, int) else mask_of(face)
@@ -142,9 +136,14 @@ def complex_from_json(data: dict) -> SimplicialComplex:
     return SimplicialComplex.from_faces(data["vertices"], data["facets"])
 
 
-def independence_complex(g: Graph) -> SimplicialComplex:
-    """Faces are the independent sets; facets the maximal ones."""
-    facets = tuple(sorted(mask_of(s) for s in maximal_independent_sets(g)))
+def independence_complex(
+    g: Graph, mis: tuple[tuple[int, ...], ...] | None = None
+) -> SimplicialComplex:
+    """Faces are the independent sets; facets the maximal ones.  ``mis``,
+    when given, must be ``maximal_independent_sets(g)``."""
+    if mis is None:
+        mis = maximal_independent_sets(g)
+    facets = tuple(sorted(mask_of(s) for s in mis))
     if g.n and not facets:  # cannot happen: singletons are independent
         raise AssertionError("graph independence complex lost its vertices")
     if g.n == 0:
@@ -372,9 +371,6 @@ class BettiTable:
         pd = self.pd
         return sum(r for (i, _), r in self.entries.items() if i == pd)
 
-    def total(self, i: int) -> int:
-        return sum(r for (h, _), r in self.entries.items() if h == i)
-
 
 def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     """Betti table via Hochster: beta_{i,j} sums the reduced homology of
@@ -401,16 +397,6 @@ def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
 
 
 # -- Hilbert data ------------------------------------------------------------
-
-def _poly_binom(x: int, k: int) -> int:
-    """Binomial coefficient as a polynomial in x, exact at integers."""
-    if k < 0:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= x - i
-    return num // factorial(k)
-
 
 @dataclass(frozen=True)
 class HilbertData:
@@ -617,19 +603,3 @@ def shellable_bruteforce_test(c: SimplicialComplex) -> bool:
             return True
     return False
 
-
-def clear_caches() -> None:
-    """Drop the global memo tables (mainly for benchmarking)."""
-    _HOMOLOGY_CACHE.clear()
-    _REISNER_CACHE.clear()
-    _VD_CACHE.clear()
-
-
-def iter_submasks(full: int) -> Iterator[int]:
-    """All submasks of ``full``, descending, ending with 0."""
-    w = full
-    while True:
-        yield w
-        if w == 0:
-            return
-        w = (w - 1) & full

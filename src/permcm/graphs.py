@@ -56,10 +56,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.values)
 
-    def position(self, k: int) -> int:
-        """1-based position of value k in the one-line notation."""
-        return self.values.index(k) + 1
-
     def reversed(self) -> "Permutation":
         return Permutation(tuple(reversed(self.values)))
 

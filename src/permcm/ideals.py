@@ -65,9 +65,12 @@ class MonomialIdeal:
         return self.gens == (0,)
 
 
-def cover_ideal(g: Graph) -> MonomialIdeal:
-    """Generators are the minimal vertex covers of the graph."""
-    _, _, _, covers = independence_invariants(g)
+def cover_ideal(
+    g: Graph, mis: tuple[tuple[int, ...], ...] | None = None
+) -> MonomialIdeal:
+    """Generators are the minimal vertex covers of the graph.  ``mis``,
+    when given, must be ``maximal_independent_sets(g)``."""
+    _, _, _, covers = independence_invariants(g, mis)
     return MonomialIdeal(g.n, _minimalize(mask_of(c) for c in covers))
 
 

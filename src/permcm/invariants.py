@@ -30,15 +30,17 @@ def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def independence_invariants(
-    g: Graph,
+    g: Graph, mis: tuple[tuple[int, ...], ...] | None = None
 ) -> tuple[int, int, bool, tuple[tuple[int, ...], ...]]:
     """Return (alpha, tau, unmixed, minimal vertex covers).
 
     Minimal vertex covers are exactly the complements of the maximal
     independent sets, so tau = n - alpha and unmixedness is the statement
-    that all maximal independent sets share one cardinality.
+    that all maximal independent sets share one cardinality.  ``mis``,
+    when given, must be ``maximal_independent_sets(g)``.
     """
-    mis = maximal_independent_sets(g)
+    if mis is None:
+        mis = maximal_independent_sets(g)
     if not mis:  # only for the empty graph
         return 0, 0, True, ()
     alpha = max(len(s) for s in mis)
@@ -51,7 +53,7 @@ def independence_invariants(
     return alpha, tau, unmixed, covers
 
 
-def _max_compatible(masks: list[int], compat: list[int]) -> int:
+def _max_compatible(compat: list[int]) -> int:
     """Largest subset of indices that is pairwise compatible.
 
     Branch and bound over an index bitmask; compat[i] holds the indices
@@ -71,7 +73,7 @@ def _max_compatible(masks: list[int], compat: list[int]) -> int:
         go(candidates & compat[i], size + 1)
         go(candidates ^ low, size)
 
-    go((1 << len(masks)) - 1, 0)
+    go((1 << len(compat)) - 1, 0)
     return best
 
 
@@ -98,13 +100,19 @@ def matching_invariants(g: Graph) -> tuple[int, int]:
                 disjoint[i] |= 1 << j
                 if not reach[i] & vmasks[j]:
                     gap[i] |= 1 << j
-    m = _max_compatible(vmasks, disjoint)
-    im = _max_compatible(vmasks, gap)
+    m = _max_compatible(disjoint)
+    im = _max_compatible(gap)
     return m, im
 
 
-def compute_invariants(g: Graph) -> InvariantSet:
-    alpha, tau, unmixed, covers = independence_invariants(g)
+def compute_invariants(
+    g: Graph, mis: tuple[tuple[int, ...], ...] | None = None
+) -> InvariantSet:
+    """All invariants; ``mis``, when given, must be
+    ``maximal_independent_sets(g)``."""
+    if mis is None:
+        mis = maximal_independent_sets(g)
+    alpha, tau, unmixed, covers = independence_invariants(g, mis)
     m, im = matching_invariants(g)
     return InvariantSet(
         alpha=alpha,
@@ -112,6 +120,6 @@ def compute_invariants(g: Graph) -> InvariantSet:
         unmixed=unmixed,
         matching=m,
         induced_matching=im,
-        max_independent_sets=maximal_independent_sets(g),
+        max_independent_sets=mis,
         min_vertex_covers=covers,
     )

@@ -259,3 +259,29 @@ class TestClaimNeverFails:
                 except ClaimFailureError as exc:  # pragma: no cover
                     pytest.fail(f"claim failed on {g.edges()}: {exc}")
                 assert verify_shedding_certificate(stripped, cert)
+
+
+class TestGraphFacts:
+    def test_sweeps_enumerate_independent_sets_once_per_graph(self, monkeypatch):
+        # counted from outside: every module binding of the enumerator is
+        # replaced, so a fallback call inside any callee is counted too
+        import importlib
+
+        from permcm.cli import run_verify, survey_rows
+
+        original = importlib.import_module("permcm.invariants").maximal_independent_sets
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        for name in ("invariants", "complexes", "ideals", "classify", "cli"):
+            module = importlib.import_module(f"permcm.{name}")
+            if getattr(module, "maximal_independent_sets", None) is original:
+                monkeypatch.setattr(module, "maximal_independent_sets", counted)
+        assert run_verify("vd", 5).checked == 120
+        assert len(calls) == 120
+        calls.clear()
+        assert len(survey_rows(5)) == 120
+        assert len(calls) == 120

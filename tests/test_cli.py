@@ -80,6 +80,7 @@ class TestVerifyCommand:
         result = json.loads(out)
         assert result["discrepancies"] == []
         assert result["total_permutations"] == 24
+        assert result["distinct_graphs"] == result["total_permutations"]
 
     def test_cap_exceeded_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "vd", "--n", "9")
@@ -182,6 +183,16 @@ class TestShedCommand:
         path.write_text(json.dumps(graph_to_json(cycle_graph(5))))
         code, _, err = run(capsys, "shed", "--graph", str(path))
         assert code == 1 and "permutation" in err
+
+    @pytest.mark.parametrize("perm", ["3,1,4,2", "2,1,4,3", "2,1,3", "2,1,3,6,5,4"])
+    def test_payload_is_classify_witness(self, capsys, perm):
+        code, out, _ = run(capsys, "shed", "--perm", perm)
+        assert code == 0
+        _, report_out, _ = run(capsys, "classify", "--perm", perm, "--no-oracle")
+        report = json.loads(report_out)
+        expected = dict(report["witnesses"]["shedding"],
+                        isolated_vertices_stripped=report["isolated_vertices"])
+        assert json.loads(out) == expected
 
 
 class TestIdealCommand:
