@@ -5,11 +5,15 @@ guarded by a cap that keeps it at desk scale.  Caps can be raised through
 the ``PERMCM_CAPS`` environment variable, a comma-separated list such as
 ``PERMCM_CAPS="vd=8,hochster=16"``.  Raising a cap never changes results,
 only runtimes, but anything above the defaults is unsupported territory.
+The whole variable is parsed on every read: an entry that is malformed,
+names no cap, is negative or repeats a name is an error, even when the
+cap it sets is not the one being read.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 DEFAULT_CAPS: dict[str, int] = {
     # verification sweeps (maximum n for S_n enumeration)
@@ -38,22 +42,37 @@ class CapExceededError(ValueError):
     """An input exceeded the configured size cap for an operation."""
 
 
+def env_overrides() -> dict[str, int]:
+    """The caps that PERMCM_CAPS sets, by name.
+
+    Raises ValueError, naming the entry, for an entry that is not
+    ``name=value``, names no cap, sets a value that is not a
+    nonnegative integer, or repeats a name.
+    """
+    out: dict[str, int] = {}
+    for item in os.environ.get(_ENV_VAR, "").split(","):
+        item = item.strip()
+        if not item:
+            continue
+        key, sep, value = item.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not re.fullmatch(r"-?[0-9]+", value):
+            raise ValueError(f"bad {_ENV_VAR} entry {item!r}: expected name=integer")
+        if key not in DEFAULT_CAPS:
+            raise ValueError(f"bad {_ENV_VAR} entry {item!r}: unknown cap {key!r}")
+        if int(value) < 0:
+            raise ValueError(f"bad {_ENV_VAR} entry {item!r}: a cap cannot be negative")
+        if key in out:
+            raise ValueError(f"bad {_ENV_VAR} entry {item!r}: {key!r} is set twice")
+        out[key] = int(value)
+    return out
+
+
 def get_cap(name: str) -> int:
     """Return the cap for ``name``, honouring PERMCM_CAPS overrides."""
     if name not in DEFAULT_CAPS:
         raise KeyError(f"unknown cap {name!r}")
-    raw = os.environ.get(_ENV_VAR, "")
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        if key.strip() == name:
-            try:
-                return int(value)
-            except ValueError as exc:
-                raise ValueError(f"bad {_ENV_VAR} entry {item!r}") from exc
-    return DEFAULT_CAPS[name]
+    return env_overrides().get(name, DEFAULT_CAPS[name])
 
 
 def check_cap(name: str, value: int, what: str = "input") -> None:

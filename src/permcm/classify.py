@@ -152,15 +152,20 @@ def _is_maximal_independent_in(g: Graph, fmask: int) -> bool:
     return True
 
 
-def _shedding_property_holds(g: Graph, j: int) -> bool:
-    """Every maximal independent set of g minus j stays maximal in g."""
+def _peel(
+    g: Graph, j: int
+) -> tuple[Graph, dict[int, int], tuple[tuple[int, ...], ...]] | None:
+    """Delete the shedding vertex j: g minus j, the old-to-new vertex map
+    and the maximal independent sets of g minus j; None unless each of
+    those sets stays maximal in g (the shedding property of j)."""
     smaller, old_to_new = delete_vertex(g, j)
+    mis = maximal_independent_sets(smaller)
     new_to_old = {b: a for a, b in old_to_new.items()}
-    for s in maximal_independent_sets(smaller):
+    for s in mis:
         fmask = sum(vbit(new_to_old[v]) for v in s)
         if not _is_maximal_independent_in(g, fmask):
-            return False
-    return True
+            return None
+    return smaller, old_to_new, mis
 
 
 def extract_shedding_order(
@@ -172,7 +177,10 @@ def extract_shedding_order(
     take the unique partition into maximal chains, find the first block
     whose lower-cover element i has upper set exactly {j}, verify the
     shedding property of j directly, delete j, and repeat until the
-    graph is edgeless.  Requires a graph with no isolated vertices.
+    graph is edgeless.  Requires a graph with no isolated vertices; the
+    first step rejects a graph that is not CM (not unmixed, or without a
+    unique partition).  Each step's maximal independent sets are those
+    the shedding check of the step before enumerated.
     """
     if g.isolated_vertices():
         raise ValueError("strip isolated vertices before extracting a shedding order")
@@ -180,11 +188,9 @@ def extract_shedding_order(
         order = find_cohesive_order(g)
     if order is None:
         raise NotPermutationGraphError("input admits no cohesive order")
-    cm, _ = cm_by_clique_partition(g, order=order)
-    if not cm:
-        raise ValueError("shedding orders exist only for Cohen-Macaulay inputs")
 
     cur = g
+    mis = maximal_independent_sets(g)
     cur_of = {v: v for v in range(1, g.n + 1)}   # original -> current label
     orig_order = order.order
     removed: list[int] = []
@@ -194,9 +200,11 @@ def extract_shedding_order(
         orig_of = {c: o for o, c in cur_of.items()}
         cur_order = tuple(cur_of[o] for o in orig_order if o in cur_of)
         poset = comparability_poset(cur, cur_order)
-        mis = maximal_independent_sets(cur)
         alpha = max(len(s) for s in mis)
         parts = maximal_clique_partitions(cur, r=alpha, limit=2, poset=poset)
+        if not steps:  # the input's partition and unmixedness decide CM
+            if len(parts) != 1 or any(len(s) != alpha for s in mis):
+                raise ValueError("shedding orders exist only for Cohen-Macaulay inputs")
         if len(parts) != 1:
             raise ClaimFailureError(
                 f"partition into {alpha} maximal cliques not unique mid-extraction"
@@ -217,7 +225,8 @@ def extract_shedding_order(
             raise ClaimFailureError("no block satisfies the upper-set condition")
         t_idx, i, j = chosen
 
-        if not _shedding_property_holds(cur, j):
+        peeled = _peel(cur, j)
+        if peeled is None:
             raise ClaimFailureError(
                 f"vertex {orig_of[j]} failed the direct shedding re-check"
             )
@@ -238,7 +247,7 @@ def extract_shedding_order(
         )
         removed.append(orig_of[j])
 
-        cur, old_to_new = delete_vertex(cur, j)
+        cur, old_to_new, mis = peeled
         cur_of = {
             o: old_to_new[c] for o, c in cur_of.items() if c != j
         }
@@ -301,10 +310,11 @@ def verify_shedding_certificate(g: Graph, cert: SheddingCertificate) -> bool:
             return False
         if poset.up[i] != vbit(j):
             return False
-        if not _shedding_property_holds(cur, j):
+        peeled = _peel(cur, j)
+        if peeled is None:
             return False
 
-        cur, old_to_new = delete_vertex(cur, j)
+        cur, old_to_new, _ = peeled
         cur_of = {o: old_to_new[c] for o, c in cur_of.items() if c != j}
     return cur.edge_count() == 0
 

@@ -24,7 +24,7 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Callable
 
-from .caps import CapExceededError, check_cap
+from .caps import CapExceededError, check_cap, env_overrides
 from .classify import (
     ClaimFailureError,
     GraphFacts,
@@ -43,7 +43,9 @@ from .complexes import (
 from .graphs import (
     Graph,
     Permutation,
+    _is_path,
     complement,
+    graph_from_edges,
     graph_from_json,
     graph_from_permutation,
     is_chordal,
@@ -125,8 +127,6 @@ def _check_goren(f: GraphFacts) -> dict | None:
 def _facets_form_path(facets: tuple[tuple[int, ...], ...], n: int) -> bool:
     if n < 2 or any(len(f) != 2 for f in facets):
         return False
-    from .graphs import graph_from_edges, _is_path
-
     try:
         h = graph_from_edges(n, facets)
     except ValueError:
@@ -596,6 +596,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        env_overrides()  # a malformed PERMCM_CAPS fails every command
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

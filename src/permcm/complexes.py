@@ -17,7 +17,8 @@ with exact integer arithmetic:
   a-invariant (degree of the Hilbert series numerator minus the Krull
   dimension);
 * vertex decomposability (witness tree of shedding vertices) and a
-  size-capped brute-force shelling test.
+  size-capped brute-force shelling test, whose ordering search is the
+  one the linear-quotients searches of ``ideals`` also use.
 
 Conventions: the void complex (no faces at all) and the complex {{}}
 whose only face is the empty set are distinct values; the latter has
@@ -37,11 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .caps import check_cap
-from .graphs import Graph, mask_of, vbit, vertices_of
+from .graphs import Graph, mask_of, vertices_of
 from .invariants import maximal_independent_sets
+
+_T = TypeVar("_T")
 
 
 def _maximalize(masks: Iterable[int]) -> tuple[int, ...]:
@@ -111,12 +114,6 @@ class SimplicialComplex:
         if not self.has_face(f):
             raise ValueError("deletion of a non-face")
         return SimplicialComplex(self.vertices & ~f, _maximalize(m & ~f for m in self.facets))
-
-    def induced(self, sub_vertices: Iterable[int] | int) -> "SimplicialComplex":
-        w = sub_vertices if isinstance(sub_vertices, int) else mask_of(sub_vertices)
-        if w & ~self.vertices:
-            raise ValueError("induced subcomplex on non-ambient vertices")
-        return SimplicialComplex(w, _maximalize(m & w for m in self.facets))
 
     @property
     def is_simplex(self) -> bool:
@@ -489,29 +486,35 @@ def hilbert_data(c: SimplicialComplex) -> HilbertData:
 _VD_CACHE: dict[tuple[int, ...], bool] = {}
 
 
-def _vd_key(key: tuple[int, ...]) -> bool:
-    cached = _VD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if len(key) <= 1:
-        _VD_CACHE[key] = True
-        return True
-    facet_set = set(key)
+def _shedding_split(
+    facets: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """The first shedding vertex, as a bit, whose deletion and link are
+    both vertex decomposable, with those two facet lists; None if there
+    is none.  A shedding vertex is one whose deletion keeps only facets
+    of the whole complex."""
+    facet_set = set(facets)
     supp = 0
-    for m in key:
+    for m in facets:
         supp |= m
-    result = False
     s = supp
     while s:
         low = s & -s
         s ^= low
-        del_facets = _maximalize(m & ~low for m in key)
+        del_facets = _maximalize(m & ~low for m in facets)
         if any(df not in facet_set for df in del_facets):
             continue  # deletion loses a facet, not a shedding vertex
-        link = tuple(sorted(m ^ low for m in key if m & low))
+        link = tuple(sorted(m ^ low for m in facets if m & low))
         if _vd_key(_canonical(del_facets)) and _vd_key(_canonical(link)):
-            result = True
-            break
+            return low, del_facets, link
+    return None
+
+
+def _vd_key(key: tuple[int, ...]) -> bool:
+    cached = _VD_CACHE.get(key)
+    if cached is not None:
+        return cached
+    result = len(key) <= 1 or _shedding_split(key) is not None
     _VD_CACHE[key] = result
     return result
 
@@ -536,28 +539,52 @@ def vertex_decomposable_test(c: SimplicialComplex) -> dict | None:
     def build(facets: tuple[int, ...]) -> dict:
         if len(facets) <= 1:
             return {"simplex": [list(vertices_of(m)) for m in facets]}
-        facet_set = set(facets)
-        supp = 0
-        for m in facets:
-            supp |= m
-        for v in vertices_of(supp):
-            low = vbit(v)
-            del_facets = _maximalize(m & ~low for m in facets)
-            if any(df not in facet_set for df in del_facets):
-                continue
-            link = tuple(sorted(m ^ low for m in facets if m & low))
-            if _vd_key(_canonical(del_facets)) and _vd_key(_canonical(link)):
-                return {
-                    "shedding_vertex": v,
-                    "deletion": build(del_facets),
-                    "link": build(link),
-                }
-        raise AssertionError("witness reconstruction disagrees with the memo")
+        found = _shedding_split(facets)
+        if found is None:
+            raise AssertionError("witness reconstruction disagrees with the memo")
+        low, del_facets, link = found
+        return {
+            "shedding_vertex": low.bit_length(),
+            "deletion": build(del_facets),
+            "link": build(link),
+        }
 
     return build(c.facets)
 
 
-# -- brute-force shelling ------------------------------------------------------
+# -- ordering searches -----------------------------------------------------------
+
+def _first_ordering(
+    items: Sequence[_T], step_ok: Callable[[list[_T], _T], bool]
+) -> list[_T] | None:
+    """The first arrangement of the distinct ``items``, in depth-first
+    order, in which each item passes ``step_ok(placed, new)`` against the
+    items before it; None when there is none.
+
+    ``step_ok`` must read ``placed`` only as a set.  Then whether a
+    prefix can be completed depends only on the set it covers, so the
+    prefix sets that failed are remembered and never searched again.
+    """
+    order: list[_T] = []
+    dead: set[frozenset[_T]] = set()
+
+    def extend(remaining: list[_T]) -> bool:
+        if not remaining:
+            return True
+        state = frozenset(order)
+        if state in dead:
+            return False
+        for idx, cand in enumerate(remaining):
+            if step_ok(order, cand):
+                order.append(cand)
+                if extend(remaining[:idx] + remaining[idx + 1:]):
+                    return True
+                order.pop()
+        dead.add(state)
+        return False
+
+    return order if extend(list(items)) else None
+
 
 def _shelling_step_ok(prefix: list[int], new: int) -> bool:
     # Bjorner-Wachs condition: for every earlier facet F_i there is an
@@ -582,24 +609,5 @@ def shellable_bruteforce_test(c: SimplicialComplex) -> bool:
     is the classical one (each new facet meets the old ones in a nonempty
     union of codimension-one faces).
     """
-    facets = list(c.facets)
-    check_cap("shelling", len(facets), "facet count")
-    if len(facets) <= 1:
-        return True
-
-    def extend(prefix: list[int], remaining: list[int]) -> bool:
-        if not remaining:
-            return True
-        for idx, cand in enumerate(remaining):
-            if _shelling_step_ok(prefix, cand):
-                prefix.append(cand)
-                if extend(prefix, remaining[:idx] + remaining[idx + 1:]):
-                    return True
-                prefix.pop()
-        return False
-
-    for idx, first in enumerate(facets):
-        if extend([first], facets[:idx] + facets[idx + 1:]):
-            return True
-    return False
-
+    check_cap("shelling", len(c.facets), "facet count")
+    return _first_ordering(c.facets, _shelling_step_ok) is not None

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .caps import check_cap
+from .complexes import _canonical, _first_ordering
 from .graphs import Graph, mask_of, vertices_of
 from .invariants import independence_invariants
 
@@ -106,61 +107,11 @@ def linear_quotients_order(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...] 
     (the feasibility of a prefix only depends on the set it covers).
     """
     check_cap("linear_quotients", len(ideal.gens), "generator count")
-    gens = list(ideal.gens)
-    if len(gens) <= 1:
-        return tuple(vertices_of(m) for m in gens)
-    dead: set[frozenset[int]] = set()
-    order: list[int] = []
-
-    def extend(remaining: list[int]) -> bool:
-        if not remaining:
-            return True
-        state = frozenset(order)
-        if state in dead:
-            return False
-        for idx, cand in enumerate(remaining):
-            if _linear_step_ok(order, cand):
-                order.append(cand)
-                if extend(remaining[:idx] + remaining[idx + 1:]):
-                    return True
-                order.pop()
-        dead.add(state)
-        return False
-
-    for idx, first in enumerate(gens):
-        order.append(first)
-        if extend(gens[:idx] + gens[idx + 1:]):
-            return tuple(vertices_of(m) for m in order)
-        order.pop()
-    return None
+    order = _first_ordering(ideal.gens, _linear_step_ok)
+    return None if order is None else tuple(vertices_of(m) for m in order)
 
 
 _SPLIT_CACHE: dict[tuple[int, ...], bool] = {}
-
-
-def _ideal_canonical(gens: Sequence[int]) -> tuple[int, ...]:
-    """Sort generators, then relabel variables by first occurrence."""
-    ordered = sorted(gens)
-    remap: dict[int, int] = {}
-    nb = 0
-    for g in ordered:
-        x = g
-        while x:
-            low = x & -x
-            if low not in remap:
-                remap[low] = 1 << nb
-                nb += 1
-            x ^= low
-    out = []
-    for g in ordered:
-        h = 0
-        x = g
-        while x:
-            low = x & -x
-            h |= remap[low]
-            x ^= low
-        out.append(h)
-    return tuple(sorted(out))
 
 
 def _split_key(gens: tuple[int, ...]) -> bool:
@@ -197,7 +148,7 @@ def _split_search(gens: tuple[int, ...]) -> int | None:
         # divisible by a generator of the pivot part
         if not all(any(w & v == w for w in with_x) for v in without):
             continue
-        if _split_key(_ideal_canonical(with_x)) and _split_key(_ideal_canonical(without)):
+        if _split_key(_canonical(with_x)) and _split_key(_canonical(without)):
             return xb
     return None
 
@@ -214,7 +165,7 @@ def vertex_splittable_test(ideal: MonomialIdeal) -> dict | None:
     def build(gens: tuple[int, ...]) -> dict | None:
         if len(gens) <= 1:
             return {"base": [list(vertices_of(g)) for g in gens]}
-        if not _split_key(_ideal_canonical(gens)):
+        if not _split_key(_canonical(gens)):
             return None
         xb = _split_search(gens)
         assert xb, "memo and search disagree"
@@ -269,7 +220,8 @@ def power_has_linear_quotients(ideal: MonomialIdeal, k: int) -> tuple[bool, int]
 
     Returns (found, generator count).  Exponent-tuple analogue of the
     squarefree search: the colon by the new generator is computed with
-    componentwise differences.
+    componentwise differences, and failed prefix sets are memoised the
+    same way.
     """
     gens = _power_gens(ideal, k)
     check_cap("linear_quotients", len(gens), "generator count")
@@ -285,24 +237,4 @@ def power_has_linear_quotients(ideal: MonomialIdeal, k: int) -> tuple[bool, int]
             for dd in diffs
         )
 
-    if len(gens) <= 1:
-        return True, len(gens)
-    order: list[tuple[int, ...]] = []
-
-    def extend(remaining: list[tuple[int, ...]]) -> bool:
-        if not remaining:
-            return True
-        for idx, cand in enumerate(remaining):
-            if step_ok(order, cand):
-                order.append(cand)
-                if extend(remaining[:idx] + remaining[idx + 1:]):
-                    return True
-                order.pop()
-        return False
-
-    for idx, first in enumerate(gens):
-        order.append(first)
-        if extend(gens[:idx] + gens[idx + 1:]):
-            return True, len(gens)
-        order.pop()
-    return False, len(gens)
+    return _first_ordering(gens, step_ok) is not None, len(gens)

@@ -71,8 +71,10 @@ class TestSheddingExtraction:
             extract_shedding_order(graph_from_edges(3, [(1, 2)]))
 
     def test_requires_cm(self, remark_graph):
-        with pytest.raises(ValueError):
-            extract_shedding_order(remark_graph)
+        # C_4 is unmixed with two partitions; P_3 is not unmixed
+        for g in (remark_graph, cycle_graph(4), path_graph(3)):
+            with pytest.raises(ValueError, match="only for Cohen-Macaulay inputs"):
+                extract_shedding_order(g)
 
     def test_certificate_independent_of_chosen_order(self):
         # any cohesive order yields a certificate that re-verifies
@@ -285,3 +287,42 @@ class TestGraphFacts:
         calls.clear()
         assert len(survey_rows(5)) == 120
         assert len(calls) == 120
+
+
+class TestSheddingWalk:
+    @staticmethod
+    def count(monkeypatch, module_name, fn_name):
+        # counted from outside: every module binding is replaced, so a
+        # call inside any callee is counted too
+        import importlib
+
+        original = getattr(importlib.import_module(f"permcm.{module_name}"), fn_name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name in ("graphs", "invariants", "complexes", "ideals", "classify", "cli"):
+            module = importlib.import_module(f"permcm.{name}")
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    def test_each_step_enumerates_independent_sets_once(self, monkeypatch):
+        # K_4 on 2..5 plus three isolated vertices: one enumeration for
+        # the graph, one for the stripped K_4, one per peeled vertex
+        mis = self.count(monkeypatch, "invariants", "maximal_independent_sets")
+        induced = self.count(monkeypatch, "graphs", "induced_subgraph")
+        report = classify(graph_from_permutation(Permutation((1, 5, 4, 3, 2, 6, 7))))
+        assert report.witnesses["shedding"]["order"] == [5, 4, 3]
+        assert len(mis) == 5
+        assert len(induced) == 4  # the stripping, then one per peeled vertex
+
+    def test_certificate_check_peels_once_per_step(self, monkeypatch):
+        g = disjoint_edges(3)
+        cert = extract_shedding_order(g)
+        induced = self.count(monkeypatch, "graphs", "induced_subgraph")
+        assert verify_shedding_certificate(g, cert)
+        assert len(induced) == len(cert.steps)

@@ -91,6 +91,23 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "gap", "--n", "4")
         assert code == 2 and "cap" in err
 
+    @pytest.mark.parametrize("caps,entry,why", [
+        ("vdd=8", "'vdd=8'", "unknown cap"),
+        ("vd=8x", "'vd=8x'", "name=integer"),  # vd is not read by verify cm
+        ("cm=-1", "'cm=-1'", "negative"),
+        ("cm=7, cm=6", "'cm=6'", "set twice"),
+    ])
+    def test_bad_caps_entry_exits_2(self, capsys, monkeypatch, caps, entry, why):
+        monkeypatch.setenv("PERMCM_CAPS", caps)
+        code, out, err = run(capsys, "verify", "cm", "--n", "3")
+        assert code == 2 and out == ""
+        assert entry in err and why in err
+
+    def test_bad_caps_fail_commands_that_read_no_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PERMCM_CAPS", "vdd=8")
+        code, out, err = run(capsys, "shed", "--perm", "2,1")
+        assert code == 2 and out == "" and "'vdd=8'" in err
+
     @pytest.mark.parametrize("argv", [
         ("--n", "-1"),
         ("--n", "3", "--jobs", "0"),

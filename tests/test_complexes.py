@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import permutations
 from math import factorial
@@ -313,3 +315,18 @@ class TestShelling:
             pure = len({m.bit_count() for m in c.facets}) == 1
             if pure and shellable:
                 assert reisner_cm_test(c)
+
+
+class TestOracleOutputsPinned:
+    # SHA-256 over the VD witness tree and the shelling verdict of every
+    # S_5 independence complex, recorded before the shedding-vertex and
+    # ordering searches were each written once
+    DIGEST = "34ab04e9e1ef530af30a148c25928a8ba24f7294ab80008c3f63e4eb9a74a76c"
+
+    def test_s5_vd_trees_and_shellings(self):
+        h = hashlib.sha256()
+        for p in permutations(range(1, 6)):
+            c = independence_complex(graph_from_permutation(Permutation(p)))
+            row = [vertex_decomposable_test(c), shellable_bruteforce_test(c)]
+            h.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+        assert h.hexdigest() == self.DIGEST

@@ -1,8 +1,9 @@
 """Byte-for-byte pins of the CLI's stdout.
 
 The digests were recorded before the per-graph facts and the sweep
-driver were shared between callers; any change to what the commands
-print shows up here as a digest mismatch.
+driver were shared between callers (the ``ideal`` rows before the
+ordering searches were merged into one); any change to what the
+commands print shows up here as a digest mismatch.
 """
 
 import contextlib
@@ -78,6 +79,27 @@ PINNED = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("classify", "--perm", "3,4,1,2,5"), 0,
      "4f55422548acb952f2bca1fd0c626c823a53669f8b7becc707691b3d30bf03c5"),
+    # cover ideals and their squares, on the same permutations
+    (("ideal", "--perm", "2,1,3", "--power", "2"), 0,
+     "3109329bc2e226d8b7ade8124b4da60600cb0a4c34027b9e7b580fbd244dc39d"),
+    (("ideal", "--perm", "1,4,3,2,5", "--power", "2"), 0,
+     "515664cbb71897c9a19315055fafa7f52b7de2b1f41aeda396869675f88f57b5"),
+    (("ideal", "--perm", "1,3,2,4", "--power", "2"), 0,
+     "af3a923e70f33fedba6ba3eefd03a6ebe51d0fda3c217de3bfdf75b977b4c961"),
+    (("ideal", "--perm", "1,2,3", "--power", "2"), 0,
+     "79db8e521d5b55328106809c1478bb4c1603a894f5ef966a03b6bf7cdd0a1563"),
+    (("ideal", "--perm", "3,1,2,4,6,5", "--power", "2"), 0,
+     "b2d9010be7d71905ffe605f5ae213ed24f7e14bc8694063bcc3fb1d3b20169e8"),
+    (("ideal", "--perm", "2,1,4,3,5,6", "--power", "2"), 0,
+     "a62ee182c5082de045cc799f4f4b468dfec78c82fd59aa4701f39413cb770045"),
+    (("ideal", "--perm", "1,5,4,3,2,6,7", "--power", "2"), 0,
+     "6af1c70151ccf8b41a88f2ecf15847d5621e22aabe47ee87ab9c0f9b870e8f81"),
+    (("ideal", "--perm", "2,1,3,5,4", "--power", "2"), 0,
+     "38a017f2dc3c8a1c937004ca02d3c61669ac31ec421961e2f15f45925ffb0295"),
+    (("ideal", "--perm", "2,1,3,6,5,4", "--power", "2"), 0,
+     "7074fb1ffdc2ea99ca9fe97a62df34dc9355801e710ef860f92894afe4857b3c"),
+    (("ideal", "--perm", "3,4,1,2,5", "--power", "2"), 0,
+     "55219fc89db92b74d83ebc445693c4c3f7faac483360797e35d33b5353348cdf"),
 ]
 
 
