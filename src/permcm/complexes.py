@@ -13,7 +13,8 @@ with exact integer arithmetic:
   Hochster's formula, summing homology of induced subcomplexes over all
   vertex subsets, with regularity / projective dimension / depth / type
   read off the table;
-* f-vectors, h-vectors, Hilbert function and polynomial, and the
+* f-vectors, h-vectors, the Hilbert function and polynomial, both read
+  from one integer formula for the coefficients of h(t)/(1-t)^d, and the
   a-invariant (degree of the Hilbert series numerator minus the Krull
   dimension);
 * vertex decomposability (witness tree of shedding vertices) and a
@@ -36,7 +37,6 @@ complexes of induced subgraphs repeat massively across a sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -55,6 +55,19 @@ def _maximalize(masks: Iterable[int]) -> tuple[int, ...]:
         if not any(m & k == m for k in keep):
             keep.append(m)
     return tuple(sorted(keep))
+
+
+def _faces(facets: Iterable[int]) -> set[int]:
+    """Every submask of every facet: all faces, the empty one included."""
+    out: set[int] = set()
+    for fac in facets:
+        sub = fac
+        while True:
+            out.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & fac
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,15 +105,7 @@ class SimplicialComplex:
 
     def faces(self) -> set[int]:
         """All faces as masks (the empty face included, unless void)."""
-        out: set[int] = set()
-        for fac in self.facets:
-            sub = fac
-            while True:
-                out.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & fac
-        return out
+        return _faces(self.facets)
 
     def link(self, face: Iterable[int] | int) -> "SimplicialComplex":
         f = face if isinstance(face, int) else mask_of(face)
@@ -110,10 +115,17 @@ class SimplicialComplex:
         return SimplicialComplex(self.vertices & ~f, lk)
 
     def deletion(self, face: Iterable[int] | int) -> "SimplicialComplex":
+        """The faces not containing ``face``: a facet containing it is
+        replaced by its subsets missing one vertex of it.  Only a vertex
+        leaves the ambient set; the empty face gives the void complex."""
         f = face if isinstance(face, int) else mask_of(face)
         if not self.has_face(f):
             raise ValueError("deletion of a non-face")
-        return SimplicialComplex(self.vertices & ~f, _maximalize(m & ~f for m in self.facets))
+        drop = [1 << (v - 1) for v in vertices_of(f)]
+        kept = [m for m in self.facets if m & f != f]
+        kept += [m & ~b for m in self.facets if m & f == f for b in drop]
+        ambient = self.vertices & ~f if len(drop) == 1 else self.vertices
+        return SimplicialComplex(ambient, _maximalize(kept))
 
     @property
     def is_simplex(self) -> bool:
@@ -231,16 +243,8 @@ def _homology_of_key(key: tuple[int, ...]) -> dict[int, int]:
     if not key:
         _HOMOLOGY_CACHE[key] = {}
         return {}
-    faces: set[int] = set()
-    for fac in key:
-        sub = fac
-        while True:
-            faces.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & fac
     by_size: dict[int, list[int]] = {}
-    for f in faces:
+    for f in _faces(key):
         by_size.setdefault(f.bit_count(), []).append(f)
     for group in by_size.values():
         group.sort()
@@ -395,30 +399,40 @@ def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
 
 # -- Hilbert data ------------------------------------------------------------
 
+def _series_coef(m: int, d: int) -> int:
+    """Coefficient of t^m in 1/(1-t)^d, C(m+d-1, d-1), as a polynomial in
+    m evaluated at any integer m: (m+1)(m+2)...(m+d-1) / (d-1)!, where
+    the division is exact.  For d = 0 it is 1 at m = 0 and 0 elsewhere."""
+    if d == 0:
+        return int(m == 0)
+    num = 1
+    for i in range(1, d):
+        num *= m + i
+    return num // factorial(d - 1)
+
+
 @dataclass(frozen=True)
 class HilbertData:
     """Hilbert-series data of a Stanley-Reisner ring.
 
     ``f`` starts at f_{-1} = 1; ``h`` has length d+1 where d is the Krull
     dimension (trailing zeros are kept, the a-invariant strips them);
-    ``hf`` is the Hilbert function on the window [0, n]; ``hp`` are the
-    Hilbert polynomial coefficients in the monomial basis.
+    ``hf`` is the Hilbert function on the window [0, n].
     """
 
     f: tuple[int, ...]
     h: tuple[int, ...]
     d: int
     hf: tuple[int, ...]
-    hp: tuple[Fraction, ...]
     a: int
 
     def hp_value(self, t: int) -> int:
-        val = sum(coef * t**k for k, coef in enumerate(self.hp))
-        if isinstance(val, Fraction):
-            if val.denominator != 1:
-                raise AssertionError("Hilbert polynomial not integral at an integer")
-            return int(val)
-        return int(val)
+        """Hilbert polynomial at t, sum_j h_j C(t-j+d-1, d-1) with every
+        binomial taken as a polynomial in t (Bruns-Herzog 4.1); 0 when
+        d = 0."""
+        if self.d == 0:
+            return 0
+        return sum(hj * _series_coef(t - j, self.d) for j, hj in enumerate(self.h))
 
     @property
     def hilbertian(self) -> bool:
@@ -428,8 +442,8 @@ class HilbertData:
 
 def hilbert_data(c: SimplicialComplex) -> HilbertData:
     """f-vector by face enumeration, h by binomial transform, Hilbert
-    function from the series h(t)/(1-t)^d on [0, n], polynomial from the
-    closed form, a-invariant = deg h - d."""
+    function from the series h(t)/(1-t)^d on [0, n], a-invariant =
+    deg h - d."""
     if c.is_void:
         raise ValueError("Hilbert data of the zero ring is not defined")
     dim = c.dim
@@ -448,37 +462,12 @@ def hilbert_data(c: SimplicialComplex) -> HilbertData:
         h.append(acc)
     h_t = tuple(h)
 
-    window = c.vertices.bit_count()
-    hf = []
-    for m in range(window + 1):
-        if d == 0:
-            hf.append(h_t[m] if m < len(h_t) else 0)
-        else:
-            hf.append(
-                sum(h_t[j] * comb(m - j + d - 1, d - 1) for j in range(min(m, d) + 1))
-            )
-
-    # Hilbert polynomial coefficients: sum_j h_j * C(t - j + d - 1, d - 1)
-    hp = [Fraction(0)] * max(d, 1)
-    if d > 0:
-        for j, hj in enumerate(h_t):
-            if hj == 0:
-                continue
-            poly = [Fraction(1)]
-            for i in range(d - 1):
-                shift = d - 1 - j - i  # factor (t + shift)
-                nxt = [Fraction(0)] * (len(poly) + 1)
-                for k, coef in enumerate(poly):
-                    nxt[k] += coef * shift
-                    nxt[k + 1] += coef
-                poly = nxt
-            fact = factorial(d - 1)
-            for k, coef in enumerate(poly):
-                hp[k] += Fraction(hj) * coef / fact
-    hp_t = tuple(hp) if d > 0 else (Fraction(0),)
-
+    hf = tuple(
+        sum(h_t[j] * _series_coef(m - j, d) for j in range(min(m, d) + 1))
+        for m in range(c.vertices.bit_count() + 1)
+    )
     deg_h = max((j for j, hj in enumerate(h_t) if hj), default=0)
-    return HilbertData(f=f, h=h_t, d=d, hf=tuple(hf), hp=hp_t, a=deg_h - d)
+    return HilbertData(f=f, h=h_t, d=d, hf=hf, a=deg_h - d)
 
 
 # -- vertex decomposability ---------------------------------------------------

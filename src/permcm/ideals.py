@@ -191,6 +191,12 @@ def vertex_splittable_test(ideal: MonomialIdeal) -> dict | None:
 # anything about the outcome.
 
 def _power_gens(ideal: MonomialIdeal, k: int) -> list[tuple[int, ...]]:
+    """Minimal generators of the k-th power as exponent tuples, at most
+    the ``linear_quotients`` cap of them.
+
+    In lexicographic order every proper divisor of a tuple comes before
+    it, so the kept list only ever grows by minimal generators and the
+    filter stops as soon as it passes the cap."""
     if k < 1:
         raise ValueError("power must be at least 1")
     exps: set[tuple[int, ...]] = set()
@@ -207,11 +213,11 @@ def _power_gens(ideal: MonomialIdeal, k: int) -> list[tuple[int, ...]]:
             rec(idx, left - 1, nxt)
 
     rec(0, k, [0] * ideal.n)
-    gens = sorted(exps)
-    minimal = []
-    for e in gens:
-        if not any(all(f[i] <= e[i] for i in range(len(e))) for f in minimal if f != e):
+    minimal: list[tuple[int, ...]] = []
+    for e in sorted(exps):
+        if not any(all(a <= b for a, b in zip(f, e)) for f in minimal):
             minimal.append(e)
+            check_cap("linear_quotients", len(minimal), "generator count (a lower bound)")
     return minimal
 
 
@@ -224,7 +230,6 @@ def power_has_linear_quotients(ideal: MonomialIdeal, k: int) -> tuple[bool, int]
     same way.
     """
     gens = _power_gens(ideal, k)
-    check_cap("linear_quotients", len(gens), "generator count")
 
     def diff(p: tuple[int, ...], u: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(max(a - b, 0) for a, b in zip(p, u))

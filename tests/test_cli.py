@@ -228,6 +228,13 @@ class TestIdealCommand:
         assert payload["power"]["k"] == 2
         assert payload["power"]["linear_quotients"] is True
 
+    def test_power_over_cap_fails_fast(self, capsys):
+        # the 16-generator cover ideal of 4K_2: its 6th power has 2,401
+        # minimal generators, and the filter stops at the 21st
+        code, _, err = run(capsys, "ideal", "--perm", "2,1,4,3,6,5,8,7", "--power", "6")
+        assert code == 2
+        assert "generator count (a lower bound) size 21 exceeds the 'linear_quotients' cap 20" in err
+
 
 class TestDeterminism:
     def test_verify_byte_identical(self, capsys):

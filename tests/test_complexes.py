@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from itertools import permutations
-from math import factorial
+from math import comb
 
 import pytest
 
@@ -27,6 +27,7 @@ from permcm import (
     vertex_decomposable_test,
 )
 from permcm.complexes import exact_rank
+from permcm.graphs import vertices_of
 from bruteforce import (
     check_vd_tree,
     fraction_rank,
@@ -104,6 +105,26 @@ class TestLinkDeletion:
         c = independence_complex(complete_graph(3))
         with pytest.raises(ValueError):
             c.link((1, 2))
+
+    def test_edge_deletion_in_two_simplex(self):
+        c = SimplicialComplex.from_faces({1, 2, 3}, [(1, 2, 3)])
+        dl = c.deletion((1, 2))
+        assert dl.facet_sets() == ((1, 3), (2, 3))
+        assert dl.vertices == c.vertices
+
+    def test_empty_face_deletion_is_void(self):
+        c = SimplicialComplex.from_faces({1, 2, 3}, [(1, 2, 3)])
+        assert c.deletion(()).is_void
+
+    def test_vertex_deletion_drops_the_vertex(self):
+        # a vertex's deletion is the complex with the vertex removed from
+        # every facet and from the ambient set
+        for c in sweep_complexes(5):
+            for v in range(1, c.vertices.bit_length() + 1):
+                b = 1 << (v - 1)
+                expected = SimplicialComplex.from_faces(
+                    c.vertices & ~b, [vertices_of(m & ~b) for m in c.facets])
+                assert c.deletion((v,)) == expected
 
     def test_ambient_shrinks(self):
         c = independence_complex(disjoint_edges(2))
@@ -197,12 +218,16 @@ class TestHilbert:
                 assert any(hd.hf[t] != hd.hp_value(t) for t in range(hd.a + 1))
 
     def test_multiplicity_is_leading_data(self):
-        # h(1) equals (d-1)! times the leading Hilbert coefficient, and
-        # counts the facets of a pure complex
+        # h(1) equals (d-1)! times the leading Hilbert coefficient, which
+        # is the (d-1)-th forward difference of the polynomial, and counts
+        # the facets of a pure complex
         for c in sweep_complexes(5):
             hd = hilbert_data(c)
             if hd.d >= 1:
-                assert sum(hd.h) == factorial(hd.d - 1) * hd.hp[-1]
+                k = hd.d - 1
+                diff = sum((-1) ** (k - i) * comb(k, i) * hd.hp_value(i)
+                           for i in range(k + 1))
+                assert sum(hd.h) == diff
             sizes = {m.bit_count() for m in c.facets}
             if len(sizes) == 1:
                 assert sum(hd.h) == len(c.facets)
@@ -329,4 +354,35 @@ class TestOracleOutputsPinned:
             c = independence_complex(graph_from_permutation(Permutation(p)))
             row = [vertex_decomposable_test(c), shellable_bruteforce_test(c)]
             h.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+        assert h.hexdigest() == self.DIGEST
+
+
+def random_complexes(count=300, seed=2025):
+    """Seeded complexes built from random faces: some are not flag, and
+    some have ambient-only vertices or only the empty face."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 8)
+        faces = [
+            [v for v in range(1, n + 1) if rng.random() < 0.5]
+            for _ in range(rng.randint(1, 6))
+        ]
+        yield SimplicialComplex.from_faces(range(1, n + 1), faces)
+
+
+class TestHilbertPinned:
+    # SHA-256 over (f, h, d, hf, a, hilbertian, Hilbert polynomial on
+    # [-3, n + 3]) of every S_n independence complex with n <= 6 and of
+    # the seeded random complexes, recorded while the Hilbert polynomial
+    # was still expanded in Fraction coefficients
+    DIGEST = "8acc8387ca593357e361c36944c09cb37c1c4d609a5680d103dd12fc13fddd71"
+
+    def test_hilbert_data_unchanged(self):
+        h = hashlib.sha256()
+        for c in [*sweep_complexes(6), *random_complexes()]:
+            hd = hilbert_data(c)
+            n = c.vertices.bit_count()
+            row = [hd.f, hd.h, hd.d, hd.hf, hd.a, hd.hilbertian,
+                   [hd.hp_value(t) for t in range(-3, n + 4)]]
+            h.update(json.dumps(row).encode() + b"\n")
         assert h.hexdigest() == self.DIGEST
