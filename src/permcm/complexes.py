@@ -4,15 +4,18 @@ This module is the independent ground truth the theorem-driven
 classifiers are checked against.  Everything runs over the rationals
 with exact integer arithmetic:
 
-* reduced simplicial homology ranks, via boundary matrices and
-  fraction-free (Bareiss) rank computation;
+* reduced simplicial homology ranks, via boundary matrices and their
+  rank by sparse elimination (pivots on +-1 entries, fraction-free
+  steps otherwise);
 * Reisner's criterion for Cohen-Macaulayness of a Stanley-Reisner ring:
   every link, the empty face included, has vanishing reduced homology
   below its own dimension;
 * graded Betti numbers of the quotient by the Stanley-Reisner ideal via
-  Hochster's formula, summing homology of induced subcomplexes over all
+  Hochster's formula, summing homology of induced subcomplexes over the
   vertex subsets, with regularity / projective dimension / depth / type
-  read off the table;
+  read off the table.  A cone has no reduced homology, so for a flag
+  complex the subsets whose induced complex has a vertex sharing an edge
+  with all the others are skipped, by a table of neighbourhood meets;
 * f-vectors, h-vectors, the Hilbert function and polynomial, both read
   from one integer formula for the coefficients of h(t)/(1-t)^d, and the
   a-invariant (degree of the Hilbert series numerator minus the Krull
@@ -37,7 +40,8 @@ complexes of induced subgraphs repeat massively across a sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from itertools import compress, count
+from math import comb, factorial, gcd
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .caps import check_cap
@@ -196,40 +200,51 @@ def _canonical(facets: Sequence[int]) -> tuple[int, ...]:
 
 
 def exact_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix, fraction-free.
+    """Rank over the rationals of an integer matrix, by sparse elimination.
 
-    Bareiss elimination with column skipping: all intermediate entries
-    are minors of the input, so the divisions are exact and everything
-    stays an integer.
+    Each row becomes a dict of its nonzero entries.  A step takes the
+    row that was shortest at the start among those left, pivots on one
+    of its +-1 entries when it has one, and clears that column from
+    every other row.  Boundary matrices have +-1 entries, so that is the
+    usual step, and it keeps the integers.  Against a pivot c other than
+    +-1 a row with entry a in that column takes the fraction-free step
+    row <- c*row - a*pivot and is then divided by the gcd of its
+    entries; neither changes the rank.
     """
-    if not rows:
-        return 0
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
+    pending = [{j: r[j] for j in compress(count(), r)} for r in rows]
+    pending = sorted((r for r in pending if r), key=len, reverse=True)
     rank = 0
-    prev = 1
-    for c in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][c]
-        row_r = m[rank]
-        for i in range(rank + 1, nr):
-            row_i = m[i]
-            mic = row_i[c]
-            for j in range(c + 1, nc):
-                row_i[j] = (row_i[j] * p - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = p
+    while pending:
+        piv = pending.pop()
+        col = next((j for j, v in piv.items() if v == 1 or v == -1), None)
+        if col is None:
+            col = min(piv, key=lambda j: abs(piv[j]))
+        c = piv[col]
+        unit = c == 1 or c == -1
+        kept = []
+        for row in pending:
+            a = row.get(col)
+            if a is not None:
+                if unit:
+                    a *= c
+                else:
+                    for j in row:
+                        row[j] *= c
+                for j, v in piv.items():
+                    x = row.get(j, 0) - a * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                if not row:
+                    continue
+                if not unit:
+                    g = gcd(*row.values())
+                    for j in row:
+                        row[j] //= g
+            kept.append(row)
+        pending = kept
         rank += 1
-        if rank == nr:
-            break
     return rank
 
 
@@ -373,24 +388,76 @@ class BettiTable:
         return sum(r for (i, _), r in self.entries.items() if i == pd)
 
 
+def _neighbourhood_meets(key: tuple[int, ...], used: int) -> list[int] | None:
+    """For a flag complex whose used vertices are the low bits ``used``
+    (a canonical key), the table whose entry at each set U of them is
+    the meet of their closed 1-skeleton neighbourhoods; None when the
+    complex is not flag.
+
+    In a flag complex a vertex x of U that shares an edge with every
+    other vertex of U lies in every facet of the induced complex on U,
+    which is then a cone: x is in ``meet[U] & U``."""
+    nbhd: dict[int, int] = {}
+    for m in key:
+        x = m
+        while x:
+            low = x & -x
+            nbhd[low] = nbhd.get(low, 0) | m
+            x ^= low
+    if not _cliques_are_facets(set(key), {b: m & ~b for b, m in nbhd.items()}, 0, used, 0):
+        return None
+    meet = [used] * (used + 1)
+    for u in range(1, used + 1):
+        meet[u] = meet[u & (u - 1)] & nbhd[u & -u]
+    return meet
+
+
+def _cliques_are_facets(facets: set[int], adj: dict[int, int],
+                        r: int, p: int, x: int) -> bool:
+    """Whether every maximal clique of the graph ``adj`` that extends the
+    clique r by vertices of p, and by none of x, is a facet (Bron-Kerbosch
+    with a pivot).  Called on (0, all vertices, 0) for the 1-skeleton it
+    says whether the complex is flag: a face is a clique, so a maximal
+    clique that is a face is a facet."""
+    if not p:
+        return bool(x) or r in facets
+    pivot = (p | x) & -(p | x)
+    cand = p & ~adj[pivot]
+    while cand:
+        v = cand & -cand
+        cand ^= v
+        if not _cliques_are_facets(facets, adj, r | v, p & adj[v], x & adj[v]):
+            return False
+        p ^= v
+        x |= v
+    return True
+
+
 def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     """Betti table via Hochster: beta_{i,j} sums the reduced homology of
     the induced subcomplexes on the j-element vertex subsets W, in
-    dimension j - i - 1.  The W = empty term lands at (0, 0)."""
+    dimension j - i - 1.  The W = empty term lands at (0, 0).  When the
+    complex is flag, the W whose induced complex is a cone are skipped:
+    a cone has no reduced homology."""
     if c.is_void:
         raise ValueError("Betti table of the zero ring is not defined")
     n = c.vertices.bit_count()
     check_cap("hochster", n, "ambient vertex set")
+    # the table only depends on the complex up to relabelling: the used
+    # vertices become the low bits, the ambient-only ones the rest
+    key = _canonical(c.facets)
+    used = (1 << max(m.bit_length() for m in key)) - 1
+    meet = _neighbourhood_meets(key, used)
     entries: dict[tuple[int, int], int] = {}
-    full = c.vertices
+    full = (1 << n) - 1
     w = full
     while True:
-        j = w.bit_count()
-        induced = _maximalize(m & w for m in c.facets)
-        for d, r in _homology_of_key(_canonical(induced)).items():
-            i = j - d - 1
-            if r:
-                entries[(i, j)] = entries.get((i, j), 0) + r
+        u = w & used
+        if meet is None or not meet[u] & u:  # else a cone: no homology
+            j = w.bit_count()
+            induced = _maximalize(m & w for m in key)
+            for d, r in _homology_of_key(_canonical(induced)).items():
+                entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + r
         if w == 0:
             break
         w = (w - 1) & full

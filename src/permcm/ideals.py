@@ -16,6 +16,7 @@ searches here are exact and capped by generator count:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .caps import check_cap
@@ -191,30 +192,34 @@ def vertex_splittable_test(ideal: MonomialIdeal) -> dict | None:
 # anything about the outcome.
 
 def _power_gens(ideal: MonomialIdeal, k: int) -> list[tuple[int, ...]]:
-    """Minimal generators of the k-th power as exponent tuples, at most
-    the ``linear_quotients`` cap of them.
+    """Minimal generators of the k-th power as exponent tuples, in
+    lexicographic order, at most the ``linear_quotients`` cap of them.
 
-    In lexicographic order every proper divisor of a tuple comes before
-    it, so the kept list only ever grows by minimal generators and the
-    filter stops as soon as it passes the cap."""
+    Lex order is compatible with addition, so with the generators sorted
+    a product only grows when one of its factors is swapped for a later
+    generator.  A heap therefore pops the products (k-element multisets
+    of generator indices, each reached from one parent) in lex order.
+    Every proper divisor of a product comes before it, so the kept list
+    only ever grows by minimal generators, and the walk stops as soon as
+    the list passes the cap instead of building every product first."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    exps: set[tuple[int, ...]] = set()
-
-    def rec(start: int, left: int, acc: list[int]) -> None:
-        if left == 0:
-            exps.add(tuple(acc))
-            return
-        for idx in range(start, len(ideal.gens)):
-            g = ideal.gens[idx]
-            nxt = list(acc)
-            for v in vertices_of(g):
-                nxt[v - 1] += 1
-            rec(idx, left - 1, nxt)
-
-    rec(0, k, [0] * ideal.n)
+    vecs = sorted(tuple(g >> i & 1 for i in range(ideal.n)) for g in ideal.gens)
+    if not vecs:
+        return []
+    heap = [(tuple(k * x for x in vecs[0]), (0,) * k)]
     minimal: list[tuple[int, ...]] = []
-    for e in sorted(exps):
+    while heap:
+        e, idx = heappop(heap)
+        # the parent of a multiset lowers its first nonzero index, so its
+        # children raise that index or the one before it, keeping the order
+        first = next((p for p, i in enumerate(idx) if i), k)
+        for p in (first - 1, first):
+            if 0 <= p < k and idx[p] + 1 < len(vecs) and (p == k - 1 or idx[p] < idx[p + 1]):
+                old, new = vecs[idx[p]], vecs[idx[p] + 1]
+                child = tuple(a - b + c for a, b, c in zip(e, old, new))
+                heappush(heap, (child, idx[:p] + (idx[p] + 1,) + idx[p + 1:]))
+        # a repeated product is rejected here too: it divides itself
         if not any(all(a <= b for a, b in zip(f, e)) for f in minimal):
             minimal.append(e)
             check_cap("linear_quotients", len(minimal), "generator count (a lower bound)")

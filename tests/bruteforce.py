@@ -218,6 +218,115 @@ def fraction_rank(rows) -> int:
     return rank
 
 
+def bareiss_rank(rows) -> int:
+    """Rank over Q by dense fraction-free (Bareiss) elimination with
+    column skipping: every intermediate entry is a minor of the input, so
+    the divisions are exact and everything stays an integer."""
+    if not rows:
+        return 0
+    m = [list(r) for r in rows]
+    nr, nc = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    for c in range(nc):
+        piv = None
+        for i in range(rank, nr):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][c]
+        row_r = m[rank]
+        for i in range(rank + 1, nr):
+            row_i = m[i]
+            mic = row_i[c]
+            for j in range(c + 1, nc):
+                row_i[j] = (row_i[j] * p - mic * row_r[j]) // prev
+            row_i[c] = 0
+        prev = p
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
+
+def _face_sets(facets: list[int]) -> set[frozenset[int]]:
+    """Every face, the empty one included, of the complex on these facet
+    masks (bit v-1 for vertex v); empty for the void complex."""
+    out: set[frozenset[int]] = set()
+    for m in facets:
+        verts = [v + 1 for v in range(m.bit_length()) if m >> v & 1]
+        for r in range(len(verts) + 1):
+            out.update(frozenset(s) for s in combinations(verts, r))
+    return out
+
+
+def boundary_matrices(faces: set[frozenset[int]]):
+    """Dense boundary matrices of a complex given by all its faces, from
+    size-s faces (columns) to size-(s-1) faces (rows), for every s >= 1
+    with both sides nonempty; each as (s, rows)."""
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for f in faces:
+        by_size.setdefault(len(f), []).append(tuple(sorted(f)))
+    for group in by_size.values():
+        group.sort()
+    for s in sorted(by_size):
+        if s == 0 or s - 1 not in by_size:
+            continue
+        row_of = {f: i for i, f in enumerate(by_size[s - 1])}
+        cols = by_size[s]
+        mat = [[0] * len(cols) for _ in row_of]
+        for col, f in enumerate(cols):
+            for k in range(s):
+                mat[row_of[f[:k] + f[k + 1:]]][col] = (-1) ** k
+        yield s, mat
+
+
+_BRUTE_HOMOLOGY: dict[frozenset[frozenset[int]], dict[int, int]] = {}
+
+
+def brute_reduced_homology(faces: set[frozenset[int]]) -> dict[int, int]:
+    """Reduced homology ranks over Q, {dimension: rank}, zeros omitted,
+    from dense boundary matrices ranked by ``bareiss_rank``.  Remembered
+    per labelled face set, since sweeps repeat induced complexes."""
+    key = frozenset(faces)
+    if key not in _BRUTE_HOMOLOGY:
+        _BRUTE_HOMOLOGY[key] = _dense_homology(faces)
+    return _BRUTE_HOMOLOGY[key]
+
+
+def _dense_homology(faces: set[frozenset[int]]) -> dict[int, int]:
+    count: dict[int, int] = {}
+    for f in faces:
+        count[len(f)] = count.get(len(f), 0) + 1
+    rank = {s: bareiss_rank(mat) for s, mat in boundary_matrices(faces)}
+    out = {}
+    for s, c in count.items():
+        h = c - rank.get(s, 0) - rank.get(s + 1, 0)
+        if h:
+            out[s - 1] = h
+    return out
+
+
+def brute_betti_table(c) -> dict[tuple[int, int], int]:
+    """Hochster's formula with no pruning: every vertex subset W of the
+    ambient set adds the dense reduced homology of the induced complex
+    on W, in dimension d, to the entry (|W| - d - 1, |W|)."""
+    faces = _face_sets(list(c.facets))
+    ambient = [v + 1 for v in range(c.vertices.bit_length()) if c.vertices >> v & 1]
+    entries: dict[tuple[int, int], int] = {}
+    for r in range(len(ambient) + 1):
+        for w in combinations(ambient, r):
+            ws = set(w)
+            for d, h in brute_reduced_homology({f for f in faces if f <= ws}).items():
+                key = (r - d - 1, r)
+                entries[key] = entries.get(key, 0) + h
+    return entries
+
+
 def hilbert_function_from_f(f: tuple[int, ...], m: int) -> int:
     """Direct count of degree-m monomials supported on faces."""
     from math import comb
@@ -261,4 +370,20 @@ def check_split_tree(gens: set[tuple[int, ...]], tree: dict) -> bool:
         return False
     return check_split_tree(with_x, tree["factor"]) and check_split_tree(
         without, tree["rest"]
+    )
+
+
+def brute_power_gens(gens: tuple[int, ...], n: int, k: int) -> list[tuple[int, ...]]:
+    """Minimal generators of the k-th power of the squarefree ideal with
+    these generator masks, as sorted exponent tuples: every product of k
+    generators, then a divisibility filter."""
+    from itertools import combinations_with_replacement
+
+    products = {
+        tuple(sum(g >> i & 1 for g in pick) for i in range(n))
+        for pick in combinations_with_replacement(gens, k)
+    }
+    return sorted(
+        e for e in products
+        if not any(f != e and all(a <= b for a, b in zip(f, e)) for f in products)
     )

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -234,6 +235,15 @@ class TestIdealCommand:
         code, _, err = run(capsys, "ideal", "--perm", "2,1,4,3,6,5,8,7", "--power", "6")
         assert code == 2
         assert "generator count (a lower bound) size 21 exceeds the 'linear_quotients' cap 20" in err
+
+    def test_ninth_power_stops_at_the_cap(self, capsys):
+        # 10,000 minimal generators among C(24, 9) = 1.3 million products;
+        # the products come in lex order and the walk stops at the 21st
+        start = time.perf_counter()
+        code, _, err = run(capsys, "ideal", "--perm", "2,1,4,3,6,5,8,7", "--power", "9")
+        assert code == 2
+        assert "generator count (a lower bound) size 21 exceeds the 'linear_quotients' cap 20" in err
+        assert time.perf_counter() - start < 2.0
 
 
 class TestDeterminism:

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import random
-from itertools import permutations
+from functools import reduce
+from itertools import combinations, permutations
 from math import comb
+from operator import or_
 
 import pytest
 
@@ -29,6 +31,10 @@ from permcm import (
 from permcm.complexes import exact_rank
 from permcm.graphs import vertices_of
 from bruteforce import (
+    _face_sets,
+    bareiss_rank,
+    boundary_matrices,
+    brute_betti_table,
     check_vd_tree,
     fraction_rank,
     hilbert_function_from_f,
@@ -286,6 +292,33 @@ class TestHochster:
         with pytest.raises(CapExceededError):
             hochster_betti_table(big)
 
+    def test_labels_far_apart(self):
+        # S/(x1 x40, x7): the table depends on the labels only through
+        # the complex, however far apart they are
+        c = SimplicialComplex.from_faces({1, 7, 40}, [(1,), (40,)])
+        bt = hochster_betti_table(c)
+        assert bt.entries == {(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 3): 1}
+        assert bt.entries == brute_betti_table(c)
+
+    def test_cones_are_skipped(self, monkeypatch):
+        # counted from outside: on Ind(7K_2) the induced complex is a cone
+        # unless W is a union of whole edges, so at most 2^7 of the 2^14
+        # vertex subsets reach the homology kernel
+        import importlib
+
+        complexes = importlib.import_module("permcm.complexes")
+        original = complexes._homology_of_key
+        calls = []
+
+        def counted(key):
+            calls.append(key)
+            return original(key)
+
+        monkeypatch.setattr(complexes, "_homology_of_key", counted)
+        bt = hochster_betti_table(independence_complex(disjoint_edges(7)))
+        assert len(calls) <= 128
+        assert bt.entries == {(k, 2 * k): comb(7, k) for k in range(8)}
+
 
 class TestVertexDecomposable:
     def test_full_simplex(self):
@@ -386,3 +419,49 @@ class TestHilbertPinned:
                    [hd.hp_value(t) for t in range(-3, n + 4)]]
             h.update(json.dumps(row).encode() + b"\n")
         assert h.hexdigest() == self.DIGEST
+
+
+def betti_rows(c):
+    return sorted([i, j, r] for (i, j), r in hochster_betti_table(c).entries.items())
+
+
+class TestBettiPinned:
+    # SHA-256 over the Hochster Betti table of every S_n independence
+    # complex with n <= 6 and of the seeded random complexes (52 of them
+    # not flag, 100 with ambient-only vertices), recorded while every
+    # vertex subset was walked and ranked by dense Bareiss elimination
+    DIGEST = "83a65dc5474f9cac2bfbf7bae3592d92273d252ca71f7d537871689c38177c8e"
+
+    def test_betti_tables_unchanged(self):
+        h = hashlib.sha256()
+        for c in [*sweep_complexes(6), *random_complexes()]:
+            h.update(json.dumps(betti_rows(c)).encode() + b"\n")
+        assert h.hexdigest() == self.DIGEST
+
+    def test_seeded_set_has_non_flag_and_ambient_only_cases(self):
+        def is_flag(c):
+            faces = _face_sets(list(c.facets))
+            edges = {f for f in faces if len(f) == 2}
+            verts = {v for f in faces for v in f}
+            # flag: every vertex set whose pairs are all edges is a face
+            return all(
+                frozenset(s) in faces
+                for r in range(3, len(verts) + 1)
+                for s in combinations(sorted(verts), r)
+                if all(frozenset(p) in edges for p in combinations(s, 2))
+            )
+
+        seeded = list(random_complexes())
+        assert sum(not is_flag(c) for c in seeded) >= 20
+        assert sum(c.vertices != reduce(or_, c.facets) for c in seeded) >= 20
+
+    def test_matches_unpruned_dense_walk(self):
+        for c in [*sweep_complexes(6), *random_complexes()]:
+            assert hochster_betti_table(c).entries == brute_betti_table(c)
+
+
+class TestExactRankAgainstBareiss:
+    def test_boundary_matrices(self):
+        for c in [*sweep_complexes(6), *random_complexes()]:
+            for _, mat in boundary_matrices(_face_sets(list(c.facets))):
+                assert exact_rank(mat) == bareiss_rank(mat)

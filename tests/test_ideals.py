@@ -163,6 +163,19 @@ class TestPowers:
         found, count = power_has_linear_quotients(ideal, 2)
         assert found and count == 6
 
+    def test_power_gens_match_every_product(self):
+        from permcm.ideals import _power_gens
+
+        from bruteforce import brute_power_gens
+
+        for n in range(1, 6):
+            for p in permutations(range(1, n + 1)):
+                ideal = cover_ideal(graph_from_permutation(Permutation(p)))
+                for k in (1, 2, 3):
+                    expected = brute_power_gens(ideal.gens, ideal.n, k)
+                    if len(expected) <= 20:
+                        assert _power_gens(ideal, k) == expected
+
     def test_power_one_matches_base(self):
         ideal = cover_ideal(path_graph(4))
         found, count = power_has_linear_quotients(ideal, 1)

@@ -2,8 +2,10 @@
 
 The digests were recorded before the per-graph facts and the sweep
 driver were shared between callers (the ``ideal`` rows before the
-ordering searches were merged into one); any change to what the
-commands print shows up here as a digest mismatch.
+ordering searches were merged into one, the n = 14 ``classify`` rows
+while the Hochster sum still walked every vertex subset with dense
+Bareiss ranks); any change to what the commands print shows up here as
+a digest mismatch.
 """
 
 import contextlib
@@ -79,6 +81,11 @@ PINNED = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("classify", "--perm", "3,4,1,2,5"), 0,
      "4f55422548acb952f2bca1fd0c626c823a53669f8b7becc707691b3d30bf03c5"),
+    # the two graphs of the n = 14 ``hochster`` cap, 7K_2 and P_14
+    (("classify", "--perm", "2,1,4,3,6,5,8,7,10,9,12,11,14,13"), 0,
+     "c96e72a57c5d1aa199b73a48e9cf8441e2b2a0175ebf00a06430a8812e519f23"),
+    (("classify", "--perm", "2,4,1,6,3,8,5,10,7,12,9,14,11,13"), 0,
+     "a1f1aa8e54b01af4cc3c100f2018fefd57e4060a5f3f8b96e1342f79dfed0947"),
     # cover ideals and their squares, on the same permutations
     (("ideal", "--perm", "2,1,3", "--power", "2"), 0,
      "3109329bc2e226d8b7ade8124b4da60600cb0a4c34027b9e7b580fbd244dc39d"),

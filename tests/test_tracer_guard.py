@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps functions by name from outside the
 package; a refactor that renames or deletes one of them (or
-``Graph.__post_init__``, which it also wraps) must fail here."""
+``Graph.__post_init__``, which it also wraps), or that reaches the
+homology kernel or the Hochster sum by another name, must fail here."""
 
 import os
 import subprocess
@@ -21,6 +22,9 @@ def test_tracer_installs():
         "import permcm.cli\n"
         "permcm.cli.main(['verify', 'shed', '--n', '3'])\n"
         "assert t.calls['classify.extract_shedding_order'] > 0, t.calls\n"
+        "permcm.cli.main(['classify', '--perm', '2,1,4,3'])\n"
+        "assert t.calls['complexes.exact_rank'] > 0, t.calls\n"
+        "assert t.calls['complexes.hochster_betti_table'] > 0, t.calls\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, env=env,
