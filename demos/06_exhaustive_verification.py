@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Mini version of the verification sweeps the CLI runs.
 
-Each sweep enumerates all of S_n, builds the inversion graphs, and
-compares a theorem-driven classifier against its independent oracle.
+Each sweep covers all of S_n: it compares a theorem-driven classifier
+against its independent oracle on one inversion graph per isomorphism
+class and weights the result by the size of the class.
 The full-size sweeps live in the acceptance suite and behind
 ``permcm verify``.
 """

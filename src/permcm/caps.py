@@ -5,15 +5,17 @@ guarded by a cap that keeps it at desk scale.  Caps can be raised through
 the ``PERMCM_CAPS`` environment variable, a comma-separated list such as
 ``PERMCM_CAPS="vd=8,hochster=16"``.  Raising a cap never changes results,
 only runtimes, but anything above the defaults is unsupported territory.
-The whole variable is parsed on every read: an entry that is malformed,
-names no cap, is negative or repeats a name is an error, even when the
-cap it sets is not the one being read.
+The whole variable is checked on every read (each distinct value is
+parsed once): an entry that is malformed, names no cap, is negative or
+repeats a name is an error, even when the cap it sets is not the one
+being read.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from functools import lru_cache
 
 DEFAULT_CAPS: dict[str, int] = {
     # verification sweeps (maximum n for S_n enumeration)
@@ -21,10 +23,10 @@ DEFAULT_CAPS: dict[str, int] = {
     "cm": 7,
     "goren": 7,
     "nearly": 7,
-    "ainv": 6,
-    "bicm": 6,
-    "hilb": 6,
-    "covs": 6,
+    "ainv": 7,
+    "bicm": 7,
+    "hilb": 7,
+    "covs": 7,
     "shed": 7,
     "gap": 8,
     "survey": 8,
@@ -33,6 +35,9 @@ DEFAULT_CAPS: dict[str, int] = {
     "shelling": 8,           # facet count for the brute-force shelling test
     "linear_quotients": 20,  # generator count for the linear-quotients search
     "vertex_splittable": 20, # generator count for the splitting search
+    # maximal independent sets of one graph; every graph on at most 19
+    # vertices has at most 3^5 * 4 = 972 of them (Moon-Moser)
+    "independent_sets": 1024,
 }
 
 _ENV_VAR = "PERMCM_CAPS"
@@ -49,8 +54,14 @@ def env_overrides() -> dict[str, int]:
     ``name=value``, names no cap, sets a value that is not a
     nonnegative integer, or repeats a name.
     """
+    return dict(_parse(os.environ.get(_ENV_VAR, "")))
+
+
+@lru_cache(maxsize=None)
+def _parse(text: str) -> dict[str, int]:
+    # a value that raises is not cached, so it raises on every read
     out: dict[str, int] = {}
-    for item in os.environ.get(_ENV_VAR, "").split(","):
+    for item in text.split(","):
         item = item.strip()
         if not item:
             continue

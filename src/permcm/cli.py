@@ -1,9 +1,11 @@
 """Command-line surface: classify, verify, survey, shed, ideal.
 
 ``verify`` runs an exhaustive sweep over the inversion graphs of all
-permutations of S_n (one graph per permutation, in order of edge set)
-and compares a theorem-driven classifier against its independent
-algebraic oracle; the discrepancy list of a correct build is empty.
+permutations of S_n and compares a theorem-driven classifier against
+its independent algebraic oracle; the discrepancy list of a correct
+build is empty.  A sweep checks one member of each isomorphism class
+(``permcm.classes``) and weights its result by the class size, so the
+counts are those of all n! labelled graphs.
 Exit codes: 0 success, 1 a theorem/oracle discrepancy (or a shed
 request on a non-CM graph), 2 usage or parse errors.
 
@@ -20,11 +22,11 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import permutations
 from operator import itemgetter
 from typing import Callable
 
 from .caps import CapExceededError, check_cap, env_overrides
+from .classes import permutation_classes
 from .classify import (
     ClaimFailureError,
     GraphFacts,
@@ -48,6 +50,7 @@ from .graphs import (
     graph_from_edges,
     graph_from_json,
     graph_from_permutation,
+    inversions,
     is_chordal,
 )
 from .ideals import (
@@ -65,12 +68,6 @@ from .ideals import (
 # apply) or a dict with "ok", "predicates" and, when not ok, a
 # human-readable "detail".  Oracle predicates read only the graph, its
 # maximal independent sets or its complex, never a theorem-side fact.
-
-def _inversion_order(g: Graph) -> CohesiveOrder:
-    """The labelling of an inversion graph, which is cohesive by
-    construction, so sweeps need not recognise their graphs."""
-    return CohesiveOrder(tuple(range(1, g.n + 1)))
-
 
 def _check_vd(f: GraphFacts) -> dict | None:
     comp = f.complex
@@ -323,64 +320,93 @@ def _check_sweep_args(n: int, jobs: int) -> None:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
 
 
+def _facts(perm: tuple[int, ...]) -> GraphFacts:
+    """Facts of the inversion graph of ``perm``.  Its labelling is
+    cohesive by construction, so sweeps need not recognise their graphs."""
+    g = graph_from_permutation(Permutation(perm))
+    return GraphFacts(g, order=CohesiveOrder(tuple(range(1, g.n + 1))))
+
+
 def _sweep_chunk(
     per_graph: Callable[[GraphFacts], dict | None], perms: list[tuple[int, ...]]
-) -> list[tuple[tuple, dict | None]]:
-    out = []
-    for p in perms:
-        g = graph_from_permutation(Permutation(p))
-        out.append((g.edges(), per_graph(GraphFacts(g, order=_inversion_order(g)))))
-    return out
+) -> list[dict | None]:
+    return [per_graph(_facts(p)) for p in perms]
 
 
 def _sweep(
     per_graph: Callable[[GraphFacts], dict | None], n: int, jobs: int
-) -> list[tuple[tuple, dict | None]]:
-    """``per_graph`` of every inversion graph of S_n, keyed by edge tuple
-    and sorted by it.  An inversion set determines its permutation, so
-    there is one graph per permutation."""
-    perms = list(permutations(range(1, n + 1)))
-    if jobs > 1 and len(perms) > 1:
-        chunk = max(1, len(perms) // (jobs * 4))
-        chunks = [perms[i:i + chunk] for i in range(0, len(perms), chunk)]
-        results: list[tuple[tuple, dict | None]] = []
+) -> list[tuple[list[tuple[int, ...]], dict | None]]:
+    """Each isomorphism class of the inversion graphs of S_n, as its
+    sorted member permutations, with ``per_graph`` of its least member.
+
+    Every check and every survey column is an isomorphism invariant, so
+    one member stands for its class; callers weight it by the class size.
+    """
+    classes = permutation_classes(n)
+    reps = [members[0] for members in classes]
+    if jobs > 1 and len(reps) > 1:
+        chunk = max(1, len(reps) // (jobs * 4))
+        chunks = [reps[i:i + chunk] for i in range(0, len(reps), chunk)]
+        results: list[dict | None] = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_sweep_chunk, [per_graph] * len(chunks), chunks):
                 results.extend(part)
     else:
-        results = _sweep_chunk(per_graph, perms)
-    results.sort(key=itemgetter(0))
-    return results
+        results = _sweep_chunk(per_graph, reps)
+    return list(zip(classes, results))
+
+
+def _discrepancy(perm: tuple[int, ...], edges: list[tuple[int, int]], res: dict) -> dict:
+    """A record that replays: ``classify --perm`` of ``perm`` gives the
+    graph with these edges."""
+    return {
+        "perm": list(perm),
+        "edges": [list(e) for e in edges],
+        "predicates": res["predicates"],
+        "detail": res["detail"],
+    }
 
 
 def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
-    """Sweep all of S_n for one theorem/oracle pair."""
+    """Sweep all of S_n for one theorem/oracle pair.
+
+    A class whose representative fails is re-checked member by member,
+    with labels, and those results replace its weighted one.  Results
+    are tallied in the order of a labelled sweep, by edge tuple (a class
+    at its least member), so ``counts`` lists predicates in the order
+    such a sweep first meets them and discrepancies come sorted.
+    """
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem!r}")
     _check_sweep_args(n, jobs)
     check_cap(theorem, n, "sweep")
-    results = _sweep(_CHECKS[theorem], n, jobs)
+    check = _CHECKS[theorem]
+    entries = []
+    for members, res in _sweep(check, n, jobs):
+        if res is None or res["ok"]:
+            entries.append((min(map(inversions, members)), len(members), members[0], res))
+        else:
+            entries.extend((inversions(p), 1, p, check(_facts(p))) for p in members)
+    entries.sort(key=itemgetter(0))
 
     counts: dict[str, int] = {}
     discrepancies = []
     checked = skipped = 0
-    for key, res in results:
+    for edges, weight, perm, res in entries:
         if res is None:
-            skipped += 1
+            skipped += weight
             continue
-        checked += 1
+        checked += weight
         for name, value in res["predicates"].items():
             if value:
-                counts[name] = counts.get(name, 0) + 1
+                counts[name] = counts.get(name, 0) + weight
         if not res["ok"]:
-            discrepancies.append(
-                {"edges": [list(e) for e in key], "detail": res["detail"]}
-            )
+            discrepancies.append(_discrepancy(perm, edges, res))
     return SweepResult(
         theorem=theorem,
         n=n,
-        total_permutations=len(results),
-        distinct_graphs=len(results),
+        total_permutations=checked + skipped,
+        distinct_graphs=checked + skipped,
         checked=checked,
         skipped=skipped,
         counts=counts,
@@ -398,7 +424,7 @@ _SURVEY_COLUMNS = [
 
 
 def _survey_row(f: GraphFacts) -> dict:
-    g = f.g
+    """Every column but ``edges``: those are facts of the class."""
     inv = f.invariants
     cm = f.cm
     if cm:
@@ -408,7 +434,6 @@ def _survey_row(f: GraphFacts) -> dict:
         a = hd.a
         hilbertian = hd.hilbertian
     return {
-        "edges": ";".join(f"{u}-{v}" for u, v in g.edges()),
         "alpha": inv.alpha,
         "tau": inv.tau,
         "matching": inv.matching,
@@ -425,10 +450,18 @@ def _survey_row(f: GraphFacts) -> dict:
 
 
 def survey_rows(n: int, jobs: int = 1) -> list[dict]:
-    """One row per distinct inversion graph of S_n, deterministic order."""
+    """One row per permutation of S_n, in order of its inversion graph's
+    edge tuple: ``edges`` from the permutation, every other column from
+    its isomorphism class."""
     _check_sweep_args(n, jobs)
     check_cap("survey", n, "survey")
-    return [row for _, row in _sweep(_survey_row, n, jobs)]
+    keyed = []
+    for members, row in _sweep(_survey_row, n, jobs):
+        for perm in members:
+            edges = inversions(perm)
+            keyed.append((edges, {"edges": ";".join(f"{u}-{v}" for u, v in edges), **row}))
+    keyed.sort(key=itemgetter(0))
+    return [row for _, row in keyed]
 
 
 def _format_cell(value) -> str:

@@ -319,17 +319,19 @@ def maximal_chains(p: Poset) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All inclusion-maximal cliques (Bron-Kerbosch with pivoting)."""
+def maximal_cliques(g: Graph, limit: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """All inclusion-maximal cliques (Bron-Kerbosch with pivoting), or
+    only the first ``limit`` found when a limit is given."""
     if g.n == 0:
         return ()
     found: list[int] = []
     adj = g.adj
 
-    def bk(r: int, p: int, x: int) -> None:
+    def bk(r: int, p: int, x: int) -> bool:
+        # returns True when the limit has been hit
         if not p and not x:
             found.append(r)
-            return
+            return len(found) == limit
         # pivot with most neighbours inside P, smallest label on ties
         best_u, best = 0, -1
         cand = p | x
@@ -344,10 +346,12 @@ def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
         while ext:
             low = ext & -ext
             v = low.bit_length()
-            bk(r | low, p & adj[v], x & adj[v])
+            if bk(r | low, p & adj[v], x & adj[v]):
+                return True
             p &= ~low
             x |= low
             ext ^= low
+        return False
 
     bk(0, g.full_mask, 0)
     return tuple(sorted(vertices_of(m) for m in found))

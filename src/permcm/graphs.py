@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 def vbit(v: int) -> int:
@@ -151,6 +151,12 @@ def graph_from_edges(n: int, edges: Iterable[Iterable[int]]) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def inversions(perm: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs u < v with v before u in the one-line notation, sorted:
+    the edges of the inversion graph."""
+    return sorted((b, a) for i, a in enumerate(perm) for b in perm[i + 1:] if b < a)
+
+
 def graph_from_permutation(perm: Permutation | Iterable[int]) -> Graph:
     """Inversion graph of a permutation.
 
@@ -159,17 +165,11 @@ def graph_from_permutation(perm: Permutation | Iterable[int]) -> Graph:
     """
     if not isinstance(perm, Permutation):
         perm = Permutation(tuple(perm))
-    n = perm.n
-    pos = [0] * (n + 1)
-    for idx, k in enumerate(perm.values):
-        pos[k] = idx
-    adj = [0] * (n + 1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if pos[j] < pos[i]:
-                adj[i] |= vbit(j)
-                adj[j] |= vbit(i)
-    return Graph(n, tuple(adj))
+    adj = [0] * (perm.n + 1)
+    for u, v in inversions(perm.values):
+        adj[u] |= vbit(v)
+        adj[v] |= vbit(u)
+    return Graph(perm.n, tuple(adj))
 
 
 def complement(g: Graph) -> Graph:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .caps import check_cap, get_cap
 from .cohesive import maximal_cliques
 from .graphs import Graph, complement, vbit, vertices_of
 
@@ -25,8 +26,16 @@ class InvariantSet:
 
 
 def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All inclusion-maximal independent sets (cliques of the complement)."""
-    return maximal_cliques(complement(g))
+    """All inclusion-maximal independent sets (cliques of the complement).
+
+    There can be 3^(n/3) of them (Moon-Moser), so the enumeration stops
+    one set past the ``independent_sets`` cap and raises.
+    """
+    cap = get_cap("independent_sets")
+    sets = maximal_cliques(complement(g), limit=cap + 1)
+    if len(sets) > cap:
+        check_cap("independent_sets", len(sets), "maximal independent set count (a lower bound)")
+    return sets
 
 
 def independence_invariants(

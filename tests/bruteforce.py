@@ -8,9 +8,13 @@ genuine cross-validation.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
+from operator import itemgetter
 
-from permcm import Graph, graph_from_edges
+from permcm import Graph, Permutation, graph_from_edges, graph_from_permutation
+from permcm.classify import GraphFacts
+from permcm.cohesive import CohesiveOrder
 from permcm.graphs import vbit
 
 
@@ -387,3 +391,74 @@ def brute_power_gens(gens: tuple[int, ...], n: int, k: int) -> list[tuple[int, .
         e for e in products
         if not any(f != e and all(a <= b for a, b in zip(f, e)) for f in products)
     )
+
+
+@lru_cache(maxsize=None)
+def _relabelled_pair_bits(n: int) -> list[dict[tuple[int, int], int]]:
+    """For each relabelling of 1..n, the bit of the image of each pair."""
+    index = {p: k for k, p in enumerate(combinations(range(1, n + 1), 2))}
+    return [
+        {(u, v): 1 << index[tuple(sorted((s[u - 1], s[v - 1])))] for u, v in index}
+        for s in permutations(range(1, n + 1))
+    ]
+
+
+def brute_canonical(g: Graph) -> int:
+    """Least relabelled edge list of g over all n! relabellings, as a
+    bitmask over the vertex pairs: two graphs get the same value exactly
+    when they are isomorphic."""
+    edges = g.edges()
+    return min(sum(bits[e] for e in edges) for bits in _relabelled_pair_bits(g.n))
+
+
+def labelled_sweep(per_graph, n: int) -> list[tuple[tuple, tuple[int, ...], dict | None]]:
+    """``per_graph`` of the inversion graph of every permutation of S_n,
+    labelled as built, with its edge tuple and permutation, sorted by edge
+    tuple: the sweep before isomorphism classes, kept as the oracle of the
+    class sweep.  It runs the package's own per-graph checks; what it
+    cross-validates is the grouping and weighting around them."""
+    out = []
+    for p in permutations(range(1, n + 1)):
+        g = graph_from_permutation(Permutation(p))
+        facts = GraphFacts(g, order=CohesiveOrder(tuple(range(1, n + 1))))
+        out.append((g.edges(), p, per_graph(facts)))
+    out.sort(key=itemgetter(0))
+    return out
+
+
+def labelled_verify(theorem: str, n: int, check) -> dict:
+    """The document of ``verify <theorem> --n <n>``, one graph per
+    permutation, with ``check`` as the theorem's check; ``counts`` lists
+    the predicates in the order the sweep first meets them."""
+    counts: dict[str, int] = {}
+    discrepancies = []
+    checked = skipped = 0
+    results = labelled_sweep(check, n)
+    for edges, perm, res in results:
+        if res is None:
+            skipped += 1
+            continue
+        checked += 1
+        for name, value in res["predicates"].items():
+            if value:
+                counts[name] = counts.get(name, 0) + 1
+        if not res["ok"]:
+            discrepancies.append({
+                "edges": [list(e) for e in edges], "perm": list(perm),
+                "predicates": res["predicates"], "detail": res["detail"],
+            })
+    return {
+        "theorem": theorem, "n": n,
+        "total_permutations": len(results), "distinct_graphs": len(results),
+        "checked": checked, "skipped": skipped,
+        "counts": counts, "discrepancies": discrepancies,
+    }
+
+
+def labelled_survey_rows(n: int, row) -> list[dict]:
+    """The rows of ``survey --n <n>``, one graph per permutation, with
+    ``row`` giving every column but ``edges``."""
+    return [
+        {"edges": ";".join(f"{u}-{v}" for u, v in edges), **cells}
+        for edges, _, cells in labelled_sweep(row, n)
+    ]

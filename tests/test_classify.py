@@ -269,7 +269,8 @@ class TestGraphFacts:
         # replaced, so a fallback call inside any callee is counted too
         import importlib
 
-        from permcm.cli import run_verify, survey_rows
+        from bruteforce import labelled_survey_rows
+        from permcm.cli import _survey_row, run_verify, survey_rows
 
         original = importlib.import_module("permcm.invariants").maximal_independent_sets
         calls = []
@@ -282,10 +283,15 @@ class TestGraphFacts:
             module = importlib.import_module(f"permcm.{name}")
             if getattr(module, "maximal_independent_sets", None) is original:
                 monkeypatch.setattr(module, "maximal_independent_sets", counted)
+        # a sweep checks one graph per isomorphism class: 33 at n = 5
         assert run_verify("vd", 5).checked == 120
-        assert len(calls) == 120
+        assert len(calls) == 33
         calls.clear()
         assert len(survey_rows(5)) == 120
+        assert len(calls) == 33
+        calls.clear()
+        # the labelled sweep checks each of the 120 graphs once
+        assert len(labelled_survey_rows(5, _survey_row)) == 120
         assert len(calls) == 120
 
 

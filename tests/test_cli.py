@@ -213,6 +213,24 @@ class TestShedCommand:
         assert json.loads(out) == expected
 
 
+# 20K_2 (n = 40) has 2^20 maximal independent sets
+TWENTY_K2 = ",".join(f"{2 * k + 2},{2 * k + 1}" for k in range(20))
+
+
+@pytest.mark.parametrize("argv", [
+    ("shed",),
+    ("ideal",),
+    ("classify", "--no-oracle"),
+])
+def test_independent_set_enumeration_stops_at_the_cap(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--perm", TWENTY_K2)
+    assert code == 2 and out == ""
+    assert ("maximal independent set count (a lower bound) size 1025 exceeds the "
+            "'independent_sets' cap 1024") in err
+    assert time.perf_counter() - start < 2.0
+
+
 class TestIdealCommand:
     def test_p4(self, capsys):
         code, out, _ = run(capsys, "ideal", "--perm", "3,1,4,2")

@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps functions by name from outside the
 package; a refactor that renames or deletes one of them (or
-``Graph.__post_init__``, which it also wraps), or that reaches the
-homology kernel or the Hochster sum by another name, must fail here."""
+``Graph.__post_init__``, which it also wraps), that reaches the homology
+kernel or the Hochster sum by another name, or whose sweeps stop
+reaching a function the benchmark expects to be called, must fail here."""
 
 import os
 import subprocess
@@ -11,11 +12,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_installs():
+def _run_traced(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")) if p
     )
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_tracer_installs():
     code = (
         "import tracer\n"
         "t = tracer.install()\n"
@@ -26,8 +34,26 @@ def test_tracer_installs():
         "assert t.calls['complexes.exact_rank'] > 0, t.calls\n"
         "assert t.calls['complexes.hochster_betti_table'] > 0, t.calls\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=120,
+    result = _run_traced(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_sweeps_reach_every_expected_function():
+    # every function the benchmark expects a call of on its sweep-s7
+    # and survey-s8 workloads records one on the same commands at n = 5
+    code = (
+        "import contextlib, io\n"
+        "import tracer\n"
+        "t = tracer.install()\n"
+        "import permcm.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for theorem in ('vd', 'cm', 'goren', 'nearly', 'ainv', 'bicm', 'hilb',\n"
+        "                    'covs', 'shed', 'gap'):\n"
+        "        assert permcm.cli.main(['verify', theorem, '--n', '5']) == 0\n"
+        "    assert permcm.cli.main(['survey', '--n', '5']) == 0\n"
+        "expected = tracer.EXPECTED_CALLS['sweep-s7'] + tracer.EXPECTED_CALLS['survey-s8']\n"
+        "missing = sorted(fn for fn in set(expected) if not t.calls.get(fn))\n"
+        "assert not missing, missing\n"
     )
+    result = _run_traced(code)
     assert result.returncode == 0, result.stderr
