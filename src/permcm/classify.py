@@ -22,11 +22,17 @@ Everything feeds a ClassificationReport carrying the flags, the
 invariants, and re-checkable witnesses.  Isolated vertices are cone
 points of the independence complex: they are stripped (and recorded)
 before the Gorenstein-type calls, which require their absence.
+
+Shedding certificates are built and re-checked in the labels of the
+graph passed in.  The walk keeps the vertices not yet shed as one
+bitmask ``alive`` over those labels; the subgraph it works on is the
+one induced on ``alive``, relabelled 1..k in increasing order, so its
+vertex c is ``vertices_of(alive)[c - 1]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -37,7 +43,6 @@ from .cohesive import (
     comparability_poset,
     find_cohesive_order,
     maximal_clique_partitions,
-    verify_cohesive_order,
 )
 from .complexes import (
     SimplicialComplex,
@@ -52,6 +57,7 @@ from .graphs import (
     StructureFlags,
     delete_vertex,
     induced_subgraph,
+    mask_of,
     recognize_structure,
     vbit,
     vertices_of,
@@ -143,29 +149,86 @@ class SheddingCertificate:
         }
 
 
-def _is_maximal_independent_in(g: Graph, fmask: int) -> bool:
-    for v in range(1, g.n + 1):
-        if fmask & vbit(v):
-            continue
-        if not g.adj[v] & fmask:
-            return False
-    return True
+def _ranks(alive: int, vs: tuple[int, ...]) -> tuple[int, ...]:
+    """The labels of the vertices ``vs`` of ``alive`` in the subgraph
+    induced on ``alive``, relabelled 1..k in increasing order."""
+    return tuple((alive & (vbit(v) - 1)).bit_count() + 1 for v in vs)
 
 
-def _peel(
-    g: Graph, j: int
-) -> tuple[Graph, dict[int, int], tuple[tuple[int, ...], ...]] | None:
-    """Delete the shedding vertex j: g minus j, the old-to-new vertex map
-    and the maximal independent sets of g minus j; None unless each of
-    those sets stays maximal in g (the shedding property of j)."""
-    smaller, old_to_new = delete_vertex(g, j)
+def _peel(cur: Graph, j: int) -> tuple[Graph, tuple[tuple[int, ...], ...]] | None:
+    """Delete the shedding vertex j: cur minus j (the labels above j move
+    down by one) and its maximal independent sets; None unless each of
+    those sets stays maximal in cur (the shedding property of j)."""
+    smaller, _ = delete_vertex(cur, j)
     mis = maximal_independent_sets(smaller)
-    new_to_old = {b: a for a, b in old_to_new.items()}
-    for s in mis:
-        fmask = sum(vbit(new_to_old[v]) for v in s)
-        if not _is_maximal_independent_in(g, fmask):
-            return None
-    return smaller, old_to_new, mis
+    below = vbit(j) - 1
+    nbrs = cur.adj[j] & below | cur.adj[j] >> 1 & ~below  # in smaller's labels
+    # a set maximal in smaller stays maximal in cur exactly when j, the
+    # one vertex of cur it does not dominate yet, has a neighbour in it
+    if any(not nbrs & mask_of(s) for s in mis):
+        return None
+    return smaller, mis
+
+
+def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCertificate:
+    """The walk of ``extract_shedding_order`` on ``cur``, the subgraph
+    induced on ``alive``, recorded in the input's labels; ``order`` is a
+    cohesive order of the input."""
+    order = tuple(v for v in order if alive & vbit(v))
+    mis = maximal_independent_sets(cur)
+    steps: list[ShedStep] = []
+
+    while cur.edge_count() > 0:
+        labels = vertices_of(alive)
+        step_order = tuple(v for v in order if alive & vbit(v))
+        poset = comparability_poset(cur, _ranks(alive, step_order))
+        alpha = max(len(s) for s in mis)
+        parts = maximal_clique_partitions(cur, r=alpha, limit=2, poset=poset)
+        if not steps:  # the input's partition and unmixedness decide CM
+            if len(parts) != 1 or any(len(s) != alpha for s in mis):
+                raise ValueError("shedding orders exist only for Cohen-Macaulay inputs")
+        if len(parts) != 1:
+            raise ClaimFailureError(
+                f"partition into {alpha} maximal cliques not unique mid-extraction"
+            )
+        part = parts[0]
+        assert part.tops is not None and part.lower_covers is not None
+
+        for t_idx, (i, j) in enumerate(zip(part.lower_covers, part.tops)):
+            if i is not None and poset.up[i] == vbit(j):
+                break
+        else:
+            raise ClaimFailureError("no block satisfies the upper-set condition")
+
+        peeled = _peel(cur, j)
+        if peeled is None:
+            raise ClaimFailureError(
+                f"vertex {labels[j - 1]} failed the direct shedding re-check"
+            )
+
+        steps.append(
+            ShedStep(
+                vertices=labels,
+                order=step_order,
+                partition=tuple(
+                    tuple(labels[c - 1] for c in block) for block in part.blocks
+                ),
+                t=t_idx + 1,
+                shedding_vertex=labels[j - 1],
+                lower_cover=labels[i - 1],
+                upset_verified=True,
+                shedding_verified=True,
+            )
+        )
+        alive &= ~vbit(labels[j - 1])
+        cur, mis = peeled
+
+    return SheddingCertificate(
+        order=tuple(s.shedding_vertex for s in steps),
+        cohesive_order=order,
+        steps=tuple(steps),
+        remaining=vertices_of(alive),
+    )
 
 
 def extract_shedding_order(
@@ -188,135 +251,55 @@ def extract_shedding_order(
         order = find_cohesive_order(g)
     if order is None:
         raise NotPermutationGraphError("input admits no cohesive order")
-
-    cur = g
-    mis = maximal_independent_sets(g)
-    cur_of = {v: v for v in range(1, g.n + 1)}   # original -> current label
-    orig_order = order.order
-    removed: list[int] = []
-    steps: list[ShedStep] = []
-
-    while cur.edge_count() > 0:
-        orig_of = {c: o for o, c in cur_of.items()}
-        cur_order = tuple(cur_of[o] for o in orig_order if o in cur_of)
-        poset = comparability_poset(cur, cur_order)
-        alpha = max(len(s) for s in mis)
-        parts = maximal_clique_partitions(cur, r=alpha, limit=2, poset=poset)
-        if not steps:  # the input's partition and unmixedness decide CM
-            if len(parts) != 1 or any(len(s) != alpha for s in mis):
-                raise ValueError("shedding orders exist only for Cohen-Macaulay inputs")
-        if len(parts) != 1:
-            raise ClaimFailureError(
-                f"partition into {alpha} maximal cliques not unique mid-extraction"
-            )
-        part = parts[0]
-        assert part.tops is not None and part.lower_covers is not None
-
-        chosen = None
-        for t_idx, block in enumerate(part.blocks):
-            i = part.lower_covers[t_idx]
-            if i is None:
-                continue
-            j = part.tops[t_idx]
-            if poset.up[i] == vbit(j):
-                chosen = (t_idx, i, j)
-                break
-        if chosen is None:
-            raise ClaimFailureError("no block satisfies the upper-set condition")
-        t_idx, i, j = chosen
-
-        peeled = _peel(cur, j)
-        if peeled is None:
-            raise ClaimFailureError(
-                f"vertex {orig_of[j]} failed the direct shedding re-check"
-            )
-
-        steps.append(
-            ShedStep(
-                vertices=tuple(sorted(orig_of[c] for c in cur.vertices())),
-                order=tuple(orig_of[c] for c in cur_order),
-                partition=tuple(
-                    tuple(sorted(orig_of[c] for c in block)) for block in part.blocks
-                ),
-                t=t_idx + 1,
-                shedding_vertex=orig_of[j],
-                lower_cover=orig_of[i],
-                upset_verified=True,
-                shedding_verified=True,
-            )
-        )
-        removed.append(orig_of[j])
-
-        cur, old_to_new, mis = peeled
-        cur_of = {
-            o: old_to_new[c] for o, c in cur_of.items() if c != j
-        }
-
-    remaining = tuple(sorted(o for o in cur_of))
-    return SheddingCertificate(
-        order=tuple(removed),
-        cohesive_order=orig_order,
-        steps=tuple(steps),
-        remaining=remaining,
-    )
+    return _shedding_walk(g, g.full_mask, order.order)
 
 
 def verify_shedding_certificate(g: Graph, cert: SheddingCertificate) -> bool:
-    """Re-check every step of a certificate from the graph alone."""
-    cur = g
-    cur_of = {v: v for v in range(1, g.n + 1)}
-    for step in cert.steps:
-        if tuple(sorted(cur_of)) != step.vertices:
+    """Re-check every field of a certificate from the graph alone by
+    replaying the walk in g's labels.  A label that is not a vertex
+    still present makes the check fail, never raise."""
+    steps = cert.steps
+    if cert.order != tuple(s.shedding_vertex for s in steps):
+        return False
+    if cert.cohesive_order != (steps[0].order if steps else ()):
+        return False
+    cur, alive = g, g.full_mask
+    for step in steps:
+        labels = vertices_of(alive)
+        if step.vertices != labels or tuple(sorted(step.order)) != labels:
             return False
         try:
-            cur_order = tuple(cur_of[o] for o in step.order)
-        except KeyError:
+            poset = comparability_poset(cur, _ranks(alive, step.order))
+        except ValueError:  # the step's order is not cohesive
             return False
-        if sorted(step.order) != sorted(cur_of):
-            return False
-        if not verify_cohesive_order(cur, cur_order):
-            return False
-        poset = comparability_poset(cur, cur_order)
 
         # the recorded partition must be a partition into maximal cliques
-        seen = 0
-        for block in step.partition:
-            bmask = 0
-            for o in block:
-                if o not in cur_of:
-                    return False
-                bmask |= vbit(cur_of[o])
-            if bmask & seen:
-                return False
-            seen |= bmask
-            bverts = vertices_of(bmask)
-            common = cur.full_mask
-            for v in bverts:
-                for u in bverts:
-                    if u != v and not cur.has_edge(u, v):
-                        return False
-                common &= cur.adj[v]
-            if common & ~bmask:
-                return False  # extendable, so not a maximal clique
-        if seen != cur.full_mask:
+        if tuple(sorted(v for block in step.partition for v in block)) != labels:
             return False
+        for block in step.partition:
+            bmask = mask_of(block)
+            common = alive
+            for v in block:
+                if bmask & ~vbit(v) & ~g.adj[v]:
+                    return False  # not a clique
+                common &= g.adj[v]
+            if common:
+                return False  # extendable, so not a maximal clique
 
-        i = cur_of.get(step.lower_cover)
-        j = cur_of.get(step.shedding_vertex)
-        if i is None or j is None:
+        if not 1 <= step.t <= len(step.partition):
             return False
         block = step.partition[step.t - 1]
         if step.shedding_vertex not in block or step.lower_cover not in block:
             return False
+        i, j = _ranks(alive, (step.lower_cover, step.shedding_vertex))
         if poset.up[i] != vbit(j):
             return False
         peeled = _peel(cur, j)
         if peeled is None:
             return False
-
-        cur, old_to_new, _ = peeled
-        cur_of = {o: old_to_new[c] for o, c in cur_of.items() if c != j}
-    return cur.edge_count() == 0
+        cur, _ = peeled
+        alive &= ~vbit(step.shedding_vertex)
+    return cur.edge_count() == 0 and cert.remaining == vertices_of(alive)
 
 
 def gorenstein_by_structure(g: Graph) -> tuple[bool, bool]:
@@ -338,27 +321,26 @@ def gap_witness_check(g: Graph) -> bool | None:
     """For a Gorenstein candidate with alpha >= 2: removing the closed
     neighbourhood of any independent set of size alpha - 2 must leave a
     graph that is structurally two disjoint edges.  None when alpha < 2
-    (not applicable)."""
+    (not applicable).
+
+    Every independent set lies in a maximal one, so the sets checked are
+    the distinct (alpha - 2)-subsets of the maximal independent sets; the
+    rest is 2K_2 when it has four vertices, each with exactly one
+    neighbour among them."""
     mis = maximal_independent_sets(g)
     if not mis:
         return None
     alpha = max(len(s) for s in mis)
     if alpha < 2:
         return None
-    size = alpha - 2
-    for combo in combinations(range(1, g.n + 1), size):
-        fmask = sum(vbit(v) for v in combo)
-        independent = all(
-            not g.adj[v] & fmask for v in combo
-        )
-        if not independent:
-            continue
+    for fmask in {mask_of(c) for s in mis for c in combinations(s, alpha - 2)}:
         drop = fmask
-        for v in combo:
+        for v in vertices_of(fmask):
             drop |= g.adj[v]
         rest = g.full_mask & ~drop
-        sub, _ = induced_subgraph(g, vertices_of(rest))
-        if sub.n != 4 or any(sub.degree(v) != 1 for v in sub.vertices()):
+        if rest.bit_count() != 4 or any(
+            (g.adj[v] & rest).bit_count() != 1 for v in vertices_of(rest)
+        ):
             return False
     return True
 
@@ -373,28 +355,6 @@ def bicm_and_hilbertian(g: Graph) -> tuple[bool, bool, int]:
     facts = GraphFacts(g)
     a, hilbertian = facts.a_invariant
     return facts.bicm, hilbertian, a
-
-
-def _translate_certificate(
-    cert: SheddingCertificate, new_to_orig: dict[int, int]
-) -> SheddingCertificate:
-    t = new_to_orig.__getitem__
-    return SheddingCertificate(
-        order=tuple(t(v) for v in cert.order),
-        cohesive_order=tuple(t(v) for v in cert.cohesive_order),
-        remaining=tuple(sorted(t(v) for v in cert.remaining)),
-        steps=tuple(
-            replace(
-                s,
-                vertices=tuple(sorted(t(v) for v in s.vertices)),
-                order=tuple(t(v) for v in s.order),
-                partition=tuple(tuple(sorted(t(v) for v in b)) for b in s.partition),
-                shedding_vertex=t(s.shedding_vertex),
-                lower_cover=t(s.lower_cover),
-            )
-            for s in cert.steps
-        ),
-    )
 
 
 class GraphFacts:
@@ -429,14 +389,14 @@ class GraphFacts:
         return independence_complex(self.g, mis=self.mis)
 
     @cached_property
-    def stripped(self) -> tuple[Graph, dict[int, int]]:
-        """The graph without its isolated vertices, relabelled 1..k, and
-        the old-to-new vertex map."""
+    def stripped(self) -> Graph:
+        """The graph without its isolated vertices, relabelled 1..k in
+        increasing order."""
         g = self.g
         kept = [v for v in range(1, g.n + 1) if g.adj[v]]
         if len(kept) == g.n:  # nothing to strip, so no copy
-            return g, {v: v for v in kept}
-        return induced_subgraph(g, kept)
+            return g
+        return induced_subgraph(g, kept)[0]
 
     @cached_property
     def cm_partitions(self) -> tuple[bool, tuple[ChainPartition, ...]]:
@@ -467,19 +427,19 @@ class GraphFacts:
     @cached_property
     def structure(self) -> StructureFlags:
         """``recognize_structure`` of the stripped graph."""
-        return recognize_structure(self.stripped[0])
+        return recognize_structure(self.stripped)
 
     @cached_property
     def gorenstein(self) -> bool:
         """Gorenstein: the stripped graph is a disjoint union of edges."""
-        stripped = self.stripped[0]
+        stripped = self.stripped
         return all(stripped.degree(v) == 1 for v in stripped.vertices())
 
     @cached_property
     def nearly_gorenstein(self) -> bool:
         """Strictly nearly Gorenstein: not Gorenstein, and the stripped
         graph is complete or a path complement on at least 3 vertices."""
-        if self.stripped[0].n < 3 or self.gorenstein:
+        if self.stripped.n < 3 or self.gorenstein:
             return False
         return self.structure.is_complete or self.structure.is_path_complement
 
@@ -488,14 +448,11 @@ class GraphFacts:
         """Shedding certificate of the stripped graph in the input's
         labels, from the cohesive order restricted to it; None unless the
         graph is CM and has an edge."""
-        stripped, old_to_new = self.stripped
-        if not (stripped.n and self.cm):
+        if not (self.stripped.n and self.cm):
             return None
-        order = CohesiveOrder(
-            tuple(old_to_new[v] for v in self.order.order if v in old_to_new)
-        )
-        cert = extract_shedding_order(stripped, order=order)
-        return _translate_certificate(cert, {b: a for a, b in old_to_new.items()})
+        g = self.g
+        alive = g.full_mask & ~mask_of(g.isolated_vertices())
+        return _shedding_walk(self.stripped, alive, self.order.order)
 
 
 @dataclass(frozen=True)
@@ -586,7 +543,7 @@ def classify(g: Graph, with_oracle: bool = True) -> ClassificationReport:
         cm_flag, parts = facts.cm_partitions
         gorenstein, nearly = facts.gorenstein, facts.nearly_gorenstein
         bicm = facts.bicm
-        stripped, _ = facts.stripped
+        stripped = facts.stripped
         witnesses = {
             "clique_partitions": [[list(b) for b in p.blocks] for p in parts],
             "shedding": facts.shedding.to_dict() if facts.shedding else None,

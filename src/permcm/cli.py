@@ -30,6 +30,7 @@ from .classes import permutation_classes
 from .classify import (
     ClaimFailureError,
     GraphFacts,
+    SheddingCertificate,
     classify,
     extract_shedding_order,
     gap_witness_check,
@@ -235,7 +236,7 @@ def _check_covs(f: GraphFacts) -> dict | None:
 def _check_shed(f: GraphFacts) -> dict | None:
     if not f.cm:
         return None
-    stripped, _ = f.stripped
+    stripped = f.stripped
     if stripped.n == 0:
         return {"ok": True, "predicates": {"certificate_verified": True}, "detail": None}
     try:
@@ -256,7 +257,7 @@ def _check_shed(f: GraphFacts) -> dict | None:
 
 
 def _check_gap(f: GraphFacts) -> dict | None:
-    stripped, _ = f.stripped
+    stripped = f.stripped
     if stripped.n == 0:
         return None
     if not f.gorenstein:
@@ -539,14 +540,14 @@ def _cmd_shed(args) -> int:
     if facts.order is None:
         print("input is not a permutation graph", file=sys.stderr)
         return 1
-    if facts.stripped[0].n:
+    if facts.stripped.n:
         if not facts.cm:
             print("input is not Cohen-Macaulay: no shedding order extracted",
                   file=sys.stderr)
             return 1
         payload = facts.shedding.to_dict()
     else:
-        payload = {"order": [], "cohesive_order": [], "remaining": [], "steps": []}
+        payload = SheddingCertificate((), (), (), ()).to_dict()
     payload["isolated_vertices_stripped"] = list(g.isolated_vertices())
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0

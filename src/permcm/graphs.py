@@ -179,11 +179,8 @@ def complement(g: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on ``keep``, relabelled 1..|keep|.
-
-    Returns the new graph and the old-to-new vertex map, so certificates
-    computed downstream can be pulled back to the original labels.
-    """
+    """Induced subgraph on ``keep``, relabelled 1..|keep| in increasing
+    order, and the old-to-new vertex map."""
     kept = sorted(set(keep))
     for v in kept:
         if not (1 <= v <= g.n):

@@ -7,15 +7,16 @@ genuine cross-validation.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import itemgetter
 
 from permcm import Graph, Permutation, graph_from_edges, graph_from_permutation
-from permcm.classify import GraphFacts
+from permcm.classify import GraphFacts, SheddingCertificate, extract_shedding_order
 from permcm.cohesive import CohesiveOrder
-from permcm.graphs import vbit
+from permcm.graphs import induced_subgraph, vbit
 
 
 def all_graphs(n: int):
@@ -462,3 +463,55 @@ def labelled_survey_rows(n: int, row) -> list[dict]:
         {"edges": ";".join(f"{u}-{v}" for u, v in edges), **cells}
         for edges, _, cells in labelled_sweep(row, n)
     ]
+
+
+def subset_walk_gap_witness_check(g: Graph) -> bool | None:
+    """``gap_witness_check`` by walking every (alpha - 2)-subset of the
+    vertices: each independent one must leave a graph of four vertices
+    of degree 1 once its closed neighbourhood is deleted."""
+    alpha = max((len(s) for s in brute_maximal_independent_sets(g)), default=0)
+    if alpha < 2:
+        return None
+    for combo in combinations(range(1, g.n + 1), alpha - 2):
+        if not _is_independent(g, combo):
+            continue
+        drop = set(combo).union(*(g.neighbors(v) for v in combo))
+        sub, _ = induced_subgraph(g, [v for v in g.vertices() if v not in drop])
+        if sub.n != 4 or any(sub.degree(v) != 1 for v in sub.vertices()):
+            return False
+    return True
+
+
+def translated_shedding(g: Graph, order: tuple[int, ...]) -> SheddingCertificate | None:
+    """``GraphFacts(g).shedding`` by the relabel-then-translate route:
+    extract a certificate of the stripped graph, relabelled 1..k, from
+    ``order`` restricted to it, then map every field back to g's labels.
+    It runs the package's own extraction; what it cross-validates is the
+    label bookkeeping around it."""
+    kept = [v for v in g.vertices() if g.adj[v]]
+    if not kept:
+        return None
+    stripped, old_to_new = induced_subgraph(g, kept)
+    cert = extract_shedding_order(
+        stripped, CohesiveOrder(tuple(old_to_new[v] for v in order if v in old_to_new))
+    )
+
+    def back(vs):
+        return tuple(kept[v - 1] for v in vs)
+
+    return SheddingCertificate(
+        order=back(cert.order),
+        cohesive_order=back(cert.cohesive_order),
+        remaining=tuple(sorted(back(cert.remaining))),
+        steps=tuple(
+            replace(
+                s,
+                vertices=tuple(sorted(back(s.vertices))),
+                order=back(s.order),
+                partition=tuple(tuple(sorted(back(b))) for b in s.partition),
+                shedding_vertex=kept[s.shedding_vertex - 1],
+                lower_cover=kept[s.lower_cover - 1],
+            )
+            for s in cert.steps
+        ),
+    )

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
 from permcm import (
     ClaimFailureError,
+    GraphFacts,
     NotPermutationGraphError,
     Permutation,
     bicm_and_hilbertian,
@@ -108,6 +110,69 @@ class TestSheddingExtraction:
         )
         assert not verify_shedding_certificate(g, tampered)
 
+    def test_peel_accepts_exactly_the_shedding_vertices(self):
+        # j sheds when every maximal independent set of g - j stays
+        # maximal in g, that is, contains a neighbour of j; the walk
+        # only peels vertices that have one
+        from bruteforce import all_graphs, brute_maximal_independent_sets
+        from permcm import delete_vertex
+        from permcm.classify import _peel
+
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                for j in g.vertices():
+                    if not g.adj[j]:
+                        continue
+                    smaller, _ = delete_vertex(g, j)
+                    sheds = all(
+                        any(g.has_edge(j, v if v < j else v + 1) for v in s)
+                        for s in brute_maximal_independent_sets(smaller)
+                    )
+                    assert (_peel(g, j) is not None) == sheds, (g.edges(), j)
+
+    def test_partition_into_non_maximal_cliques_fails(self):
+        # K_3 split as {1} | {2, 3}: block 2 still holds the shedding
+        # vertex 3 and its lower cover 2, but neither block is maximal
+        g = complete_graph(3)
+        cert = extract_shedding_order(g)
+        first = replace(cert.steps[0], partition=((1,), (2, 3)), t=2)
+        tampered = replace(cert, steps=(first,) + cert.steps[1:])
+        assert verify_shedding_certificate(g, tampered) is False
+
+    @pytest.mark.parametrize("field, value", [
+        ("remaining", (1, 2, 3)),
+        ("order", (4, 2)),
+        ("cohesive_order", (4, 3, 2, 1)),
+    ])
+    def test_tampered_top_level_field_fails(self, field, value):
+        # the fields `shed` prints: the shedding vertices in step order,
+        # the survivors of the last step and the first step's order
+        g = disjoint_edges(2)
+        cert = extract_shedding_order(g)
+        assert getattr(cert, field) != value
+        assert not verify_shedding_certificate(g, replace(cert, **{field: value}))
+
+    @pytest.mark.parametrize("field, value", [
+        ("t", 0), ("t", 3), ("t", -1),
+        ("shedding_vertex", 0), ("shedding_vertex", 5), ("shedding_vertex", 2),
+        ("lower_cover", 0), ("lower_cover", 5), ("lower_cover", 2),
+        ("partition", ((0,), (3, 4))), ("partition", ((1,), (3, 4, 5))),
+        ("partition", ((1, 2), (3, 4))),
+        ("vertices", (0, 1, 3, 4)), ("vertices", (1, 2, 3, 4)),
+        ("order", (0, 3, 4)), ("order", (1, 3, 4, 5)), ("order", (2, 3, 4)),
+    ])
+    def test_tampered_step_fails_without_raising(self, field, value):
+        # step 2 of 2K_2 sheds 4 from {1, 3, 4}: a block index out of
+        # 1..len(partition), or a label that is 0, out of range or
+        # already shed (2), must be rejected
+        g = disjoint_edges(2)
+        cert = extract_shedding_order(g)
+        steps = (cert.steps[0], replace(cert.steps[1], **{field: value}))
+        tampered = replace(
+            cert, steps=steps, order=tuple(s.shedding_vertex for s in steps)
+        )
+        assert verify_shedding_certificate(g, tampered) is False
+
 
 class TestGorenstein:
     def test_three_disjoint_edges(self):
@@ -141,6 +206,17 @@ class TestGapWitness:
         # alpha = 1 < 2 on complete graphs, so use C_4: alpha = 2,
         # deleting N[empty] leaves C_4 itself, which is not 2K_2
         assert gap_witness_check(cycle_graph(4)) is False
+
+    def test_agrees_with_subset_walk(self):
+        from bruteforce import all_graphs, subset_walk_gap_witness_check
+
+        graphs = [g for n in range(6) for g in all_graphs(n)]
+        graphs += [
+            graph_from_permutation(Permutation(p))
+            for n in range(1, 8) for p in permutations(range(1, n + 1))
+        ]
+        for g in graphs:
+            assert gap_witness_check(g) == subset_walk_gap_witness_check(g), g.edges()
 
 
 class TestBicmHilbertian:
@@ -264,6 +340,24 @@ class TestClaimNeverFails:
 
 
 class TestGraphFacts:
+    def test_shedding_matches_relabel_then_translate(self):
+        # the certificate built in the input's labels equals the one
+        # extracted on the stripped graph and mapped back; graphs with
+        # isolated vertices are where the two routes could differ
+        from bruteforce import translated_shedding
+
+        with_isolated = 0
+        for n in range(1, 7):
+            for p in permutations(range(1, n + 1)):
+                facts = GraphFacts(graph_from_permutation(Permutation(p)))
+                if not facts.cm:
+                    continue
+                expected = translated_shedding(facts.g, facts.order.order)
+                assert facts.shedding == expected, p
+                if expected is not None and facts.g.isolated_vertices():
+                    with_isolated += 1
+        assert with_isolated > 0
+
     def test_sweeps_enumerate_independent_sets_once_per_graph(self, monkeypatch):
         # counted from outside: every module binding of the enumerator is
         # replaced, so a fallback call inside any callee is counted too
