@@ -32,7 +32,7 @@ vertex c is ``vertices_of(alive)[c - 1]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations
 
@@ -107,6 +107,23 @@ def cm_by_clique_partition(
     return unmixed and len(parts) == 1, parts
 
 
+_SCALARS = frozenset((int, bool, str, float, type(None)))
+
+
+def _to_json(x):
+    """``x`` with each dataclass turned into the dict of its fields and
+    each tuple into a list, recursively: the documents ``to_dict``
+    returns."""
+    t = type(x)
+    if t in _SCALARS:
+        return x
+    if t is tuple or t is list:
+        return [_to_json(v) for v in x]
+    if t is dict:
+        return {k: _to_json(v) for k, v in x.items()}
+    return {f.name: _to_json(getattr(x, f.name)) for f in fields(x)}
+
+
 @dataclass(frozen=True)
 class ShedStep:
     """One peeling step, recorded in the labels of the input graph."""
@@ -129,24 +146,7 @@ class SheddingCertificate:
     remaining: tuple[int, ...]           # final edgeless vertex set
 
     def to_dict(self) -> dict:
-        return {
-            "order": list(self.order),
-            "cohesive_order": list(self.cohesive_order),
-            "remaining": list(self.remaining),
-            "steps": [
-                {
-                    "vertices": list(s.vertices),
-                    "order": list(s.order),
-                    "partition": [list(b) for b in s.partition],
-                    "t": s.t,
-                    "shedding_vertex": s.shedding_vertex,
-                    "lower_cover": s.lower_cover,
-                    "upset_verified": s.upset_verified,
-                    "shedding_verified": s.shedding_verified,
-                }
-                for s in self.steps
-            ],
-        }
+        return _to_json(self)
 
 
 def _ranks(alive: int, vs: tuple[int, ...]) -> tuple[int, ...]:
@@ -476,34 +476,7 @@ class ClassificationReport:
     witnesses: dict
 
     def to_dict(self) -> dict:
-        inv = self.invariants
-        return {
-            "n": self.n,
-            "edges": [list(e) for e in self.edges],
-            "is_permutation": self.is_permutation,
-            "cohesive_order": list(self.cohesive_order) if self.cohesive_order is not None else None,
-            "isolated_vertices": list(self.isolated_vertices),
-            "invariants": {
-                "alpha": inv.alpha,
-                "tau": inv.tau,
-                "unmixed": inv.unmixed,
-                "matching": inv.matching,
-                "induced_matching": inv.induced_matching,
-                "max_independent_sets": [list(s) for s in inv.max_independent_sets],
-                "min_vertex_covers": [list(s) for s in inv.min_vertex_covers],
-            },
-            "unmixed": self.unmixed,
-            "cm": self.cm,
-            "vertex_decomposable": self.vertex_decomposable,
-            "gorenstein": self.gorenstein,
-            "nearly_gorenstein": self.nearly_gorenstein,
-            "bicm": self.bicm,
-            "hilbertian": self.hilbertian,
-            "a_invariant": self.a_invariant,
-            "reg": self.reg,
-            "oracle": self.oracle,
-            "witnesses": self.witnesses,
-        }
+        return _to_json(self)
 
 
 def classify(g: Graph, with_oracle: bool = True) -> ClassificationReport:

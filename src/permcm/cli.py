@@ -31,6 +31,7 @@ from .classify import (
     ClaimFailureError,
     GraphFacts,
     SheddingCertificate,
+    _to_json,
     classify,
     extract_shedding_order,
     gap_witness_check,
@@ -302,16 +303,7 @@ class SweepResult:
         return not self.discrepancies
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n": self.n,
-            "total_permutations": self.total_permutations,
-            "distinct_graphs": self.distinct_graphs,
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "counts": dict(sorted(self.counts.items())),
-            "discrepancies": self.discrepancies,
-        }
+        return _to_json(self)
 
 
 def _check_sweep_args(n: int, jobs: int) -> None:
@@ -499,12 +491,15 @@ def _parse_perm(text: str) -> Permutation:
 
 def _load_graph(args) -> Graph:
     if getattr(args, "perm", None):
-        return graph_from_permutation(_parse_perm(args.perm))
-    if getattr(args, "graph", None):
+        g = graph_from_permutation(_parse_perm(args.perm))
+    elif getattr(args, "graph", None):
         with open(args.graph, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return graph_from_json(data)
-    raise ValueError("provide --perm or --graph")
+        g = graph_from_json(data)
+    else:
+        raise ValueError("provide --perm or --graph")
+    args.n = g.n  # named by main's error when a search recurses too deep
+    return g
 
 
 # -- commands --------------------------------------------------------------------
@@ -556,13 +551,11 @@ def _cmd_shed(args) -> int:
 def _cmd_ideal(args) -> int:
     g = _load_graph(args)
     ideal = cover_ideal(g)
-    lq = linear_quotients_order(ideal)
-    vs = vertex_splittable_test(ideal)
-    payload = {
+    payload = {  # json.dumps writes tuples as arrays
         "n": ideal.n,
-        "generators": [list(s) for s in ideal.generator_sets()],
-        "linear_quotients_order": [list(s) for s in lq] if lq is not None else None,
-        "vertex_splittable": vs,
+        "generators": ideal.generator_sets(),
+        "linear_quotients_order": linear_quotients_order(ideal),
+        "vertex_splittable": vertex_splittable_test(ideal),
     }
     if args.power:
         found, count = power_has_linear_quotients(ideal, args.power)
@@ -637,6 +630,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # json.load recurses once per level of nesting, the clique and
+        # ordering searches once per vertex they add
+        what = f"an input with n = {args.n}" if "n" in vars(args) else "a deeply nested input"
+        print(f"error: recursion limit reached on {what}", file=sys.stderr)
         return 2
 
 

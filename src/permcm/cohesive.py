@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, mask_of, vbit, vertices_of
+from .graphs import Graph, _components, mask_of, vbit, vertices_of
 
 
 @dataclass(frozen=True)
@@ -69,22 +69,6 @@ def verify_cohesive_order(g: Graph, order: CohesiveOrder | Sequence[int]) -> boo
                 return False
         earlier |= vbit(j)
     return True
-
-
-def _components(adj: Sequence[int], s: int) -> list[int]:
-    """Vertex masks of the connected components of the graph induced on s."""
-    out = []
-    while s:
-        comp = frontier = s & -s
-        while frontier:
-            reach = 0
-            for v in vertices_of(frontier):
-                reach |= adj[v]
-            frontier = reach & s & ~comp
-            comp |= frontier
-        out.append(comp)
-        s &= ~comp
-    return out
 
 
 def _module_closure(adj: Sequence[int], s: int, m: int) -> int:

@@ -42,10 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count
 from math import comb, factorial, gcd
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .caps import check_cap
-from .graphs import Graph, mask_of, vertices_of
+from .cohesive import maximal_cliques
+from .graphs import Graph, _is_int, mask_of, vbit, vertices_of
 from .invariants import maximal_independent_sets
 
 _T = TypeVar("_T")
@@ -143,10 +144,30 @@ def complex_to_json(c: SimplicialComplex) -> dict:
     }
 
 
+def _vertex_list(entry, what: str) -> list[int]:
+    """``entry`` as a list of distinct vertices, or ValueError naming it."""
+    if not isinstance(entry, list):
+        raise ValueError(f"{what} {entry!r} is not a list of vertices")
+    for v in entry:
+        if not _is_int(v) or v < 1:
+            raise ValueError(f"vertex {v!r} of {what} {entry!r} is not a positive integer")
+    if len(set(entry)) != len(entry):
+        raise ValueError(f"{what} {entry!r} repeats a vertex")
+    return entry
+
+
 def complex_from_json(data: dict) -> SimplicialComplex:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"complex JSON {data!r} is not an object")
     if "vertices" not in data or "facets" not in data:
         raise ValueError('complex JSON needs "vertices" and "facets"')
-    return SimplicialComplex.from_faces(data["vertices"], data["facets"])
+    faces = data["facets"]
+    if not isinstance(faces, list):
+        raise ValueError(f'"facets" {faces!r} is not a list of faces')
+    return SimplicialComplex.from_faces(
+        _vertex_list(data["vertices"], '"vertices"'),
+        [_vertex_list(f, "face") for f in faces],
+    )
 
 
 def independence_complex(
@@ -392,45 +413,25 @@ def _neighbourhood_meets(key: tuple[int, ...], used: int) -> list[int] | None:
     """For a flag complex whose used vertices are the low bits ``used``
     (a canonical key), the table whose entry at each set U of them is
     the meet of their closed 1-skeleton neighbourhoods; None when the
-    complex is not flag.
+    complex is not flag.  It is flag exactly when every maximal clique
+    of its 1-skeleton is a face, and then a facet: a face is a clique.
 
     In a flag complex a vertex x of U that shares an edge with every
     other vertex of U lies in every facet of the induced complex on U,
     which is then a cone: x is in ``meet[U] & U``."""
-    nbhd: dict[int, int] = {}
+    k = used.bit_length()
+    nbhd = [0] * (k + 1)  # closed neighbourhoods; index 0 unused
     for m in key:
-        x = m
-        while x:
-            low = x & -x
-            nbhd[low] = nbhd.get(low, 0) | m
-            x ^= low
-    if not _cliques_are_facets(set(key), {b: m & ~b for b, m in nbhd.items()}, 0, used, 0):
+        for v in vertices_of(m):
+            nbhd[v] |= m
+    skeleton = Graph(k, (0, *(nbhd[v] & ~vbit(v) for v in range(1, k + 1))))
+    facets = set(key)
+    if any(mask_of(c) not in facets for c in maximal_cliques(skeleton)):
         return None
     meet = [used] * (used + 1)
     for u in range(1, used + 1):
-        meet[u] = meet[u & (u - 1)] & nbhd[u & -u]
+        meet[u] = meet[u & (u - 1)] & nbhd[(u & -u).bit_length()]
     return meet
-
-
-def _cliques_are_facets(facets: set[int], adj: dict[int, int],
-                        r: int, p: int, x: int) -> bool:
-    """Whether every maximal clique of the graph ``adj`` that extends the
-    clique r by vertices of p, and by none of x, is a facet (Bron-Kerbosch
-    with a pivot).  Called on (0, all vertices, 0) for the 1-skeleton it
-    says whether the complex is flag: a face is a clique, so a maximal
-    clique that is a face is a facet."""
-    if not p:
-        return bool(x) or r in facets
-    pivot = (p | x) & -(p | x)
-    cand = p & ~adj[pivot]
-    while cand:
-        v = cand & -cand
-        cand ^= v
-        if not _cliques_are_facets(facets, adj, r | v, p & adj[v], x & adj[v]):
-            return False
-        p ^= v
-        x |= v
-    return True
 
 
 def hochster_betti_table(c: SimplicialComplex) -> BettiTable:

@@ -38,6 +38,11 @@ def mask_of(vs: Iterable[int]) -> int:
     return m
 
 
+def _is_int(x) -> bool:
+    """A plain integer; bool is a subclass of int but not accepted here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1, ..., n} in one-line notation."""
@@ -48,7 +53,7 @@ class Permutation:
         n = len(self.values)
         seen = [False] * (n + 1)
         for k in self.values:
-            if not isinstance(k, int) or k < 1 or k > n or seen[k]:
+            if not _is_int(k) or k < 1 or k > n or seen[k]:
                 raise ValueError(f"not a permutation of 1..{n}: {self.values}")
             seen[k] = True
 
@@ -118,11 +123,6 @@ class Graph:
 
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, self.n + 1) if not self.adj[v])
-
-
-def _is_int(x) -> bool:
-    """A plain integer; bool is a subclass of int but not accepted here."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def graph_from_edges(n: int, edges: Iterable[Iterable[int]]) -> Graph:
@@ -208,33 +208,33 @@ def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, dict[int, int]]
     return induced_subgraph(g, vertices_of(g.full_mask & ~drop))
 
 
+def _components(adj: Sequence[int], s: int) -> list[int]:
+    """Vertex masks of the connected components of the graph induced on s."""
+    out = []
+    while s:
+        comp = frontier = s & -s
+        while frontier:
+            reach = 0
+            for v in vertices_of(frontier):
+                reach |= adj[v]
+            frontier = reach & s & ~comp
+            comp |= frontier
+        out.append(comp)
+        s &= ~comp
+    return out
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = vbit(1)
-    frontier = vbit(1)
-    while frontier:
-        nxt = 0
-        for v in vertices_of(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == g.full_mask
+    return len(_components(g.adj, g.full_mask)) <= 1
 
 
 def _is_path(g: Graph) -> bool:
     # P_1 is a single vertex; otherwise two endpoints of degree 1,
     # interior of degree 2, connected.
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return True
+    if g.n <= 1:
+        return g.n == 1
     degs = sorted(g.degree(v) for v in range(1, g.n + 1))
-    if g.n == 2:
-        return degs == [1, 1]
-    if degs[:2] != [1, 1] or degs[2:] != [2] * (g.n - 2):
-        return False
-    return is_connected(g)
+    return degs == [1, 1] + [2] * (g.n - 2) and is_connected(g)
 
 
 def is_chordal(g: Graph) -> bool:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from .caps import check_cap
 from .complexes import _canonical, _first_ordering
 from .graphs import Graph, mask_of, vertices_of
-from .invariants import independence_invariants
+from .invariants import maximal_independent_sets
 
 
 def _minimalize(masks: Iterable[int]) -> tuple[int, ...]:
@@ -70,10 +70,12 @@ class MonomialIdeal:
 def cover_ideal(
     g: Graph, mis: tuple[tuple[int, ...], ...] | None = None
 ) -> MonomialIdeal:
-    """Generators are the minimal vertex covers of the graph.  ``mis``,
-    when given, must be ``maximal_independent_sets(g)``."""
-    _, _, _, covers = independence_invariants(g, mis)
-    return MonomialIdeal(g.n, _minimalize(mask_of(c) for c in covers))
+    """Generators are the minimal vertex covers of the graph, the
+    complements of its maximal independent sets.  ``mis``, when given,
+    must be ``maximal_independent_sets(g)``."""
+    if mis is None:
+        mis = maximal_independent_sets(g)
+    return MonomialIdeal(g.n, tuple(sorted(g.full_mask & ~mask_of(s) for s in mis)))
 
 
 def _linear_step_ok(placed: Sequence[int], new: int) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .caps import check_cap, get_cap
 from .cohesive import maximal_cliques
-from .graphs import Graph, complement, vbit, vertices_of
+from .graphs import Graph, complement, mask_of, vbit, vertices_of
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,7 @@ def independence_invariants(
     if not mis:  # only for the empty graph
         return 0, 0, True, ()
     alpha = max(len(s) for s in mis)
-    full = g.full_mask
-    covers = tuple(
-        sorted(vertices_of(full & ~sum(vbit(v) for v in s)) for s in mis)
-    )
+    covers = tuple(sorted(vertices_of(g.full_mask & ~mask_of(s)) for s in mis))
     tau = g.n - alpha
     unmixed = all(len(s) == alpha for s in mis)
     return alpha, tau, unmixed, covers

@@ -269,6 +269,20 @@ def _face_sets(facets: list[int]) -> set[frozenset[int]]:
     return out
 
 
+def is_flag(c) -> bool:
+    """Whether every vertex set whose pairs are all edges of the complex
+    is a face of it, by checking every vertex subset."""
+    faces = _face_sets(list(c.facets))
+    edges = {f for f in faces if len(f) == 2}
+    verts = {v for f in faces for v in f}
+    return all(
+        frozenset(s) in faces
+        for r in range(3, len(verts) + 1)
+        for s in combinations(sorted(verts), r)
+        if all(frozenset(p) in edges for p in combinations(s, 2))
+    )
+
+
 def boundary_matrices(faces: set[frozenset[int]]):
     """Dense boundary matrices of a complex given by all its faces, from
     size-s faces (columns) to size-(s-1) faces (rows), for every s >= 1

@@ -231,6 +231,24 @@ def test_independent_set_enumeration_stops_at_the_cap(capsys, argv):
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("command", ["classify", "shed", "ideal"])
+def test_deep_recursion_exits_2(capsys, tmp_path, command):
+    # the leaves of K_{1,1200} are a 1,200-clique of the complement, so
+    # the clique search recurses 1,200 deep
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"n": 1201, "edges": [[1, k] for k in range(2, 1202)]}))
+    code, out, err = run(capsys, command, "--graph", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "1201" in err
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "classify", "--graph", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 class TestIdealCommand:
     def test_p4(self, capsys):
         code, out, _ = run(capsys, "ideal", "--perm", "3,1,4,2")

@@ -28,7 +28,7 @@ from permcm import (
     shellable_bruteforce_test,
     vertex_decomposable_test,
 )
-from permcm.complexes import exact_rank
+from permcm.complexes import _canonical, _neighbourhood_meets, exact_rank
 from permcm.graphs import vertices_of
 from bruteforce import (
     _face_sets,
@@ -38,6 +38,7 @@ from bruteforce import (
     check_vd_tree,
     fraction_rank,
     hilbert_function_from_f,
+    is_flag,
 )
 
 
@@ -86,6 +87,27 @@ class TestJsonWireFormat:
 
         with pytest.raises(ValueError):
             complex_from_json({"facets": []})
+
+    @pytest.mark.parametrize("data,named", [
+        ({"vertices": [True, 2], "facets": [[2]]}, "True"),
+        ({"vertices": [1, 2], "facets": [[False]]}, "False"),
+        ({"vertices": 3, "facets": [[1]]}, "3"),
+        ({"vertices": [1, 1, 2], "facets": [[1]]}, "[1, 1, 2]"),
+        ({"vertices": [1, 2], "facets": [[1, 2, 1]]}, "[1, 2, 1]"),
+        ({"vertices": [1.0], "facets": [[1.0]]}, "1.0"),
+        ({"vertices": [1, 2], "facets": [[2.0]]}, "2.0"),
+        ({"vertices": [0, 1], "facets": [[1]]}, "0"),
+        ({"vertices": [1], "facets": 5}, "5"),
+        ({"vertices": [1], "facets": "1"}, "'1'"),
+        ({"vertices": [1], "facets": [1]}, "1"),
+        ("vertices facets", "'vertices facets'"),
+    ])
+    def test_rejects_malformed_entries(self, data, named):
+        from permcm import complex_from_json
+
+        with pytest.raises(ValueError) as exc:
+            complex_from_json(data)
+        assert named in str(exc.value)
 
 
 class TestLinkDeletion:
@@ -465,3 +487,17 @@ class TestExactRankAgainstBareiss:
         for c in [*sweep_complexes(6), *random_complexes()]:
             for _, mat in boundary_matrices(_face_sets(list(c.facets))):
                 assert exact_rank(mat) == bareiss_rank(mat)
+
+
+class TestFlagTable:
+    def test_meets_exactly_on_flag_complexes(self):
+        # a flag test that wrongly answers "not flag" only loses the cone
+        # skip, so the Betti pins cannot see it; this test can
+        seen = set()
+        for c in [*sweep_complexes(6), *random_complexes()]:
+            key = _canonical(c.facets)
+            used = (1 << max(m.bit_length() for m in key)) - 1
+            flag = is_flag(c)
+            assert (_neighbourhood_meets(key, used) is not None) == flag
+            seen.add(flag)
+        assert seen == {True, False}

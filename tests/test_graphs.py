@@ -32,6 +32,11 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(values)
 
+    @pytest.mark.parametrize("values", [(2, True), (True, 2), (1.0, 2)])
+    def test_rejects_non_integers(self, values):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(values)
+
 
 class TestGraphFromPermutation:
     def test_running_example(self):

@@ -11,13 +11,14 @@ from permcm import (
     cover_ideal,
     disjoint_edges,
     graph_from_permutation,
+    independence_invariants,
     is_linear_quotients_order,
     linear_quotients_order,
     path_graph,
     power_has_linear_quotients,
     vertex_splittable_test,
 )
-from bruteforce import check_split_tree
+from bruteforce import all_graphs, check_split_tree
 
 
 class TestMonomialIdeal:
@@ -65,6 +66,13 @@ class TestCoverIdeal:
                 inv = compute_invariants(g)
                 sizes = {len(s) for s in cover_ideal(g).generator_sets()}
                 assert (sizes == {inv.tau}) == inv.unmixed
+
+    def test_generators_are_the_minimal_vertex_covers(self):
+        graphs = [g for n in range(6) for g in all_graphs(n)]
+        graphs += [graph_from_permutation(Permutation(p)) for p in permutations(range(1, 8))]
+        for g in graphs:
+            covers = independence_invariants(g)[3]
+            assert cover_ideal(g) == MonomialIdeal.from_supports(g.n, covers)
 
 
 class TestLinearQuotients:

@@ -1,0 +1,56 @@
+"""The oracles must not read the theorem side.
+
+``complexes``, ``invariants`` and ``ideals`` compute the ground truth
+the classifiers are checked against, so none of them may import the
+classifiers, the CLI or the isomorphism classes; the one theorem-side
+routine they may use is the maximal-clique search of ``cohesive``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "permcm"
+ORACLES = ("complexes", "invariants", "ideals")
+FORBIDDEN = {"classify", "cli", "classes"}
+ALLOWED_FROM = {"cohesive": {"maximal_cliques"}}
+
+
+def _imports(module: str) -> list[tuple[str, str | None]]:
+    """(permcm module, imported name or None for the whole module) for
+    every import of a permcm module in the source of ``module``."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:  # from .x import y, or from . import x
+                base = node.module
+            elif node.module == "permcm" or (node.module or "").startswith("permcm."):
+                base = node.module.partition(".")[2]
+            else:
+                continue
+            for alias in node.names:
+                if base:
+                    out.append((base.split(".")[0], alias.name))
+                else:
+                    out.append((alias.name, None))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("permcm."):
+                    out.append((alias.name.split(".")[1], None))
+    return out
+
+
+@pytest.mark.parametrize("module", ORACLES)
+def test_oracles_import_no_theorem_code(module):
+    for target, name in _imports(module):
+        assert target not in FORBIDDEN, f"{module} imports permcm.{target}"
+        if target in ALLOWED_FROM:
+            assert name in ALLOWED_FROM[target], (
+                f"{module} imports {name or 'the module'} from permcm.{target}")
+
+
+def test_the_scan_sees_relative_imports():
+    assert ("cohesive", "maximal_cliques") in _imports("invariants")
+    assert ("complexes", "_first_ordering") in _imports("ideals")

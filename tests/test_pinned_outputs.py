@@ -11,10 +11,13 @@ a digest mismatch.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
+from permcm import classify
 from permcm.cli import main
+from bruteforce import all_graphs
 
 # (argv, exit code, SHA-256 of stdout)
 PINNED = [
@@ -118,3 +121,19 @@ def test_stdout_digest(argv, code, digest):
         got = main(list(argv))
     assert got == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# SHA-256 over the classification report of every labelled graph with
+# 1 <= n <= 5 (24 of them not permutation graphs), with and without the
+# oracle, recorded before the reports were serialised from their fields
+REPORTS_DIGEST = "7a7931246d414f79737578b36ce71577177bdc56daa1a36b63eec9009b7899ad"
+
+
+def test_classify_reports_of_every_small_graph():
+    h = hashlib.sha256()
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            for with_oracle in (True, False):
+                report = classify(g, with_oracle=with_oracle).to_dict()
+                h.update(json.dumps(report, indent=2, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == REPORTS_DIGEST
