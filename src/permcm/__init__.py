@@ -53,7 +53,6 @@ from .graphs import (
     complement,
     complete_graph,
     cycle_graph,
-    delete_closed_neighborhood,
     delete_vertex,
     disjoint_edges,
     graph_from_edges,

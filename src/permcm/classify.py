@@ -20,14 +20,16 @@ The classifiers here run on structural characterizations:
 
 Everything feeds a ClassificationReport carrying the flags, the
 invariants, and re-checkable witnesses.  Isolated vertices are cone
-points of the independence complex: they are stripped (and recorded)
-before the Gorenstein-type calls, which require their absence.
+points of the independence complex: ``_strip`` removes them, and it is
+the one place that does, for the Gorenstein-type facts, the gap
+witness and the shedding certificates.
 
 Shedding certificates are built and re-checked in the labels of the
-graph passed in.  The walk keeps the vertices not yet shed as one
-bitmask ``alive`` over those labels; the subgraph it works on is the
-one induced on ``alive``, relabelled 1..k in increasing order, so its
-vertex c is ``vertices_of(alive)[c - 1]``.
+graph passed in, isolated vertices or not.  The walk keeps the
+vertices not yet shed as one bitmask ``alive`` over those labels,
+starting from the vertices that are not isolated; the subgraph it
+works on is the one induced on ``alive``, relabelled 1..k in
+increasing order, so its vertex c is ``vertices_of(alive)[c - 1]``.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def cm_by_clique_partition(
     if order is None:
         raise NotPermutationGraphError("input admits no cohesive order")
     if g.n == 0:
-        return True, ()
+        return True, (ChainPartition(()),)
     if mis is None:
         mis = maximal_independent_sets(g)
     alpha = max(len(s) for s in mis)
@@ -149,6 +151,15 @@ class SheddingCertificate:
         return _to_json(self)
 
 
+def _strip(g: Graph) -> tuple[Graph, int]:
+    """g without its isolated vertices, relabelled 1..k in increasing
+    order, and the mask of its vertices in g's labels."""
+    alive = g.full_mask & ~mask_of(g.isolated_vertices())
+    if alive == g.full_mask:  # nothing to strip, so no copy
+        return g, alive
+    return induced_subgraph(g, vertices_of(alive))[0], alive
+
+
 def _ranks(alive: int, vs: tuple[int, ...]) -> tuple[int, ...]:
     """The labels of the vertices ``vs`` of ``alive`` in the subgraph
     induced on ``alive``, relabelled 1..k in increasing order."""
@@ -183,7 +194,7 @@ def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCe
         step_order = tuple(v for v in order if alive & vbit(v))
         poset = comparability_poset(cur, _ranks(alive, step_order))
         alpha = max(len(s) for s in mis)
-        parts = maximal_clique_partitions(cur, r=alpha, limit=2, poset=poset)
+        parts = maximal_clique_partitions(cur, r=alpha, limit=2)
         if not steps:  # the input's partition and unmixedness decide CM
             if len(parts) != 1 or any(len(s) != alpha for s in mis):
                 raise ValueError("shedding orders exist only for Cohen-Macaulay inputs")
@@ -192,9 +203,13 @@ def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCe
                 f"partition into {alpha} maximal cliques not unique mid-extraction"
             )
         part = parts[0]
-        assert part.tops is not None and part.lower_covers is not None
 
-        for t_idx, (i, j) in enumerate(zip(part.lower_covers, part.tops)):
+        for t, block in enumerate(part.blocks, 1):
+            # a block is a chain of the poset: its top j has no element
+            # of the block above it, and the element i that j covers has one
+            bmask = mask_of(block)
+            by_height = {(poset.up[v] & bmask).bit_count(): v for v in block}
+            j, i = by_height[0], by_height.get(1)
             if i is not None and poset.up[i] == vbit(j):
                 break
         else:
@@ -213,7 +228,7 @@ def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCe
                 partition=tuple(
                     tuple(labels[c - 1] for c in block) for block in part.blocks
                 ),
-                t=t_idx + 1,
+                t=t,
                 shedding_vertex=labels[j - 1],
                 lower_cover=labels[i - 1],
                 upset_verified=True,
@@ -234,36 +249,36 @@ def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCe
 def extract_shedding_order(
     g: Graph, order: CohesiveOrder | None = None
 ) -> SheddingCertificate:
-    """Constructive shedding order for a CM permutation graph.
+    """Constructive shedding order for a CM permutation graph, in its
+    labels.
 
-    Iteratively: build the comparability poset of the cohesive order,
-    take the unique partition into maximal chains, find the first block
-    whose lower-cover element i has upper set exactly {j}, verify the
-    shedding property of j directly, delete j, and repeat until the
-    graph is edgeless.  Requires a graph with no isolated vertices; the
+    Iteratively, from the vertices that are not isolated: build the
+    comparability poset of the cohesive order, take the unique partition
+    into maximal chains, find the first block whose lower-cover element
+    i has upper set exactly {j}, verify the shedding property of j
+    directly, delete j, and repeat until the graph is edgeless.  The
     first step rejects a graph that is not CM (not unmixed, or without a
     unique partition).  Each step's maximal independent sets are those
     the shedding check of the step before enumerated.
     """
-    if g.isolated_vertices():
-        raise ValueError("strip isolated vertices before extracting a shedding order")
     if order is None:
         order = find_cohesive_order(g)
     if order is None:
         raise NotPermutationGraphError("input admits no cohesive order")
-    return _shedding_walk(g, g.full_mask, order.order)
+    return _shedding_walk(*_strip(g), order.order)
 
 
 def verify_shedding_certificate(g: Graph, cert: SheddingCertificate) -> bool:
     """Re-check every field of a certificate from the graph alone by
-    replaying the walk in g's labels.  A label that is not a vertex
-    still present makes the check fail, never raise."""
+    replaying the walk in g's labels from its vertices that are not
+    isolated.  A label that is not a vertex still present makes the
+    check fail, never raise."""
     steps = cert.steps
     if cert.order != tuple(s.shedding_vertex for s in steps):
         return False
     if cert.cohesive_order != (steps[0].order if steps else ()):
         return False
-    cur, alive = g, g.full_mask
+    cur, alive = _strip(g)
     for step in steps:
         labels = vertices_of(alive)
         if step.vertices != labels or tuple(sorted(step.order)) != labels:
@@ -389,14 +404,10 @@ class GraphFacts:
         return independence_complex(self.g, mis=self.mis)
 
     @cached_property
-    def stripped(self) -> Graph:
-        """The graph without its isolated vertices, relabelled 1..k in
-        increasing order."""
-        g = self.g
-        kept = [v for v in range(1, g.n + 1) if g.adj[v]]
-        if len(kept) == g.n:  # nothing to strip, so no copy
-            return g
-        return induced_subgraph(g, kept)[0]
+    def stripped(self) -> tuple[Graph, int]:
+        """``_strip`` of the graph: the graph without its isolated
+        vertices, and the mask of the vertices it keeps."""
+        return _strip(self.g)
 
     @cached_property
     def cm_partitions(self) -> tuple[bool, tuple[ChainPartition, ...]]:
@@ -427,32 +438,35 @@ class GraphFacts:
     @cached_property
     def structure(self) -> StructureFlags:
         """``recognize_structure`` of the stripped graph."""
-        return recognize_structure(self.stripped)
+        return recognize_structure(self.stripped[0])
 
     @cached_property
     def gorenstein(self) -> bool:
         """Gorenstein: the stripped graph is a disjoint union of edges."""
-        stripped = self.stripped
-        return all(stripped.degree(v) == 1 for v in stripped.vertices())
+        h = self.stripped[0]
+        return all(h.degree(v) == 1 for v in h.vertices())
 
     @cached_property
     def nearly_gorenstein(self) -> bool:
         """Strictly nearly Gorenstein: not Gorenstein, and the stripped
         graph is complete or a path complement on at least 3 vertices."""
-        if self.stripped.n < 3 or self.gorenstein:
+        if self.stripped[0].n < 3 or self.gorenstein:
             return False
         return self.structure.is_complete or self.structure.is_path_complement
 
     @cached_property
     def shedding(self) -> SheddingCertificate | None:
-        """Shedding certificate of the stripped graph in the input's
-        labels, from the cohesive order restricted to it; None unless the
-        graph is CM and has an edge."""
-        if not (self.stripped.n and self.cm):
+        """``extract_shedding_order`` of the graph and its cohesive order;
+        None unless the graph is CM and has an edge."""
+        if not (self.stripped[0].n and self.cm):
             return None
-        g = self.g
-        alive = g.full_mask & ~mask_of(g.isolated_vertices())
-        return _shedding_walk(self.stripped, alive, self.order.order)
+        return _shedding_walk(*self.stripped, self.order.order)
+
+    @cached_property
+    def gap_witness(self) -> bool | None:
+        """``gap_witness_check`` of the stripped graph; None unless the
+        graph is Gorenstein and the check applies."""
+        return gap_witness_check(self.stripped[0]) if self.gorenstein else None
 
 
 @dataclass(frozen=True)
@@ -516,13 +530,10 @@ def classify(g: Graph, with_oracle: bool = True) -> ClassificationReport:
         cm_flag, parts = facts.cm_partitions
         gorenstein, nearly = facts.gorenstein, facts.nearly_gorenstein
         bicm = facts.bicm
-        stripped = facts.stripped
         witnesses = {
             "clique_partitions": [[list(b) for b in p.blocks] for p in parts],
             "shedding": facts.shedding.to_dict() if facts.shedding else None,
-            "gap_witness": (
-                gap_witness_check(stripped) if gorenstein and stripped.n else None
-            ),
+            "gap_witness": facts.gap_witness,
         }
     if cm_flag:
         a, hilbertian = facts.a_invariant

@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,11 +31,9 @@ from .classes import permutation_classes
 from .classify import (
     ClaimFailureError,
     GraphFacts,
-    SheddingCertificate,
     _to_json,
     classify,
     extract_shedding_order,
-    gap_witness_check,
     verify_shedding_certificate,
 )
 from .cohesive import CohesiveOrder
@@ -237,19 +236,16 @@ def _check_covs(f: GraphFacts) -> dict | None:
 def _check_shed(f: GraphFacts) -> dict | None:
     if not f.cm:
         return None
-    stripped = f.stripped
-    if stripped.n == 0:
-        return {"ok": True, "predicates": {"certificate_verified": True}, "detail": None}
     try:
         # from the bare graph, so the public extraction path is exercised
-        cert = extract_shedding_order(stripped)
+        cert = extract_shedding_order(f.g)
     except ClaimFailureError as exc:
         return {
             "ok": False,
             "predicates": {"certificate_verified": False},
             "detail": f"claim failure: {exc}",
         }
-    verified = verify_shedding_certificate(stripped, cert)
+    verified = verify_shedding_certificate(f.g, cert)
     return {
         "ok": verified,
         "predicates": {"certificate_verified": verified},
@@ -258,14 +254,9 @@ def _check_shed(f: GraphFacts) -> dict | None:
 
 
 def _check_gap(f: GraphFacts) -> dict | None:
-    stripped = f.stripped
-    if stripped.n == 0:
-        return None
-    if not f.gorenstein:
-        return None  # nothing claimed
-    result = gap_witness_check(stripped)
+    result = f.gap_witness
     if result is None:
-        return None  # alpha < 2: single edge, not applicable
+        return None  # not Gorenstein, or alpha < 2: nothing claimed
     return {
         "ok": result,
         "predicates": {"gap_witness": result},
@@ -481,12 +472,11 @@ def render_survey(rows: list[dict], fmt: str) -> str:
 # -- input parsing --------------------------------------------------------------
 
 def _parse_perm(text: str) -> Permutation:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    try:
-        values = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ValueError(f"bad permutation {text!r}") from exc
-    return Permutation(values)
+    # ASCII digits only: int() would also take "1_0", "+2" and non-ASCII digits
+    parts = text.replace(",", " ").split()
+    if not all(re.fullmatch(r"[0-9]+", p) for p in parts):
+        raise ValueError(f"bad permutation {text!r}")
+    return Permutation(tuple(map(int, parts)))
 
 
 def _load_graph(args) -> Graph:
@@ -535,14 +525,11 @@ def _cmd_shed(args) -> int:
     if facts.order is None:
         print("input is not a permutation graph", file=sys.stderr)
         return 1
-    if facts.stripped.n:
-        if not facts.cm:
-            print("input is not Cohen-Macaulay: no shedding order extracted",
-                  file=sys.stderr)
-            return 1
-        payload = facts.shedding.to_dict()
-    else:
-        payload = SheddingCertificate((), (), (), ()).to_dict()
+    if not facts.cm:
+        print("input is not Cohen-Macaulay: no shedding order extracted",
+              file=sys.stderr)
+        return 1
+    payload = extract_shedding_order(g, facts.order).to_dict()
     payload["isolated_vertices_stripped"] = list(g.isolated_vertices())
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0

@@ -343,45 +343,15 @@ def maximal_cliques(g: Graph, limit: int | None = None) -> tuple[tuple[int, ...]
 
 @dataclass(frozen=True)
 class ChainPartition:
-    """A partition of the vertex set into disjoint maximal cliques.
-
-    When built against a poset, each block also records its top element
-    (the poset-maximum of the chain) and the unique element the top
-    covers inside the block (None for singleton blocks).
-    """
+    """A partition of the vertex set into disjoint maximal cliques."""
 
     blocks: tuple[tuple[int, ...], ...]
-    tops: tuple[int, ...] | None = None
-    lower_covers: tuple[int | None, ...] | None = None
-
-
-def _annotate(blocks: tuple[tuple[int, ...], ...], poset: Poset) -> ChainPartition:
-    tops: list[int] = []
-    lowers: list[int | None] = []
-    for block in blocks:
-        bmask = sum(vbit(v) for v in block)
-        top = [v for v in block if not poset.up[v] & bmask]
-        if len(top) != 1:
-            raise ValueError(f"block {block} is not a chain of the poset")
-        j = top[0]
-        rest = bmask & ~vbit(j)
-        if rest:
-            second = [v for v in vertices_of(rest) if not poset.up[v] & rest]
-            i = second[0]
-            if not poset.covers(i, j):
-                raise ValueError(f"{i} is not a lower cover of {j} in block {block}")
-            lowers.append(i)
-        else:
-            lowers.append(None)
-        tops.append(j)
-    return ChainPartition(blocks, tuple(tops), tuple(lowers))
 
 
 def maximal_clique_partitions(
     g: Graph,
     r: int,
     limit: int | None = 2,
-    poset: Poset | None = None,
 ) -> tuple[ChainPartition, ...]:
     """Partitions of V(g) into exactly r pairwise disjoint maximal cliques.
 
@@ -424,7 +394,4 @@ def maximal_clique_partitions(
         return False
 
     search(g.full_mask, [])
-    blocks_list = sorted(set(results))
-    if poset is not None:
-        return tuple(_annotate(b, poset) for b in blocks_list)
-    return tuple(ChainPartition(b) for b in blocks_list)
+    return tuple(ChainPartition(b) for b in sorted(set(results)))

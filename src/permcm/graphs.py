@@ -101,9 +101,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return vertices_of(self.adj[v])
 
-    def closed_neighborhood_mask(self, v: int) -> int:
-        return self.adj[v] | vbit(v)
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -125,17 +122,17 @@ class Graph:
         return tuple(v for v in range(1, self.n + 1) if not self.adj[v])
 
 
-def graph_from_edges(n: int, edges: Iterable[Iterable[int]]) -> Graph:
-    """Build a graph from an edge list, rejecting loops and duplicates."""
+def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
+    """Build a graph from an edge list, each edge a list or tuple of two
+    vertices, rejecting loops and duplicates."""
     if not _is_int(n):
         raise ValueError(f"vertex count {n!r} is not an integer")
     adj = [0] * (n + 1)
     seen: set[tuple[int, int]] = set()
     for e in edges:
-        pair = tuple(e)
-        if len(pair) != 2:
-            raise ValueError(f"edge {pair!r} is not a pair")
-        u, v = pair
+        if not (isinstance(e, (list, tuple)) and len(e) == 2):
+            raise ValueError(f"edge {e!r} is not a pair")
+        u, v = pair = tuple(e)
         if not (_is_int(u) and _is_int(v)):
             raise ValueError(f"non-integer edge {pair!r}")
         if u == v:
@@ -199,13 +196,6 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
     if not (1 <= v <= g.n):
         raise ValueError(f"vertex {v} out of range 1..{g.n}")
     return induced_subgraph(g, (u for u in range(1, g.n + 1) if u != v))
-
-
-def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
-    if not (1 <= v <= g.n):
-        raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    drop = g.closed_neighborhood_mask(v)
-    return induced_subgraph(g, vertices_of(g.full_mask & ~drop))
 
 
 def _components(adj: Sequence[int], s: int) -> list[int]:

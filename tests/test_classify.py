@@ -8,6 +8,7 @@ from permcm import (
     GraphFacts,
     NotPermutationGraphError,
     Permutation,
+    SheddingCertificate,
     bicm_and_hilbertian,
     classify,
     cm_by_clique_partition,
@@ -68,9 +69,25 @@ class TestSheddingExtraction:
         for step in cert.steps:
             assert step.upset_verified and step.shedding_verified
 
-    def test_requires_no_isolated_vertices(self):
-        with pytest.raises(ValueError):
-            extract_shedding_order(graph_from_edges(3, [(1, 2)]))
+    def test_isolated_vertices_are_left_out_in_place(self):
+        # 3 is a cone point: no step lists it, and the labels stay the input's
+        g = graph_from_permutation(Permutation((2, 1, 3, 5, 4)))
+        cert = extract_shedding_order(g)
+        assert cert.order == (2, 5) and cert.remaining == (1, 4)
+        assert cert.cohesive_order == (1, 2, 4, 5)
+        assert all(3 not in step.vertices for step in cert.steps)
+        assert verify_shedding_certificate(g, cert)
+        # with 3 still listed, the certificate no longer replays
+        first = replace(cert.steps[0], vertices=(1, 2, 3, 4, 5), order=(1, 2, 3, 4, 5))
+        assert not verify_shedding_certificate(
+            g, replace(cert, cohesive_order=first.order, steps=(first,) + cert.steps[1:]))
+
+    def test_edgeless_graph_has_the_empty_certificate(self):
+        for n in range(4):
+            g = graph_from_edges(n, [])
+            cert = extract_shedding_order(g)
+            assert cert == SheddingCertificate((), (), (), ())
+            assert verify_shedding_certificate(g, cert)
 
     def test_requires_cm(self, remark_graph):
         # C_4 is unmixed with two partitions; P_3 is not unmixed
@@ -337,6 +354,24 @@ class TestClaimNeverFails:
                 except ClaimFailureError as exc:  # pragma: no cover
                     pytest.fail(f"claim failed on {g.edges()}: {exc}")
                 assert verify_shedding_certificate(stripped, cert)
+
+
+class TestCertificatesOfEveryPermutationGraph:
+    def test_extraction_matches_facts_and_reverifies_up_to_6(self):
+        # in the input's labels, isolated vertices or not
+        with_isolated = 0
+        for n in range(1, 7):
+            for p in permutations(range(1, n + 1)):
+                g = graph_from_permutation(Permutation(p))
+                facts = GraphFacts(g)
+                if not facts.cm:
+                    continue
+                cert = extract_shedding_order(g)
+                if facts.shedding is not None:
+                    assert cert == facts.shedding, p
+                    with_isolated += bool(g.isolated_vertices())
+                assert verify_shedding_certificate(g, cert), p
+        assert with_isolated == 75
 
 
 class TestGraphFacts:

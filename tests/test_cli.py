@@ -73,6 +73,19 @@ class TestClassifyCommand:
         code, _, _ = run(capsys, "classify", "--graph", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("edge", [5, None, "12", {"a": 1, "b": 2}])
+    def test_edge_that_is_not_a_pair_exits_2(self, capsys, tmp_path, edge):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"n": 3, "edges": [edge]}))
+        code, out, err = run(capsys, "classify", "--graph", str(path))
+        assert code == 2 and out == ""
+        assert f"edge {edge!r} is not a pair" in err
+
+    @pytest.mark.parametrize("perm", ["1_0,9,8,7,6,5,4,3,2,1", "+2,1", "\u0662,1"])
+    def test_perm_entries_are_ascii_digits(self, capsys, perm):
+        code, out, err = run(capsys, "classify", "--perm", perm)
+        assert code == 2 and out == "" and "bad permutation" in err
+
 
 class TestVerifyCommand:
     def test_vd_small(self, capsys):
@@ -117,6 +130,15 @@ class TestVerifyCommand:
     def test_bad_sweep_sizes_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "verify", "cm", *argv)
         assert code == 2 and out == "" and "must be" in err
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_every_theorem_holds_on_the_smallest_sweeps(self, capsys, n):
+        from permcm.cli import _CHECKS
+
+        for theorem in sorted(_CHECKS):
+            code, out, _ = run(capsys, "verify", theorem, "--n", str(n))
+            doc = json.loads(out)
+            assert code == 0 and doc["discrepancies"] == [], (theorem, doc)
 
     def test_unknown_theorem_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -201,6 +223,32 @@ class TestShedCommand:
         path.write_text(json.dumps(graph_to_json(cycle_graph(5))))
         code, _, err = run(capsys, "shed", "--graph", str(path))
         assert code == 1 and "permutation" in err
+
+    @pytest.mark.parametrize("perm", ["2,1,3,5,4", "2,1,3", "1,5,4,3,2,6,7", "1,2,3", "3,1,4,2"])
+    def test_printed_certificate_reverifies(self, capsys, perm):
+        from permcm import (
+            Permutation,
+            SheddingCertificate,
+            ShedStep,
+            graph_from_permutation,
+            verify_shedding_certificate,
+        )
+
+        def tuples(x):
+            return tuple(map(tuples, x)) if isinstance(x, list) else x
+
+        code, out, _ = run(capsys, "shed", "--perm", perm)
+        assert code == 0
+        doc = json.loads(out)
+        cert = SheddingCertificate(
+            order=tuples(doc["order"]),
+            cohesive_order=tuples(doc["cohesive_order"]),
+            steps=tuple(ShedStep(**{k: tuples(v) for k, v in s.items()})
+                        for s in doc["steps"]),
+            remaining=tuples(doc["remaining"]),
+        )
+        g = graph_from_permutation(Permutation(tuple(map(int, perm.split(",")))))
+        assert verify_shedding_certificate(g, cert)
 
     @pytest.mark.parametrize("perm", ["3,1,4,2", "2,1,4,3", "2,1,3", "2,1,3,6,5,4"])
     def test_payload_is_classify_witness(self, capsys, perm):

@@ -276,13 +276,6 @@ class TestPartitions:
                         covered |= bmask
                     assert covered == g.full_mask
 
-    def test_annotation_with_poset(self):
-        g = disjoint_edges(2)
-        poset = comparability_poset(g, (1, 2, 3, 4))
-        (part,) = maximal_clique_partitions(g, r=2, poset=poset)
-        assert part.tops == (2, 4)
-        assert part.lower_covers == (1, 3)
-
     def test_deterministic(self):
         g = graph_from_permutation(Permutation((4, 5, 2, 1, 3)))
         first = maximal_clique_partitions(g, r=2, limit=None)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -8,7 +9,6 @@ from permcm import (
     complement,
     complete_graph,
     cycle_graph,
-    delete_closed_neighborhood,
     delete_vertex,
     disjoint_edges,
     graph_from_edges,
@@ -82,11 +82,6 @@ class TestComplement:
 
 
 class TestSubgraphs:
-    def test_delete_closed_neighborhood_p4(self):
-        sub, mapping = delete_closed_neighborhood(path_graph(4), 1)
-        assert sub.n == 2 and sub.edges() == ((1, 2),)
-        assert mapping == {3: 1, 4: 2}
-
     def test_induced_k5(self):
         sub, _ = induced_subgraph(complete_graph(5), {1, 2, 3})
         assert sub.edges() == ((1, 2), (1, 3), (2, 3))
@@ -96,13 +91,6 @@ class TestSubgraphs:
         assert sub.n == 3 and sub.edges() == ((2, 3),)
         assert sub.isolated_vertices() == (1,)
         assert mapping == {2: 1, 3: 2, 4: 3}
-
-    def test_neighborhood_never_retained(self):
-        for g in all_graphs(4):
-            for v in g.vertices():
-                sub, mapping = delete_closed_neighborhood(g, v)
-                dropped = set(g.neighbors(v)) | {v}
-                assert dropped.isdisjoint(mapping)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -192,3 +180,9 @@ class TestJson:
             graph_from_edges(True, [])
         with pytest.raises(ValueError):
             graph_from_edges(2, [(True, 2)])
+
+    @pytest.mark.parametrize("edge", [5, None, "12", {"a": 1, "b": 2}, [1], (1, 2, 3)])
+    def test_graph_from_edges_rejects_non_pairs(self, edge):
+        # a string or a mapping of length 2 is not read as its characters or keys
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} is not a pair")):
+            graph_from_edges(3, [edge])

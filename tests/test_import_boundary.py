@@ -4,6 +4,8 @@
 the classifiers are checked against, so none of them may import the
 classifiers, the CLI or the isomorphism classes; the one theorem-side
 routine they may use is the maximal-clique search of ``cohesive``.
+The same scan keeps the CLI from reading a stripped graph: where
+isolated vertices are removed is decided in ``permcm.classify`` alone.
 """
 
 import ast
@@ -49,6 +51,14 @@ def test_oracles_import_no_theorem_code(module):
         if target in ALLOWED_FROM:
             assert name in ALLOWED_FROM[target], (
                 f"{module} imports {name or 'the module'} from permcm.{target}")
+
+
+def test_the_cli_leaves_isolated_vertices_to_classify():
+    # permcm.classify alone decides where isolated vertices are stripped
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "stripped"]
+    assert not reads, f"cli.py reads .stripped on lines {reads}"
 
 
 def test_the_scan_sees_relative_imports():
