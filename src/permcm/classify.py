@@ -84,16 +84,13 @@ class ClaimFailureError(RuntimeError):
 
 
 def cm_by_clique_partition(
-    g: Graph,
-    order: CohesiveOrder | None = None,
-    mis: tuple[tuple[int, ...], ...] | None = None,
+    g: Graph, order: CohesiveOrder | None = None
 ) -> tuple[bool, tuple[ChainPartition, ...]]:
     """Cohen-Macaulay test: unmixed plus a unique partition of the
     vertex set into alpha(G) disjoint maximal cliques.
 
     Returns the flag and the partitions found (at most 2; a second one
-    is already a counterexample certificate).  ``mis``, when given, must
-    be ``maximal_independent_sets(g)``.
+    is already a counterexample certificate).
     """
     if order is None:
         order = find_cohesive_order(g)
@@ -101,8 +98,7 @@ def cm_by_clique_partition(
         raise NotPermutationGraphError("input admits no cohesive order")
     if g.n == 0:
         return True, (ChainPartition(()),)
-    if mis is None:
-        mis = maximal_independent_sets(g)
+    mis = maximal_independent_sets(g)
     alpha = max(len(s) for s in mis)
     unmixed = all(len(s) == alpha for s in mis)
     parts = maximal_clique_partitions(g, r=alpha, limit=2)
@@ -166,19 +162,18 @@ def _ranks(alive: int, vs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((alive & (vbit(v) - 1)).bit_count() + 1 for v in vs)
 
 
-def _peel(cur: Graph, j: int) -> tuple[Graph, tuple[tuple[int, ...], ...]] | None:
+def _peel(cur: Graph, j: int) -> Graph | None:
     """Delete the shedding vertex j: cur minus j (the labels above j move
-    down by one) and its maximal independent sets; None unless each of
-    those sets stays maximal in cur (the shedding property of j)."""
+    down by one); None unless each maximal independent set of cur minus
+    j stays maximal in cur (the shedding property of j)."""
     smaller, _ = delete_vertex(cur, j)
-    mis = maximal_independent_sets(smaller)
     below = vbit(j) - 1
     nbrs = cur.adj[j] & below | cur.adj[j] >> 1 & ~below  # in smaller's labels
     # a set maximal in smaller stays maximal in cur exactly when j, the
     # one vertex of cur it does not dominate yet, has a neighbour in it
-    if any(not nbrs & mask_of(s) for s in mis):
+    if any(not nbrs & mask_of(s) for s in maximal_independent_sets(smaller)):
         return None
-    return smaller, mis
+    return smaller
 
 
 def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCertificate:
@@ -186,13 +181,13 @@ def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCe
     induced on ``alive``, recorded in the input's labels; ``order`` is a
     cohesive order of the input."""
     order = tuple(v for v in order if alive & vbit(v))
-    mis = maximal_independent_sets(cur)
     steps: list[ShedStep] = []
 
     while cur.edge_count() > 0:
         labels = vertices_of(alive)
         step_order = tuple(v for v in order if alive & vbit(v))
         poset = comparability_poset(cur, _ranks(alive, step_order))
+        mis = maximal_independent_sets(cur)
         alpha = max(len(s) for s in mis)
         parts = maximal_clique_partitions(cur, r=alpha, limit=2)
         if not steps:  # the input's partition and unmixedness decide CM
@@ -236,7 +231,7 @@ def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCe
             )
         )
         alive &= ~vbit(labels[j - 1])
-        cur, mis = peeled
+        cur = peeled
 
     return SheddingCertificate(
         order=tuple(s.shedding_vertex for s in steps),
@@ -258,8 +253,7 @@ def extract_shedding_order(
     i has upper set exactly {j}, verify the shedding property of j
     directly, delete j, and repeat until the graph is edgeless.  The
     first step rejects a graph that is not CM (not unmixed, or without a
-    unique partition).  Each step's maximal independent sets are those
-    the shedding check of the step before enumerated.
+    unique partition).
     """
     if order is None:
         order = find_cohesive_order(g)
@@ -309,10 +303,9 @@ def verify_shedding_certificate(g: Graph, cert: SheddingCertificate) -> bool:
         i, j = _ranks(alive, (step.lower_cover, step.shedding_vertex))
         if poset.up[i] != vbit(j):
             return False
-        peeled = _peel(cur, j)
-        if peeled is None:
+        cur = _peel(cur, j)
+        if cur is None:
             return False
-        cur, _ = peeled
         alive &= ~vbit(step.shedding_vertex)
     return cur.edge_count() == 0 and cert.remaining == vertices_of(alive)
 
@@ -320,14 +313,12 @@ def verify_shedding_certificate(g: Graph, cert: SheddingCertificate) -> bool:
 def gorenstein_by_structure(g: Graph) -> tuple[bool, bool]:
     """Structural (gorenstein, strictly nearly gorenstein) flags.
 
-    Requires a graph without isolated vertices.  Gorenstein means a
-    disjoint union of edges (the edge ideal is then a complete
-    intersection); the strict nearly-Gorenstein graphs are the complete
-    graphs and the path complements on n >= 3 vertices.  An empty graph
-    is allowed and counts as Gorenstein (polynomial ring).
+    Isolated vertices are ignored.  Gorenstein means a disjoint union of
+    edges (the edge ideal is then a complete intersection); the strict
+    nearly-Gorenstein graphs are the complete graphs and the path
+    complements on n >= 3 vertices.  An edgeless graph counts as
+    Gorenstein (polynomial ring).
     """
-    if g.isolated_vertices():
-        raise ValueError("Gorenstein classification requires no isolated vertices")
     facts = GraphFacts(g)
     return facts.gorenstein, facts.nearly_gorenstein
 
@@ -392,16 +383,12 @@ class GraphFacts:
         return find_cohesive_order(self.g)
 
     @cached_property
-    def mis(self) -> tuple[tuple[int, ...], ...]:
-        return maximal_independent_sets(self.g)
-
-    @cached_property
     def invariants(self) -> InvariantSet:
-        return compute_invariants(self.g, mis=self.mis)
+        return compute_invariants(self.g)
 
     @cached_property
     def complex(self) -> SimplicialComplex:
-        return independence_complex(self.g, mis=self.mis)
+        return independence_complex(self.g)
 
     @cached_property
     def stripped(self) -> tuple[Graph, int]:
@@ -414,7 +401,7 @@ class GraphFacts:
         """``cm_by_clique_partition`` of the graph."""
         if self.order is None:
             raise NotPermutationGraphError("input admits no cohesive order")
-        return cm_by_clique_partition(self.g, order=self.order, mis=self.mis)
+        return cm_by_clique_partition(self.g, order=self.order)
 
     @property
     def cm(self) -> bool:

@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable
 
-from .caps import CapExceededError, check_cap, env_overrides
+from .caps import check_cap, env_overrides
 from .classes import permutation_classes
 from .classify import (
     ClaimFailureError,
@@ -220,7 +221,7 @@ def _check_hilb(f: GraphFacts) -> dict | None:
 def _check_covs(f: GraphFacts) -> dict | None:
     if not f.invariants.unmixed:
         return None
-    ideal = cover_ideal(f.g, mis=f.mis)
+    ideal = cover_ideal(f.g)
     splittable = vertex_splittable_test(ideal) is not None
     linear = linear_quotients_order(ideal) is not None
     cm = f.cm
@@ -332,7 +333,9 @@ def _sweep(
         chunk = max(1, len(reps) // (jobs * 4))
         chunks = [reps[i:i + chunk] for i in range(0, len(reps), chunk)]
         results: list[dict | None] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forked pool starts all its workers at the first submit
+        workers = min(jobs, len(chunks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_sweep_chunk, [per_graph] * len(chunks), chunks):
                 results.extend(part)
     else:
@@ -612,10 +615,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         env_overrides()  # a malformed PERMCM_CAPS fails every command
         return args.func(args)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # a cap or a JSON error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

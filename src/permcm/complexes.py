@@ -170,14 +170,9 @@ def complex_from_json(data: dict) -> SimplicialComplex:
     )
 
 
-def independence_complex(
-    g: Graph, mis: tuple[tuple[int, ...], ...] | None = None
-) -> SimplicialComplex:
-    """Faces are the independent sets; facets the maximal ones.  ``mis``,
-    when given, must be ``maximal_independent_sets(g)``."""
-    if mis is None:
-        mis = maximal_independent_sets(g)
-    facets = tuple(sorted(mask_of(s) for s in mis))
+def independence_complex(g: Graph) -> SimplicialComplex:
+    """Faces are the independent sets; facets the maximal ones."""
+    facets = tuple(sorted(mask_of(s) for s in maximal_independent_sets(g)))
     if g.n and not facets:  # cannot happen: singletons are independent
         raise AssertionError("graph independence complex lost its vertices")
     if g.n == 0:

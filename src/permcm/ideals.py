@@ -67,14 +67,10 @@ class MonomialIdeal:
         return self.gens == (0,)
 
 
-def cover_ideal(
-    g: Graph, mis: tuple[tuple[int, ...], ...] | None = None
-) -> MonomialIdeal:
+def cover_ideal(g: Graph) -> MonomialIdeal:
     """Generators are the minimal vertex covers of the graph, the
-    complements of its maximal independent sets.  ``mis``, when given,
-    must be ``maximal_independent_sets(g)``."""
-    if mis is None:
-        mis = maximal_independent_sets(g)
+    complements of its maximal independent sets."""
+    mis = maximal_independent_sets(g)
     return MonomialIdeal(g.n, tuple(sorted(g.full_mask & ~mask_of(s) for s in mis)))
 
 

@@ -7,6 +7,7 @@ is allowed to approximate.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .caps import check_cap, get_cap
@@ -25,31 +26,39 @@ class InvariantSet:
     min_vertex_covers: tuple[tuple[int, ...], ...]
 
 
+# each live graph's complete enumeration, dropped with the graph
+_MIS: weakref.WeakKeyDictionary[Graph, tuple[tuple[int, ...], ...]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All inclusion-maximal independent sets (cliques of the complement).
 
     There can be 3^(n/3) of them (Moon-Moser), so the enumeration stops
-    one set past the ``independent_sets`` cap and raises.
+    one set past the ``independent_sets`` cap and raises.  This is the
+    one enumeration in the package: each graph's sets are kept while the
+    graph is alive, and a kept result is checked against the cap again.
     """
     cap = get_cap("independent_sets")
-    sets = maximal_cliques(complement(g), limit=cap + 1)
+    sets = _MIS.get(g)
+    if sets is None:
+        sets = maximal_cliques(complement(g), limit=cap + 1)
+        if len(sets) <= cap:  # a truncated enumeration is not kept
+            _MIS[g] = sets
     if len(sets) > cap:
         check_cap("independent_sets", len(sets), "maximal independent set count (a lower bound)")
     return sets
 
 
-def independence_invariants(
-    g: Graph, mis: tuple[tuple[int, ...], ...] | None = None
-) -> tuple[int, int, bool, tuple[tuple[int, ...], ...]]:
+def independence_invariants(g: Graph) -> tuple[int, int, bool, tuple[tuple[int, ...], ...]]:
     """Return (alpha, tau, unmixed, minimal vertex covers).
 
     Minimal vertex covers are exactly the complements of the maximal
     independent sets, so tau = n - alpha and unmixedness is the statement
-    that all maximal independent sets share one cardinality.  ``mis``,
-    when given, must be ``maximal_independent_sets(g)``.
+    that all maximal independent sets share one cardinality.
     """
-    if mis is None:
-        mis = maximal_independent_sets(g)
+    mis = maximal_independent_sets(g)
     if not mis:  # only for the empty graph
         return 0, 0, True, ()
     alpha = max(len(s) for s in mis)
@@ -111,14 +120,9 @@ def matching_invariants(g: Graph) -> tuple[int, int]:
     return m, im
 
 
-def compute_invariants(
-    g: Graph, mis: tuple[tuple[int, ...], ...] | None = None
-) -> InvariantSet:
-    """All invariants; ``mis``, when given, must be
-    ``maximal_independent_sets(g)``."""
-    if mis is None:
-        mis = maximal_independent_sets(g)
-    alpha, tau, unmixed, covers = independence_invariants(g, mis)
+def compute_invariants(g: Graph) -> InvariantSet:
+    """All invariants of the graph."""
+    alpha, tau, unmixed, covers = independence_invariants(g)
     m, im = matching_invariants(g)
     return InvariantSet(
         alpha=alpha,
@@ -126,6 +130,6 @@ def compute_invariants(
         unmixed=unmixed,
         matching=m,
         induced_matching=im,
-        max_independent_sets=mis,
+        max_independent_sets=maximal_independent_sets(g),
         min_vertex_covers=covers,
     )

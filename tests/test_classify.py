@@ -26,6 +26,24 @@ from permcm import (
 )
 
 
+def enumerations(monkeypatch):
+    """The number of sets found by each enumeration of maximal
+    independent sets, counted at the clique search of the one
+    enumerator, so a memo hit is not counted."""
+    import permcm.invariants
+
+    original = permcm.invariants.maximal_cliques
+    sizes = []
+
+    def counted(*args, **kwargs):
+        sets = original(*args, **kwargs)
+        sizes.append(len(sets))
+        return sets
+
+    monkeypatch.setattr(permcm.invariants, "maximal_cliques", counted)
+    return sizes
+
+
 class TestCmByCliquePartition:
     def test_p4(self):
         cm, parts = cm_by_clique_partition(path_graph(4))
@@ -204,9 +222,10 @@ class TestGorenstein:
     def test_k2_gorenstein_not_nearly(self):
         assert gorenstein_by_structure(complete_graph(2)) == (True, False)
 
-    def test_rejects_isolated_vertices(self):
-        with pytest.raises(ValueError):
-            gorenstein_by_structure(graph_from_edges(3, [(1, 2)]))
+    def test_isolated_vertices_are_ignored(self):
+        assert gorenstein_by_structure(graph_from_edges(3, [(1, 2)])) == (True, False)
+        k3_and_a_point = graph_from_edges(4, [(1, 2), (1, 3), (2, 3)])
+        assert gorenstein_by_structure(k3_and_a_point) == (False, True)
 
 
 class TestGapWitness:
@@ -394,24 +413,10 @@ class TestGraphFacts:
         assert with_isolated > 0
 
     def test_sweeps_enumerate_independent_sets_once_per_graph(self, monkeypatch):
-        # counted from outside: every module binding of the enumerator is
-        # replaced, so a fallback call inside any callee is counted too
-        import importlib
-
         from bruteforce import labelled_survey_rows
         from permcm.cli import _survey_row, run_verify, survey_rows
 
-        original = importlib.import_module("permcm.invariants").maximal_independent_sets
-        calls = []
-
-        def counted(g):
-            calls.append(g)
-            return original(g)
-
-        for name in ("invariants", "complexes", "ideals", "classify", "cli"):
-            module = importlib.import_module(f"permcm.{name}")
-            if getattr(module, "maximal_independent_sets", None) is original:
-                monkeypatch.setattr(module, "maximal_independent_sets", counted)
+        calls = enumerations(monkeypatch)
         # a sweep checks one graph per isomorphism class: 33 at n = 5
         assert run_verify("vd", 5).checked == 120
         assert len(calls) == 33
@@ -448,12 +453,19 @@ class TestSheddingWalk:
     def test_each_step_enumerates_independent_sets_once(self, monkeypatch):
         # K_4 on 2..5 plus three isolated vertices: one enumeration for
         # the graph, one for the stripped K_4, one per peeled vertex
-        mis = self.count(monkeypatch, "invariants", "maximal_independent_sets")
+        mis = enumerations(monkeypatch)
         induced = self.count(monkeypatch, "graphs", "induced_subgraph")
         report = classify(graph_from_permutation(Permutation((1, 5, 4, 3, 2, 6, 7))))
         assert report.witnesses["shedding"]["order"] == [5, 4, 3]
         assert len(mis) == 5
         assert len(induced) == 4  # the stripping, then one per peeled vertex
+
+    def test_classify_enumerates_each_graph_once(self, monkeypatch):
+        # 3K_2, then the three graphs the walk peels off it; the walk and
+        # the gap witness reread the sets of 3K_2 itself
+        sizes = enumerations(monkeypatch)
+        classify(disjoint_edges(3), with_oracle=False)
+        assert sizes == [8, 4, 2, 1]
 
     def test_certificate_check_peels_once_per_step(self, monkeypatch):
         g = disjoint_edges(3)

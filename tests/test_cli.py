@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import pytest
@@ -340,3 +341,28 @@ class TestDeterminism:
         serial = run_verify("cm", 5).to_dict()
         parallel = run_verify("cm", 5, jobs=2).to_dict()
         assert serial == parallel
+
+    def test_pool_has_at_most_one_worker_per_cpu_and_chunk(self, monkeypatch):
+        # a forked pool starts every worker it is allowed at once, so a
+        # large --jobs is checked with a fake pool that maps serially
+        import permcm.cli
+
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(permcm.cli, "ProcessPoolExecutor", SerialPool)
+        # 33 classes at n = 5, one per chunk at this many jobs
+        assert run_verify("vd", 5, jobs=10_000).to_dict() == run_verify("vd", 5).to_dict()
+        assert workers == [min(33, os.cpu_count() or 1)]

@@ -5,7 +5,9 @@ the classifiers are checked against, so none of them may import the
 classifiers, the CLI or the isomorphism classes; the one theorem-side
 routine they may use is the maximal-clique search of ``cohesive``.
 The same scan keeps the CLI from reading a stripped graph: where
-isolated vertices are removed is decided in ``permcm.classify`` alone.
+isolated vertices are removed is decided in ``permcm.classify`` alone;
+and it keeps every function from taking the maximal independent sets as
+a parameter: ``permcm.invariants`` alone enumerates them.
 """
 
 import ast
@@ -59,6 +61,21 @@ def test_the_cli_leaves_isolated_vertices_to_classify():
     reads = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "stripped"]
     assert not reads, f"cli.py reads .stripped on lines {reads}"
+
+
+def test_no_function_takes_the_independent_sets_as_a_parameter():
+    # permcm.invariants keeps each graph's maximal independent sets, so a
+    # caller never hands them over and a stale or wrong one cannot be
+    # passed in
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "mis" for p in params):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"parameters named mis at {found}"
 
 
 def test_the_scan_sees_relative_imports():

@@ -1,6 +1,9 @@
 from itertools import permutations
 
+import pytest
+
 from permcm import (
+    CapExceededError,
     Permutation,
     complete_graph,
     compute_invariants,
@@ -35,6 +38,21 @@ class TestMaximalIndependentSets:
         for n in range(1, 6):
             for g in all_graphs(n):
                 assert set(maximal_independent_sets(g)) == brute_maximal_independent_sets(g)
+
+    def test_a_kept_enumeration_meets_the_current_cap(self, monkeypatch):
+        g = disjoint_edges(3)  # 8 maximal independent sets
+        assert len(maximal_independent_sets(g)) == 8
+        monkeypatch.setenv("PERMCM_CAPS", "independent_sets=5")
+        with pytest.raises(CapExceededError):
+            maximal_independent_sets(g)
+
+    def test_a_truncated_enumeration_is_not_kept(self, monkeypatch):
+        g = disjoint_edges(3)
+        monkeypatch.setenv("PERMCM_CAPS", "independent_sets=5")
+        with pytest.raises(CapExceededError):
+            maximal_independent_sets(g)
+        monkeypatch.delenv("PERMCM_CAPS")
+        assert len(maximal_independent_sets(g)) == 8
 
 
 class TestIndependenceInvariants:
