@@ -3,7 +3,7 @@
 Every oracle in this package is exact but exponential, so each one is
 guarded by a cap that keeps it at desk scale.  Caps can be raised through
 the ``PERMCM_CAPS`` environment variable, a comma-separated list such as
-``PERMCM_CAPS="vd=8,hochster=16"``.  Raising a cap never changes results,
+``PERMCM_CAPS="vd=8,hochster=18"``.  Raising a cap never changes results,
 only runtimes, but anything above the defaults is unsupported territory.
 The whole variable is checked on every read (each distinct value is
 parsed once): an entry that is malformed, names no cap, is negative or
@@ -31,7 +31,7 @@ DEFAULT_CAPS: dict[str, int] = {
     "gap": 8,
     "survey": 8,
     # algebraic oracles
-    "hochster": 14,          # ambient vertices for the full Betti table
+    "hochster": 16,          # ambient vertices for the full Betti table
     "shelling": 8,           # facet count for the brute-force shelling test
     "linear_quotients": 20,  # generator count for the linear-quotients search
     "vertex_splittable": 20, # generator count for the splitting search
@@ -83,7 +83,7 @@ def get_cap(name: str) -> int:
     """Return the cap for ``name``, honouring PERMCM_CAPS overrides."""
     if name not in DEFAULT_CAPS:
         raise KeyError(f"unknown cap {name!r}")
-    return env_overrides().get(name, DEFAULT_CAPS[name])
+    return _parse(os.environ.get(_ENV_VAR, "")).get(name, DEFAULT_CAPS[name])
 
 
 def check_cap(name: str, value: int, what: str = "input") -> None:

@@ -13,9 +13,12 @@ with exact integer arithmetic:
 * graded Betti numbers of the quotient by the Stanley-Reisner ideal via
   Hochster's formula, summing homology of induced subcomplexes over the
   vertex subsets, with regularity / projective dimension / depth / type
-  read off the table.  A cone has no reduced homology, so for a flag
-  complex the subsets whose induced complex has a vertex sharing an edge
-  with all the others are skipped, by a table of neighbourhood meets;
+  read off the table.  For a flag complex the same table of
+  neighbourhood meets drives Engstrom's fold lemma on the complement of
+  the 1-skeleton (Independence complexes of claw-free graphs, Eur. J.
+  Combin. 2008): each vertex subset is cut down to a smaller one with
+  the same homology, and the subsets whose induced complex folds to a
+  cone, which has no reduced homology, are skipped;
 * f-vectors, h-vectors, the Hilbert function and polynomial, both read
   from one integer formula for the coefficients of h(t)/(1-t)^d, and the
   a-invariant (degree of the Hilbert series numerator minus the Krull
@@ -429,12 +432,45 @@ def _neighbourhood_meets(key: tuple[int, ...], used: int) -> list[int] | None:
     return meet
 
 
+def _fold(u: int, meet: list[int]) -> int | None:
+    """What is left of the vertex set ``u`` of a flag complex after
+    folding, or None when the induced complex on it is a cone.
+
+    In the complement G of the 1-skeleton the induced complex on u is
+    Ind(G[u]).  Engstrom's fold lemma: if N(a) is inside N(v) for a != v,
+    then Ind(G) and Ind(G - v) are homotopy equivalent.  Read on the
+    skeleton that is: a is in the closed neighbourhood of every vertex of
+    the closed neighbourhood of v, so v leaves exactly when ``meet`` of
+    v's closed neighbourhood holds a vertex of it besides v.  A vertex
+    with no neighbour left in G sees every other one in the skeleton, and
+    then the complex is a cone."""
+    r = u
+    folded = True
+    while folded:
+        if meet[r] & r:
+            return None
+        folded = False
+        s = r
+        while s:
+            low = s & -s
+            s ^= low
+            near = r & meet[low]
+            if meet[near] & near != low:
+                r ^= low
+                folded = True
+    return r
+
+
 def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     """Betti table via Hochster: beta_{i,j} sums the reduced homology of
     the induced subcomplexes on the j-element vertex subsets W, in
-    dimension j - i - 1.  The W = empty term lands at (0, 0).  When the
-    complex is flag, the W whose induced complex is a cone are skipped:
-    a cone has no reduced homology."""
+    dimension j - i - 1.  The W = empty term lands at (0, 0).
+
+    When the complex is flag, W is first cut down by ``_fold``, which
+    keeps the homology (Engstrom, *Independence complexes of claw-free
+    graphs*, Eur. J. Combin. 2008): a W whose induced complex folds to a
+    cone is skipped, since a cone has no reduced homology, and the
+    others share the homology of what is left."""
     if c.is_void:
         raise ValueError("Betti table of the zero ring is not defined")
     n = c.vertices.bit_count()
@@ -444,16 +480,32 @@ def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     key = _canonical(c.facets)
     used = (1 << max(m.bit_length() for m in key)) - 1
     meet = _neighbourhood_meets(key, used)
+    by_subset: dict[int, dict[int, int]] = {}  # W & used -> homology
+    by_fold: dict[int, dict[int, int]] = {}    # folded W & used -> homology
+
+    def homology(u: int) -> dict[int, int]:
+        if meet is None:
+            return _homology_of_key(_canonical(_maximalize(m & u for m in key)))
+        ranks = by_subset.get(u)
+        if ranks is None:
+            r = _fold(u, meet)
+            if r is None:
+                ranks = {}
+            else:
+                ranks = by_fold.get(r)
+                if ranks is None:
+                    ranks = _homology_of_key(_canonical(_maximalize(m & r for m in key)))
+                    by_fold[r] = ranks
+            by_subset[u] = ranks
+        return ranks
+
     entries: dict[tuple[int, int], int] = {}
     full = (1 << n) - 1
     w = full
     while True:
-        u = w & used
-        if meet is None or not meet[u] & u:  # else a cone: no homology
-            j = w.bit_count()
-            induced = _maximalize(m & w for m in key)
-            for d, r in _homology_of_key(_canonical(induced)).items():
-                entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + r
+        j = w.bit_count()
+        for d, r in homology(w & used).items():
+            entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + r
         if w == 0:
             break
         w = (w - 1) & full

@@ -16,6 +16,7 @@ from operator import itemgetter
 from permcm import Graph, Permutation, graph_from_edges, graph_from_permutation
 from permcm.classify import GraphFacts, SheddingCertificate, extract_shedding_order
 from permcm.cohesive import CohesiveOrder
+from permcm.complexes import _canonical, _homology_of_key, _maximalize, _neighbourhood_meets
 from permcm.graphs import induced_subgraph, vbit
 
 
@@ -343,6 +344,31 @@ def brute_betti_table(c) -> dict[tuple[int, int], int]:
             for d, h in brute_reduced_homology({f for f in faces if f <= ws}).items():
                 key = (r - d - 1, r)
                 entries[key] = entries.get(key, 0) + h
+    return entries
+
+
+def unfolded_betti_table(c) -> dict[tuple[int, int], int]:
+    """Hochster's formula as the package walked it before folding: on a
+    flag complex the subsets W whose induced complex is a cone are
+    skipped, and every other W pays ``_maximalize`` and ``_canonical``
+    on the induced facets before the homology memo."""
+    n = c.vertices.bit_count()
+    key = _canonical(c.facets)
+    used = (1 << max(m.bit_length() for m in key)) - 1
+    meet = _neighbourhood_meets(key, used)
+    entries: dict[tuple[int, int], int] = {}
+    full = (1 << n) - 1
+    w = full
+    while True:
+        u = w & used
+        if meet is None or not meet[u] & u:  # else a cone: no homology
+            j = w.bit_count()
+            induced = _maximalize(m & w for m in key)
+            for d, r in _homology_of_key(_canonical(induced)).items():
+                entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + r
+        if w == 0:
+            break
+        w = (w - 1) & full
     return entries
 
 

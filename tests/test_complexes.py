@@ -12,7 +12,9 @@ from permcm import (
     CapExceededError,
     Permutation,
     SimplicialComplex,
+    complement,
     complete_graph,
+    cycle_graph,
     disjoint_edges,
     euler_characteristic,
     graph_from_edges,
@@ -28,6 +30,7 @@ from permcm import (
     shellable_bruteforce_test,
     vertex_decomposable_test,
 )
+from permcm.classes import permutation_classes
 from permcm.complexes import _canonical, _neighbourhood_meets, exact_rank
 from permcm.graphs import vertices_of
 from bruteforce import (
@@ -39,6 +42,7 @@ from bruteforce import (
     fraction_rank,
     hilbert_function_from_f,
     is_flag,
+    unfolded_betti_table,
 )
 
 
@@ -310,7 +314,7 @@ class TestHochster:
         assert bt.depth == 1
 
     def test_cap(self):
-        big = SimplicialComplex.from_faces(range(1, 16), [tuple(range(1, 16))])
+        big = SimplicialComplex.from_faces(range(1, 18), [tuple(range(1, 18))])
         with pytest.raises(CapExceededError):
             hochster_betti_table(big)
 
@@ -340,6 +344,20 @@ class TestHochster:
         bt = hochster_betti_table(independence_complex(disjoint_edges(7)))
         assert len(calls) <= 128
         assert bt.entries == {(k, 2 * k): comb(7, k) for k in range(8)}
+
+    def test_folded_subsets_share_the_kernel(self, monkeypatch):
+        # every induced subgraph of P_14 folds down to a few small
+        # graphs, so a cold homology memo gains only their entries (the
+        # unfolded walk adds 189)
+        import importlib
+
+        complexes = importlib.import_module("permcm.complexes")
+        cache = {}
+        monkeypatch.setattr(complexes, "_HOMOLOGY_CACHE", cache)
+        c = independence_complex(path_graph(14))
+        entries = hochster_betti_table(c).entries
+        assert len(cache) <= 10
+        assert entries == unfolded_betti_table(c)
 
 
 class TestVertexDecomposable:
@@ -480,6 +498,44 @@ class TestBettiPinned:
     def test_matches_unpruned_dense_walk(self):
         for c in [*sweep_complexes(6), *random_complexes()]:
             assert hochster_betti_table(c).entries == brute_betti_table(c)
+
+
+def relabelled(g, order):
+    """g with vertex v renamed order[v - 1]."""
+    return graph_from_edges(g.n, [(order[u - 1], order[v - 1]) for u, v in g.edges()])
+
+
+def fold_test_graphs(count=20, seed=12):
+    """Seeded permutation graphs with 9 <= n <= 12 under a random
+    relabelling, then P_12, 6K_2, the complement of P_11, C_9 and C_10."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(9, 12)
+        g = graph_from_permutation(Permutation(tuple(rng.sample(range(1, n + 1), n))))
+        yield relabelled(g, rng.sample(range(1, n + 1), n))
+    yield from (path_graph(12), disjoint_edges(6), complement(path_graph(11)),
+                cycle_graph(9), cycle_graph(10))
+
+
+class TestFoldAgainstUnfoldedWalk:
+    def test_independence_complexes(self):
+        for g in fold_test_graphs():
+            c = independence_complex(g)
+            assert hochster_betti_table(c).entries == unfolded_betti_table(c)
+
+    # SHA-256 over the Betti tables of the independence complexes of the
+    # least member of each of the 776 classes of S_7, recorded before
+    # the Hochster sum folded dominated vertices
+    S7_DIGEST = "8c79b72c465abf3eaba001d945ccf0cceeec5db07f4aa5e7afd3ff5a4ac889e8"
+
+    def test_s7_class_representatives_pinned(self):
+        h = hashlib.sha256()
+        classes = permutation_classes(7)
+        for members in classes:
+            c = independence_complex(graph_from_permutation(Permutation(members[0])))
+            h.update(json.dumps(betti_rows(c)).encode() + b"\n")
+        assert len(classes) == 776
+        assert h.hexdigest() == self.S7_DIGEST
 
 
 class TestExactRankAgainstBareiss:

@@ -89,6 +89,13 @@ PINNED = [
      "c96e72a57c5d1aa199b73a48e9cf8441e2b2a0175ebf00a06430a8812e519f23"),
     (("classify", "--perm", "2,4,1,6,3,8,5,10,7,12,9,14,11,13"), 0,
      "a1f1aa8e54b01af4cc3c100f2018fefd57e4060a5f3f8b96e1342f79dfed0947"),
+    # the two graphs of the n = 16 ``hochster`` cap, 8K_2 and P_16,
+    # recorded with PERMCM_CAPS=hochster=16 while the n = 14 cap stood
+    # and before the Hochster sum folded dominated vertices
+    (("classify", "--perm", "2,1,4,3,6,5,8,7,10,9,12,11,14,13,16,15"), 0,
+     "b076f3e9678c04528bf5fe3c6aff6676ec09899f3448dfd3d3e25f4d39dec4dd"),
+    (("classify", "--perm", "2,4,1,6,3,8,5,10,7,12,9,14,11,16,13,15"), 0,
+     "4706f4d55e77351cfcb1ce1374ed6af87a2f565b934a3b2c6da1788956815468"),
     # cover ideals and their squares, on the same permutations
     (("ideal", "--perm", "2,1,3", "--power", "2"), 0,
      "3109329bc2e226d8b7ade8124b4da60600cb0a4c34027b9e7b580fbd244dc39d"),
