@@ -18,7 +18,9 @@ with exact integer arithmetic:
   the 1-skeleton (Independence complexes of claw-free graphs, Eur. J.
   Combin. 2008): each vertex subset is cut down to a smaller one with
   the same homology, and the subsets whose induced complex folds to a
-  cone, which has no reduced homology, are skipped;
+  cone, which has no reduced homology, are skipped; what is left splits
+  into the components of that complement, and its complex is the join
+  of theirs;
 * f-vectors, h-vectors, the Hilbert function and polynomial, both read
   from one integer formula for the coefficients of h(t)/(1-t)^d, and the
   a-invariant (degree of the Hilbert series numerator minus the Krull
@@ -49,7 +51,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .caps import check_cap
 from .cohesive import maximal_cliques
-from .graphs import Graph, _is_int, mask_of, vbit, vertices_of
+from .graphs import Graph, _components, _is_int, mask_of, vbit, vertices_of
 from .invariants import maximal_independent_sets
 
 _T = TypeVar("_T")
@@ -461,6 +463,16 @@ def _fold(u: int, meet: list[int]) -> int | None:
     return r
 
 
+def _join_homology(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Reduced homology ranks over Q of the join of two complexes, from
+    theirs: H~_{i+j+1}(A * B) is the sum of H~_i(A) (x) H~_j(B)."""
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j + 1] = out.get(i + j + 1, 0) + x * y
+    return out
+
+
 def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     """Betti table via Hochster: beta_{i,j} sums the reduced homology of
     the induced subcomplexes on the j-element vertex subsets W, in
@@ -470,7 +482,10 @@ def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     keeps the homology (Engstrom, *Independence complexes of claw-free
     graphs*, Eur. J. Combin. 2008): a W whose induced complex folds to a
     cone is skipped, since a cone has no reduced homology, and the
-    others share the homology of what is left."""
+    others share the homology of what is left.  The induced complex on
+    that is the independence complex of the complement G of the
+    1-skeleton there, so it is the join of the complexes on the
+    components of G, and its homology is read off theirs."""
     if c.is_void:
         raise ValueError("Betti table of the zero ring is not defined")
     n = c.vertices.bit_count()
@@ -480,24 +495,30 @@ def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     key = _canonical(c.facets)
     used = (1 << max(m.bit_length() for m in key)) - 1
     meet = _neighbourhood_meets(key, used)
-    by_subset: dict[int, dict[int, int]] = {}  # W & used -> homology
-    by_fold: dict[int, dict[int, int]] = {}    # folded W & used -> homology
+    by_fold: dict[int, dict[int, int]] = {}  # folded W & used -> homology
+    if meet is not None:
+        # the complement of the 1-skeleton, whose independence complex
+        # on a vertex set is the induced complex there
+        apart = [0, *(used & ~meet[vbit(v)] for v in range(1, used.bit_length() + 1))]
+
+    def folded_homology(r: int) -> dict[int, int]:
+        ranks = by_fold.get(r)
+        if ranks is None:
+            parts = _components(apart, r)
+            if len(parts) == 1:
+                ranks = _homology_of_key(_canonical(_maximalize(m & r for m in key)))
+            else:
+                ranks = {-1: 1}  # the complex {{}}, unit of the join
+                for part in parts:
+                    ranks = _join_homology(ranks, folded_homology(part))
+            by_fold[r] = ranks
+        return ranks
 
     def homology(u: int) -> dict[int, int]:
         if meet is None:
             return _homology_of_key(_canonical(_maximalize(m & u for m in key)))
-        ranks = by_subset.get(u)
-        if ranks is None:
-            r = _fold(u, meet)
-            if r is None:
-                ranks = {}
-            else:
-                ranks = by_fold.get(r)
-                if ranks is None:
-                    ranks = _homology_of_key(_canonical(_maximalize(m & r for m in key)))
-                    by_fold[r] = ranks
-            by_subset[u] = ranks
-        return ranks
+        r = _fold(u, meet)
+        return {} if r is None else folded_homology(r)
 
     entries: dict[tuple[int, int], int] = {}
     full = (1 << n) - 1

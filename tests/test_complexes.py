@@ -359,6 +359,28 @@ class TestHochster:
         assert len(cache) <= 10
         assert entries == unfolded_betti_table(c)
 
+    def test_joins_split_into_components(self, monkeypatch):
+        # nothing in 3K_4 folds, but an induced subgraph is a disjoint
+        # union and its complex the join of the parts' complexes: only the
+        # 11 folded subsets of each K_4 reach the kernel (the unfolded
+        # walk makes 12^3 = 1728 calls)
+        import importlib
+
+        complexes = importlib.import_module("permcm.complexes")
+        original = complexes._homology_of_key
+        calls = []
+
+        def counted(key):
+            calls.append(key)
+            return original(key)
+
+        monkeypatch.setattr(complexes, "_homology_of_key", counted)
+        c = independence_complex(graph_from_permutation(Permutation((4, 3, 2, 1, 8, 7, 6, 5, 12, 11, 10, 9))))
+        entries = hochster_betti_table(c).entries
+        assert len(calls) <= 33
+        monkeypatch.setattr(complexes, "_homology_of_key", original)
+        assert entries == unfolded_betti_table(c)
+
 
 class TestVertexDecomposable:
     def test_full_simplex(self):
@@ -507,7 +529,9 @@ def relabelled(g, order):
 
 def fold_test_graphs(count=20, seed=12):
     """Seeded permutation graphs with 9 <= n <= 12 under a random
-    relabelling, then P_12, 6K_2, the complement of P_11, C_9 and C_10."""
+    relabelling, then P_12, 6K_2, the complement of P_11, C_9 and C_10,
+    and two relabelled disjoint unions: K_3 + K_4 + K_2 + K_1, and
+    C_5 + C_5 + K_2 (whose complexes are joins of spheres)."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(9, 12)
@@ -515,6 +539,11 @@ def fold_test_graphs(count=20, seed=12):
         yield relabelled(g, rng.sample(range(1, n + 1), n))
     yield from (path_graph(12), disjoint_edges(6), complement(path_graph(11)),
                 cycle_graph(9), cycle_graph(10))
+    cliques = graph_from_permutation(Permutation((3, 2, 1, 7, 6, 5, 4, 9, 8, 10)))
+    yield relabelled(cliques, rng.sample(range(1, 11), 10))
+    cycles = graph_from_edges(12, [(i, i % 5 + 1) for i in range(1, 6)]
+                              + [(i, i % 5 + 6) for i in range(6, 11)] + [(11, 12)])
+    yield relabelled(cycles, rng.sample(range(1, 13), 12))
 
 
 class TestFoldAgainstUnfoldedWalk:
