@@ -41,6 +41,7 @@ DEFAULT_CAPS: dict[str, int] = {
 }
 
 _ENV_VAR = "PERMCM_CAPS"
+_ENV_KEY = os.environ.encodekey(_ENV_VAR)
 
 
 class CapExceededError(ValueError):
@@ -54,7 +55,16 @@ def env_overrides() -> dict[str, int]:
     ``name=value``, names no cap, sets a value that is not a
     nonnegative integer, or repeats a name.
     """
-    return dict(_parse(os.environ.get(_ENV_VAR, "")))
+    return dict(_parse(_env_text()))
+
+
+def _env_text() -> str:
+    """PERMCM_CAPS as set now, or "".  ``os.environ.get`` raises and
+    catches two KeyErrors when the variable is unset, and every memo hit
+    of ``maximal_independent_sets`` reads a cap; the mapping under
+    ``os.environ`` answers a miss without raising."""
+    value = os.environ._data.get(_ENV_KEY)
+    return "" if value is None else os.environ.decodevalue(value)
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +93,7 @@ def get_cap(name: str) -> int:
     """Return the cap for ``name``, honouring PERMCM_CAPS overrides."""
     if name not in DEFAULT_CAPS:
         raise KeyError(f"unknown cap {name!r}")
-    return _parse(os.environ.get(_ENV_VAR, "")).get(name, DEFAULT_CAPS[name])
+    return _parse(_env_text()).get(name, DEFAULT_CAPS[name])
 
 
 def check_cap(name: str, value: int, what: str = "input") -> None:

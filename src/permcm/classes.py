@@ -24,7 +24,7 @@ same code exactly when their inversion graphs are isomorphic.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Code = tuple
 
@@ -109,20 +109,49 @@ def canonical_code(perm: Sequence[int]) -> Code:
     return _code(tuple(perm), {})
 
 
-def permutation_classes(n: int) -> list[list[tuple[int, ...]]]:
-    """S_n split by the isomorphism class of the inversion graph.
+# block patterns, kept for the life of the process: a sweep's workers
+# canonicalise many chunks, and their blocks recur from chunk to chunk
+_MEMO: dict[tuple[int, ...], Code] = {}
 
-    Each class is sorted, and the classes come in the order of their
-    least members.  The inverse and the reverse-complement of a
-    permutation give isomorphic graphs, so only the least permutation of
-    each orbit under those two is canonicalised, and its orbit joins
-    its class whole.
+
+def class_chunk(n: int, prefix: tuple[int, ...] = ()) -> list[tuple[Code, set[tuple[int, ...]]]]:
+    """(code, orbit) for each permutation of S_n that starts with
+    ``prefix`` and is the least of its orbit, in ascending order.
+
+    The orbit of p is {p, its inverse, its reverse-complement, the
+    reverse-complement of its inverse}: all four give isomorphic graphs,
+    so only the least is canonicalised and its orbit joins its class
+    whole.
     """
-    memo: dict[tuple[int, ...], Code] = {}
-    by_code: dict[Code, list[tuple[int, ...]]] = {}
-    for p in permutations(range(1, n + 1)):
+    rest = [v for v in range(1, n + 1) if v not in prefix]
+    out = []
+    for tail in permutations(rest):
+        p = prefix + tail
         inv = _inverse(p)
         orbit = {p, inv, _reverse_complement(p), _reverse_complement(inv)}
         if p == min(orbit):
-            by_code.setdefault(_code(p, memo), []).extend(orbit)
+            out.append((_code(p, _MEMO), orbit))
+    return out
+
+
+def merge_classes(
+    chunks: Iterable[list[tuple[Code, set[tuple[int, ...]]]]],
+) -> list[list[tuple[int, ...]]]:
+    """The classes of S_n from the ``class_chunk`` lists of prefixes
+    that cover it, in ascending prefix order.
+
+    Each class is sorted, and the classes come in the order of their
+    least members: a class's least member is the least member of one
+    of its orbits, and the orbits come in that order.
+    """
+    by_code: dict[Code, list[tuple[int, ...]]] = {}
+    for chunk in chunks:
+        for code, orbit in chunk:
+            by_code.setdefault(code, []).extend(orbit)
     return [sorted(members) for members in by_code.values()]
+
+
+def permutation_classes(n: int) -> list[list[tuple[int, ...]]]:
+    """S_n split by the isomorphism class of the inversion graph: one
+    chunk, with the empty prefix."""
+    return merge_classes([class_chunk(n)])

@@ -16,6 +16,7 @@ bytes, and parallel sweeps merge worker results in canonical order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -24,11 +25,12 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, permutations, repeat
 from operator import itemgetter
 from typing import Callable
 
 from .caps import check_cap, env_overrides
-from .classes import permutation_classes
+from .classes import class_chunk, merge_classes
 from .classify import (
     ClaimFailureError,
     GraphFacts,
@@ -312,43 +314,66 @@ def _facts(perm: tuple[int, ...]) -> GraphFacts:
     return GraphFacts(g, order=CohesiveOrder(tuple(range(1, g.n + 1))))
 
 
-def _sweep_chunk(
-    per_graph: Callable[[GraphFacts], dict | None], perms: list[tuple[int, ...]]
-) -> list[dict | None]:
-    return [per_graph(_facts(p)) for p in perms]
+def _edge_key(edges: list[tuple[int, int]]) -> bytes:
+    """``edges`` flattened to bytes, two a pair: keys order as the edge
+    lists do, and sort far faster (every label is below 256)."""
+    return bytes(chain.from_iterable(edges))
 
 
-def _sweep(
-    per_graph: Callable[[GraphFacts], dict | None], n: int, jobs: int
-) -> list[tuple[list[tuple[int, ...]], dict | None]]:
-    """Each isomorphism class of the inversion graphs of S_n, as its
-    sorted member permutations, with ``per_graph`` of its least member.
+def _sweep_chunk(per_graph: Callable[[GraphFacts], dict | None], entries: Callable,
+                 classes: list[list[tuple[int, ...]]]) -> list[tuple]:
+    return [e for members in classes
+            for e in entries(per_graph, members, per_graph(_facts(members[0])))]
+
+
+def _sweep(per_graph: Callable[[GraphFacts], dict | None], entries: Callable,
+           n: int, jobs: int) -> list[tuple]:
+    """``entries(per_graph, members, result)`` of each isomorphism class
+    of the inversion graphs of S_n, given its sorted member permutations
+    and ``per_graph`` of its least member; all entries sorted by their
+    first field, an ``_edge_key``.
 
     Every check and every survey column is an isomorphism invariant, so
-    one member stands for its class; callers weight it by the class size.
+    one member stands for its class; ``entries`` weights it by the class
+    size or expands it to the members.  With more than one job, one pool
+    builds the classes in chunks of S_n that share their first two
+    values, then runs chunks of classes; it is forked before anything is
+    canonicalised, so its workers start small.  One job runs the same two
+    rounds in process, the first as a single chunk.
     """
-    classes = permutation_classes(n)
-    reps = [members[0] for members in classes]
-    if jobs > 1 and len(reps) > 1:
-        chunk = max(1, len(reps) // (jobs * 4))
-        chunks = [reps[i:i + chunk] for i in range(0, len(reps), chunk)]
-        results: list[dict | None] = []
+    prefixes = list(permutations(range(1, n + 1), min(n, 2) if jobs > 1 else 0))
+    pool = None
+    if len(prefixes) > 1:
         # a forked pool starts all its workers at the first submit
-        workers = min(jobs, len(chunks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_sweep_chunk, [per_graph] * len(chunks), chunks):
-                results.extend(part)
-    else:
-        results = _sweep_chunk(per_graph, reps)
-    return list(zip(classes, results))
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(prefixes), os.cpu_count() or 1))
+    with pool or contextlib.nullcontext():
+        run = pool.map if pool else map
+        classes = merge_classes(run(class_chunk, repeat(n), prefixes))
+        size = max(1, len(classes) // (jobs * 4))
+        chunks = [classes[i:i + size] for i in range(0, len(classes), size)]
+        out = [e for part in run(_sweep_chunk, repeat(per_graph), repeat(entries), chunks)
+               for e in part]
+    out.sort(key=itemgetter(0))
+    return out
 
 
-def _discrepancy(perm: tuple[int, ...], edges: list[tuple[int, int]], res: dict) -> dict:
+def _verify_entries(check: Callable[[GraphFacts], dict | None],
+                    members: list[tuple[int, ...]], res: dict | None) -> list[tuple]:
+    """(key, weight, permutation, result): one entry, weighted by the class
+    size, when the least member passes or is skipped; else one entry per
+    member, re-checked with its labels."""
+    if res is None or res["ok"]:
+        key = min(_edge_key(inversions(p)) for p in members)
+        return [(key, len(members), members[0], res)]
+    return [(_edge_key(inversions(p)), 1, p, check(_facts(p))) for p in members]
+
+
+def _discrepancy(perm: tuple[int, ...], res: dict) -> dict:
     """A record that replays: ``classify --perm`` of ``perm`` gives the
     graph with these edges."""
     return {
         "perm": list(perm),
-        "edges": [list(e) for e in edges],
+        "edges": [list(e) for e in inversions(perm)],
         "predicates": res["predicates"],
         "detail": res["detail"],
     }
@@ -367,19 +392,10 @@ def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
         raise ValueError(f"unknown theorem id {theorem!r}")
     _check_sweep_args(n, jobs)
     check_cap(theorem, n, "sweep")
-    check = _CHECKS[theorem]
-    entries = []
-    for members, res in _sweep(check, n, jobs):
-        if res is None or res["ok"]:
-            entries.append((min(map(inversions, members)), len(members), members[0], res))
-        else:
-            entries.extend((inversions(p), 1, p, check(_facts(p))) for p in members)
-    entries.sort(key=itemgetter(0))
-
     counts: dict[str, int] = {}
     discrepancies = []
     checked = skipped = 0
-    for edges, weight, perm, res in entries:
+    for _, weight, perm, res in _sweep(_CHECKS[theorem], _verify_entries, n, jobs):
         if res is None:
             skipped += weight
             continue
@@ -388,7 +404,7 @@ def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
             if value:
                 counts[name] = counts.get(name, 0) + weight
         if not res["ok"]:
-            discrepancies.append(_discrepancy(perm, edges, res))
+            discrepancies.append(_discrepancy(perm, res))
     return SweepResult(
         theorem=theorem,
         n=n,
@@ -436,19 +452,24 @@ def _survey_row(f: GraphFacts) -> dict:
     }
 
 
+def _survey_entries(per_graph, members: list[tuple[int, ...]], row: dict) -> list[tuple]:
+    """(key, edges cell, row) for each member of a class: every member
+    shares the row of the least one."""
+    out = []
+    for p in members:
+        edges = inversions(p)
+        out.append((_edge_key(edges), ";".join(f"{u}-{v}" for u, v in edges), row))
+    return out
+
+
 def survey_rows(n: int, jobs: int = 1) -> list[dict]:
     """One row per permutation of S_n, in order of its inversion graph's
     edge tuple: ``edges`` from the permutation, every other column from
     its isomorphism class."""
     _check_sweep_args(n, jobs)
     check_cap("survey", n, "survey")
-    keyed = []
-    for members, row in _sweep(_survey_row, n, jobs):
-        for perm in members:
-            edges = inversions(perm)
-            keyed.append((edges, {"edges": ";".join(f"{u}-{v}" for u, v in edges), **row}))
-    keyed.sort(key=itemgetter(0))
-    return [row for _, row in keyed]
+    return [{"edges": edges, **row}
+            for _, edges, row in _sweep(_survey_row, _survey_entries, n, jobs)]
 
 
 def _format_cell(value) -> str:

@@ -77,16 +77,21 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if len(self.adj) != self.n + 1:
             raise ValueError("adjacency table has wrong length")
+        adj = self.adj
         full = self.full_mask
         for v in range(1, self.n + 1):
-            nbrs = self.adj[v]
+            nbrs = adj[v]
+            bit = 1 << (v - 1)
             if nbrs & ~full:
                 raise ValueError(f"neighbour of {v} out of range")
-            if nbrs & vbit(v):
+            if nbrs & bit:
                 raise ValueError(f"loop at vertex {v}")
-            for u in vertices_of(nbrs):
-                if not self.adj[u] & vbit(v):
+            while nbrs:  # walked bit by bit: no tuple of neighbours
+                low = nbrs & -nbrs
+                u = low.bit_length()
+                if not adj[u] & bit:
                     raise ValueError(f"adjacency not symmetric at {{{u},{v}}}")
+                nbrs ^= low
 
     @property
     def full_mask(self) -> int:

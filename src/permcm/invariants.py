@@ -58,14 +58,20 @@ def independence_invariants(g: Graph) -> tuple[int, int, bool, tuple[tuple[int, 
     independent sets, so tau = n - alpha and unmixedness is the statement
     that all maximal independent sets share one cardinality.
     """
-    mis = maximal_independent_sets(g)
-    if not mis:  # only for the empty graph
-        return 0, 0, True, ()
-    alpha = max(len(s) for s in mis)
-    covers = tuple(sorted(vertices_of(g.full_mask & ~mask_of(s)) for s in mis))
+    return _independence(g)[1:]
+
+
+def _independence(g: Graph) -> tuple:
+    """The maximal independent sets, read once, then
+    ``independence_invariants`` of ``g``."""
+    sets = maximal_independent_sets(g)
+    if not sets:  # only for the empty graph
+        return sets, 0, 0, True, ()
+    alpha = max(len(s) for s in sets)
+    covers = tuple(sorted(vertices_of(g.full_mask & ~mask_of(s)) for s in sets))
     tau = g.n - alpha
-    unmixed = all(len(s) == alpha for s in mis)
-    return alpha, tau, unmixed, covers
+    unmixed = all(len(s) == alpha for s in sets)
+    return sets, alpha, tau, unmixed, covers
 
 
 def _max_compatible(compat: list[int]) -> int:
@@ -122,7 +128,7 @@ def matching_invariants(g: Graph) -> tuple[int, int]:
 
 def compute_invariants(g: Graph) -> InvariantSet:
     """All invariants of the graph."""
-    alpha, tau, unmixed, covers = independence_invariants(g)
+    sets, alpha, tau, unmixed, covers = _independence(g)
     m, im = matching_invariants(g)
     return InvariantSet(
         alpha=alpha,
@@ -130,6 +136,6 @@ def compute_invariants(g: Graph) -> InvariantSet:
         unmixed=unmixed,
         matching=m,
         induced_matching=im,
-        max_independent_sets=maximal_independent_sets(g),
+        max_independent_sets=sets,
         min_vertex_covers=covers,
     )

@@ -14,6 +14,7 @@ from itertools import combinations, permutations
 from operator import itemgetter
 
 from permcm import Graph, Permutation, graph_from_edges, graph_from_permutation
+from permcm.classes import _code, _inverse, _reverse_complement
 from permcm.classify import GraphFacts, SheddingCertificate, extract_shedding_order
 from permcm.cohesive import CohesiveOrder
 from permcm.complexes import _canonical, _homology_of_key, _maximalize, _neighbourhood_meets
@@ -450,6 +451,22 @@ def brute_canonical(g: Graph) -> int:
     when they are isomorphic."""
     edges = g.edges()
     return min(sum(bits[e] for e in edges) for bits in _relabelled_pair_bits(g.n))
+
+
+def serial_permutation_classes(n: int) -> list[list[tuple[int, ...]]]:
+    """S_n split by the isomorphism class of the inversion graph, in one
+    pass with one memo: the construction before the sweep built its
+    classes in chunks, kept as the oracle of the chunked assembly.  Each
+    class is sorted, and the classes come in the order of their least
+    members."""
+    memo: dict = {}
+    by_code: dict = {}
+    for p in permutations(range(1, n + 1)):
+        inv = _inverse(p)
+        orbit = {p, inv, _reverse_complement(p), _reverse_complement(inv)}
+        if p == min(orbit):
+            by_code.setdefault(_code(p, memo), []).extend(orbit)
+    return [sorted(members) for members in by_code.values()]
 
 
 def labelled_sweep(per_graph, n: int) -> list[tuple[tuple, tuple[int, ...], dict | None]]:

@@ -12,11 +12,13 @@ import pytest
 
 from permcm import Permutation, graph_from_permutation
 from permcm import cli
-from permcm.classes import canonical_code, permutation_classes
+import permcm.classes
+from permcm.classes import canonical_code, class_chunk, merge_classes, permutation_classes
 from bruteforce import (
     brute_canonical,
     labelled_survey_rows,
     labelled_verify,
+    serial_permutation_classes,
 )
 
 # isomorphism classes of the inversion graphs of S_n, n = 0..7
@@ -52,6 +54,60 @@ class TestCanonicalCode:
         # other: both give P_4
         assert canonical_code((2, 4, 1, 3)) == canonical_code((3, 1, 4, 2))
         assert canonical_code((2, 4, 1, 3)) != canonical_code((2, 1, 4, 3))
+
+
+class TestChunkedClasses:
+    @pytest.mark.parametrize("n", range(9))
+    def test_chunks_assemble_the_serial_classes(self, n):
+        # the same classes, in the same order, with the same member
+        # lists, whether S_n comes in one chunk or split by the first
+        # one, two or three values, as a pooled sweep splits it by two
+        expected = serial_permutation_classes(n)
+        assert permutation_classes(n) == expected
+        for length in range(1, min(n, 3) + 1):
+            prefixes = permutations(range(1, n + 1), length)
+            assert merge_classes(class_chunk(n, p) for p in prefixes) == expected
+
+
+class TestPooledSweep:
+    def test_pool_is_forked_before_anything_is_canonicalised(self, monkeypatch):
+        # with a recording pool that maps in process: the pool comes
+        # first, its first round maps the class chunks, and every code
+        # is computed inside a mapped call, as in a worker
+        events = []
+        original = permcm.classes._code
+
+        def recorded_code(p, memo):
+            if not events or events[-1] != "mapping":
+                events.append("code in parent")
+            return original(p, memo)
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                events.append("pool")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                events.append(fn)
+                out = []
+                for args in zip(*iterables):
+                    events.append("mapping")
+                    out.append(fn(*args))
+                    events.append("mapped")
+                return out
+
+        monkeypatch.setattr(permcm.classes, "_code", recorded_code)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        assert cli.survey_rows(5, jobs=2) == labelled_survey_rows(5, cli._survey_row)
+        assert "code in parent" not in events
+        mapped = [e for e in events if callable(e)]
+        assert events[0] == "pool"
+        assert mapped == [class_chunk, cli._sweep_chunk]
 
 
 @lru_cache(maxsize=None)

@@ -342,6 +342,18 @@ class TestDeterminism:
         parallel = run_verify("cm", 5, jobs=2).to_dict()
         assert serial == parallel
 
+    def test_survey_stdout_parallel_matches_serial(self, capsys):
+        _, serial, _ = run(capsys, "survey", "--n", "7")
+        _, parallel, _ = run(capsys, "survey", "--n", "7", "--jobs", "2")
+        assert serial.count("\n") == 5041
+        assert parallel == serial
+
+    def test_verify_stdout_parallel_matches_serial(self, capsys):
+        _, serial, _ = run(capsys, "verify", "cm", "--n", "7")
+        _, parallel, _ = run(capsys, "verify", "cm", "--n", "7", "--jobs", "2")
+        assert json.loads(serial)["checked"] == 5040
+        assert parallel == serial
+
     def test_pool_has_at_most_one_worker_per_cpu_and_chunk(self, monkeypatch):
         # a forked pool starts every worker it is allowed at once, so a
         # large --jobs is checked with a fake pool that maps serially
