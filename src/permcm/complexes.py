@@ -13,14 +13,18 @@ with exact integer arithmetic:
 * graded Betti numbers of the quotient by the Stanley-Reisner ideal via
   Hochster's formula, summing homology of induced subcomplexes over the
   vertex subsets, with regularity / projective dimension / depth / type
-  read off the table.  For a flag complex the same table of
-  neighbourhood meets drives Engstrom's fold lemma on the complement of
-  the 1-skeleton (Independence complexes of claw-free graphs, Eur. J.
-  Combin. 2008): each vertex subset is cut down to a smaller one with
-  the same homology, and the subsets whose induced complex folds to a
-  cone, which has no reduced homology, are skipped; what is left splits
-  into the components of that complement, and its complex is the join
-  of theirs;
+  read off the table.  For a flag complex the table of neighbourhood
+  meets drives Engstrom's fold lemma on the complement of the 1-skeleton
+  (Independence complexes of claw-free graphs, Eur. J. Combin. 2008):
+  one table, filled in increasing order, maps each subset of the used
+  vertices to a smaller one with the same homology, each entry read off
+  the entry of the subset minus one folding vertex, or marks its induced
+  complex a cone, which has no reduced homology.  The sum tallies the
+  vertex subsets by size and folded set and takes each folded set's
+  homology once: a folded set splits into the components of that
+  complement, its complex is the join of theirs, and the homology of a
+  component is memoised by its 1-skeleton relabelled to the low bits,
+  which fixes a flag complex;
 * f-vectors, h-vectors, the Hilbert function and polynomial, both read
   from one integer formula for the coefficients of h(t)/(1-t)^d, and the
   a-invariant (degree of the Hilbert series numerator minus the Krull
@@ -51,7 +55,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .caps import check_cap
 from .cohesive import maximal_cliques
-from .graphs import Graph, _components, _is_int, mask_of, vbit, vertices_of
+from .graphs import Graph, _component, _is_int, mask_of, vbit, vertices_of
 from .invariants import maximal_independent_sets
 
 _T = TypeVar("_T")
@@ -434,9 +438,10 @@ def _neighbourhood_meets(key: tuple[int, ...], used: int) -> list[int] | None:
     return meet
 
 
-def _fold(u: int, meet: list[int]) -> int | None:
-    """What is left of the vertex set ``u`` of a flag complex after
-    folding, or None when the induced complex on it is a cone.
+def _fold_table(meet: list[int], used: int) -> list[int]:
+    """For each vertex set u inside ``used`` of a flag complex, what is
+    left of u after folding, or -1 when the induced complex on it folds
+    to a cone.
 
     In the complement G of the 1-skeleton the induced complex on u is
     Ind(G[u]).  Engstrom's fold lemma: if N(a) is inside N(v) for a != v,
@@ -445,32 +450,40 @@ def _fold(u: int, meet: list[int]) -> int | None:
     the closed neighbourhood of v, so v leaves exactly when ``meet`` of
     v's closed neighbourhood holds a vertex of it besides v.  A vertex
     with no neighbour left in G sees every other one in the skeleton, and
-    then the complex is a cone."""
-    r = u
-    folded = True
-    while folded:
-        if meet[r] & r:
-            return None
-        folded = False
-        s = r
+    then the complex is a cone.  The table is filled in increasing order,
+    so the entry of u minus its first folding vertex is already there."""
+    fold = [0] * (used + 1)
+    for u in range(1, used + 1):
+        if meet[u] & u:
+            fold[u] = -1
+            continue
+        s = u
         while s:
             low = s & -s
-            s ^= low
-            near = r & meet[low]
+            near = u & meet[low]
             if meet[near] & near != low:
-                r ^= low
-                folded = True
-    return r
+                fold[u] = fold[u ^ low]
+                break
+            s ^= low
+        else:
+            fold[u] = u
+    return fold
 
 
 def _join_homology(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     """Reduced homology ranks over Q of the join of two complexes, from
-    theirs: H~_{i+j+1}(A * B) is the sum of H~_i(A) (x) H~_j(B)."""
+    theirs: H~_{i+j+1}(A * B) is the sum of H~_i(A) (x) H~_j(B).  The
+    dimensions come out ascending, as the kernel gives them."""
     out: dict[int, int] = {}
     for i, x in a.items():
         for j, y in b.items():
             out[i + j + 1] = out.get(i + j + 1, 0) + x * y
-    return out
+    return dict(sorted(out.items()))
+
+
+# homology of the flag complexes met by the Hochster sum, keyed by the
+# vertex count and the edges of the 1-skeleton relabelled to 0, 1, ...
+_SKELETON_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 
 
 def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
@@ -478,14 +491,17 @@ def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     the induced subcomplexes on the j-element vertex subsets W, in
     dimension j - i - 1.  The W = empty term lands at (0, 0).
 
-    When the complex is flag, W is first cut down by ``_fold``, which
-    keeps the homology (Engstrom, *Independence complexes of claw-free
-    graphs*, Eur. J. Combin. 2008): a W whose induced complex folds to a
-    cone is skipped, since a cone has no reduced homology, and the
-    others share the homology of what is left.  The induced complex on
-    that is the independence complex of the complement G of the
-    1-skeleton there, so it is the join of the complexes on the
-    components of G, and its homology is read off theirs."""
+    When the complex is flag, ``_fold_table`` cuts each W down to a
+    smaller set with the same homology (Engstrom, *Independence
+    complexes of claw-free graphs*, Eur. J. Combin. 2008), or marks it a
+    cone, which has no reduced homology.  The sum tallies the W by size
+    and folded set, walking W down from the full set as the unfolded sum
+    did, so the entries come out in the same order, and takes each
+    folded set's homology once.  The induced complex on a folded set is
+    the independence complex of the complement G of the 1-skeleton
+    there, so it is the join of the complexes on the components of G,
+    and its homology is read off theirs.  A flag complex is fixed by its
+    1-skeleton, so a component's homology is memoised by that."""
     if c.is_void:
         raise ValueError("Betti table of the zero ring is not defined")
     n = c.vertices.bit_count()
@@ -495,41 +511,64 @@ def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     key = _canonical(c.facets)
     used = (1 << max(m.bit_length() for m in key)) - 1
     meet = _neighbourhood_meets(key, used)
-    by_fold: dict[int, dict[int, int]] = {}  # folded W & used -> homology
-    if meet is not None:
-        # the complement of the 1-skeleton, whose independence complex
-        # on a vertex set is the induced complex there
-        apart = [0, *(used & ~meet[vbit(v)] for v in range(1, used.bit_length() + 1))]
+    entries: dict[tuple[int, int], int] = {}
+    full = (1 << n) - 1
+
+    if meet is None:
+        for w in range(full, -1, -1):
+            j = w.bit_count()
+            for d, r in _homology_of_key(_canonical(_maximalize(m & w for m in key))).items():
+                entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + r
+        return BettiTable(n, entries)
+
+    # the complement of the 1-skeleton, whose independence complex on a
+    # vertex set is the induced complex there
+    apart = [0, *(used & ~meet[vbit(v)] for v in range(1, used.bit_length() + 1))]
+    by_fold: dict[int, dict[int, int]] = {}  # folded set -> homology
+
+    def skeleton_homology(r: int) -> dict[int, int]:
+        # the skeleton on r with its vertices renumbered 0, 1, ... in
+        # order: the edge from i to an earlier j is bit i(i-1)/2 + j
+        edges = offset = i = 0
+        s = r
+        while s:
+            low = s & -s
+            s ^= low
+            x = r & (low - 1) & ~apart[low.bit_length()]
+            while x:
+                b = x & -x
+                x ^= b
+                edges |= 1 << offset + (r & (b - 1)).bit_count()
+            offset += i
+            i += 1
+        shape = (r.bit_count(), edges)
+        ranks = _SKELETON_CACHE.get(shape)
+        if ranks is None:
+            ranks = _homology_of_key(_canonical(_maximalize(m & r for m in key)))
+            _SKELETON_CACHE[shape] = ranks
+        return ranks
 
     def folded_homology(r: int) -> dict[int, int]:
         ranks = by_fold.get(r)
         if ranks is None:
-            parts = _components(apart, r)
-            if len(parts) == 1:
-                ranks = _homology_of_key(_canonical(_maximalize(m & r for m in key)))
+            part = _component(apart, r)
+            if part == r:
+                ranks = skeleton_homology(r)
             else:
-                ranks = {-1: 1}  # the complex {{}}, unit of the join
-                for part in parts:
-                    ranks = _join_homology(ranks, folded_homology(part))
+                ranks = _join_homology(folded_homology(part), folded_homology(r ^ part))
             by_fold[r] = ranks
         return ranks
 
-    def homology(u: int) -> dict[int, int]:
-        if meet is None:
-            return _homology_of_key(_canonical(_maximalize(m & u for m in key)))
-        r = _fold(u, meet)
-        return {} if r is None else folded_homology(r)
-
-    entries: dict[tuple[int, int], int] = {}
-    full = (1 << n) - 1
-    w = full
-    while True:
-        j = w.bit_count()
-        for d, r in homology(w & used).items():
-            entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + r
-        if w == 0:
-            break
-        w = (w - 1) & full
+    fold = _fold_table(meet, used)
+    tally: dict[tuple[int, int], int] = {}  # (|W|, folded W) -> count
+    for w in range(full, -1, -1):
+        r = fold[w & used]
+        if r >= 0:
+            t = (w.bit_count(), r)
+            tally[t] = tally.get(t, 0) + 1
+    for (j, r), times in tally.items():
+        for d, rank in folded_homology(r).items():
+            entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + times * rank
     return BettiTable(n, entries)
 
 

@@ -203,17 +203,26 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
     return induced_subgraph(g, (u for u in range(1, g.n + 1) if u != v))
 
 
+def _component(adj: Sequence[int], s: int) -> int:
+    """Vertex mask of the connected component of the lowest vertex of s
+    in the graph induced on s; 0 when s is empty."""
+    comp = frontier = s & -s
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= adj[low.bit_length()]
+        frontier = reach & s & ~comp
+        comp |= frontier
+    return comp
+
+
 def _components(adj: Sequence[int], s: int) -> list[int]:
     """Vertex masks of the connected components of the graph induced on s."""
     out = []
     while s:
-        comp = frontier = s & -s
-        while frontier:
-            reach = 0
-            for v in vertices_of(frontier):
-                reach |= adj[v]
-            frontier = reach & s & ~comp
-            comp |= frontier
+        comp = _component(adj, s)
         out.append(comp)
         s &= ~comp
     return out

@@ -74,17 +74,18 @@ def _independence(g: Graph) -> tuple:
     return sets, alpha, tau, unmixed, covers
 
 
-def _max_compatible(compat: list[int]) -> int:
+def _max_compatible(compat: list[int], ceiling: int) -> int:
     """Largest subset of indices that is pairwise compatible.
 
     Branch and bound over an index bitmask; compat[i] holds the indices
-    compatible with i.
+    compatible with i.  The search stops once it has found ``ceiling``
+    of them, a size the caller knows no compatible subset exceeds.
     """
     best = 0
 
     def go(candidates: int, size: int) -> None:
         nonlocal best
-        if size + candidates.bit_count() <= best:
+        if best >= ceiling or size + candidates.bit_count() <= best:
             return
         if not candidates:
             best = max(best, size)
@@ -121,8 +122,10 @@ def matching_invariants(g: Graph) -> tuple[int, int]:
                 disjoint[i] |= 1 << j
                 if not reach[i] & vmasks[j]:
                     gap[i] |= 1 << j
-    m = _max_compatible(disjoint)
-    im = _max_compatible(gap)
+    # a matching covers at most n vertices, and an induced matching is
+    # a matching
+    m = _max_compatible(disjoint, g.n // 2)
+    im = _max_compatible(gap, m)
     return m, im
 
 

@@ -17,8 +17,14 @@ from permcm import Graph, Permutation, graph_from_edges, graph_from_permutation
 from permcm.classes import _code, _inverse, _reverse_complement
 from permcm.classify import GraphFacts, SheddingCertificate, extract_shedding_order
 from permcm.cohesive import CohesiveOrder
-from permcm.complexes import _canonical, _homology_of_key, _maximalize, _neighbourhood_meets
-from permcm.graphs import induced_subgraph, vbit
+from permcm.complexes import (
+    _canonical,
+    _homology_of_key,
+    _join_homology,
+    _maximalize,
+    _neighbourhood_meets,
+)
+from permcm.graphs import _components, induced_subgraph, vbit
 
 
 def all_graphs(n: int):
@@ -367,6 +373,71 @@ def unfolded_betti_table(c) -> dict[tuple[int, int], int]:
             induced = _maximalize(m & w for m in key)
             for d, r in _homology_of_key(_canonical(induced)).items():
                 entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + r
+        if w == 0:
+            break
+        w = (w - 1) & full
+    return entries
+
+
+def _walked_fold(u: int, meet: list[int]) -> int | None:
+    """What is left of the vertex set ``u`` of a flag complex after
+    folding, vertex by vertex and pass after pass, or None when the
+    induced complex on it is a cone; ``meet`` is the table of
+    ``_neighbourhood_meets``."""
+    r = u
+    folded = True
+    while folded:
+        if meet[r] & r:
+            return None
+        folded = False
+        s = r
+        while s:
+            low = s & -s
+            s ^= low
+            near = r & meet[low]
+            if meet[near] & near != low:
+                r ^= low
+                folded = True
+    return r
+
+
+def walked_betti_table(c) -> dict[tuple[int, int], int]:
+    """Hochster's formula as the package walked it before the fold
+    table: on a flag complex every vertex subset W is folded on its own,
+    a cone is skipped, and each other W adds the homology of its folded
+    set, memoised per call and read off the parts' homology when the
+    complement of the 1-skeleton splits it into components."""
+    n = c.vertices.bit_count()
+    key = _canonical(c.facets)
+    used = (1 << max(m.bit_length() for m in key)) - 1
+    meet = _neighbourhood_meets(key, used)
+    if meet is None:
+        return unfolded_betti_table(c)
+    apart = [0, *(used & ~meet[vbit(v)] for v in range(1, used.bit_length() + 1))]
+    by_fold: dict[int, dict[int, int]] = {}
+
+    def folded_homology(r: int) -> dict[int, int]:
+        ranks = by_fold.get(r)
+        if ranks is None:
+            parts = _components(apart, r)
+            if len(parts) == 1:
+                ranks = _homology_of_key(_canonical(_maximalize(m & r for m in key)))
+            else:
+                ranks = {-1: 1}  # the complex {{}}, unit of the join
+                for part in parts:
+                    ranks = _join_homology(ranks, folded_homology(part))
+            by_fold[r] = ranks
+        return ranks
+
+    entries: dict[tuple[int, int], int] = {}
+    full = (1 << n) - 1
+    w = full
+    while True:
+        r = _walked_fold(w & used, meet)
+        if r is not None:
+            j = w.bit_count()
+            for d, h in folded_homology(r).items():
+                entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + h
         if w == 0:
             break
         w = (w - 1) & full

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +281,23 @@ def test_independent_set_enumeration_stops_at_the_cap(capsys, argv):
     assert ("maximal independent set count (a lower bound) size 1025 exceeds the "
             "'independent_sets' cap 1024") in err
     assert time.perf_counter() - start < 2.0
+
+
+def test_matching_search_on_k30_stops_at_its_ceiling():
+    # K_30 has 435 edges, any two of them adjacent: the matching search
+    # must stop at 15 edges rather than prove that no 16 fit
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    perm = ",".join(str(v) for v in range(30, 0, -1))
+    result = subprocess.run(
+        [sys.executable, "-m", "permcm", "classify", "--no-oracle", "--perm", perm],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    invariants = report["invariants"]
+    assert (invariants["matching"], invariants["induced_matching"]) == (15, 1)
 
 
 @pytest.mark.parametrize("command", ["classify", "shed", "ideal"])

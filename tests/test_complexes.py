@@ -43,6 +43,7 @@ from bruteforce import (
     hilbert_function_from_f,
     is_flag,
     unfolded_betti_table,
+    walked_betti_table,
 )
 
 
@@ -565,6 +566,62 @@ class TestFoldAgainstUnfoldedWalk:
             h.update(json.dumps(betti_rows(c)).encode() + b"\n")
         assert len(classes) == 776
         assert h.hexdigest() == self.S7_DIGEST
+
+
+def three_k4():
+    return graph_from_permutation(Permutation((4, 3, 2, 1, 8, 7, 6, 5, 12, 11, 10, 9)))
+
+
+class TestFoldTable:
+    # the fold table must give the walk's table, keys in the same order
+    def test_sweep_complexes_against_the_walk(self):
+        for c in sweep_complexes(6):
+            assert list(hochster_betti_table(c).entries.items()) == list(walked_betti_table(c).items())
+
+    @pytest.mark.parametrize("g", [
+        path_graph(12), disjoint_edges(6), complete_graph(12), three_k4(), cycle_graph(10),
+        complement(path_graph(11)),
+    ], ids=["P12", "6K2", "K12", "3K4", "C10", "coP11"])
+    def test_named_graphs_against_the_walk(self, g):
+        c = independence_complex(g)
+        assert list(hochster_betti_table(c).entries.items()) == list(walked_betti_table(c).items())
+
+    def test_entry_order_of_the_unfolded_sum(self):
+        # demo 02 prints the entries: they keep the order in which the
+        # unfolded sum, walking W down from the full set, first met them.
+        # The last graph is (2K_2 joined to a vertex) + (3K_2 joined to a
+        # vertex): its complex is the join of a point beside a square and
+        # a point beside an octahedron, with homology in dimensions 0, 1
+        # and 0, 2, so a join taken in factor order lists dimension 3
+        # before dimension 2
+        edges = [(1, 2), (3, 4), *((5, v) for v in range(1, 5)),
+                 (6, 7), (8, 9), (10, 11), *((12, v) for v in range(6, 12))]
+        for c in [*sweep_complexes(6), independence_complex(graph_from_edges(12, edges))]:
+            assert list(hochster_betti_table(c).entries.items()) == list(unfolded_betti_table(c).items())
+
+    @pytest.mark.parametrize("n,bound", [(12, 12), (16, 16)])
+    def test_pieces_share_the_kernel_by_skeleton(self, monkeypatch, n, bound):
+        # nothing in K_n folds, and each of its 2^n - n - 1 vertex sets
+        # with two or more vertices is one piece; the pieces of one size
+        # share their edgeless skeleton, so a cold kernel sees one of
+        # each size and the empty set
+        import importlib
+
+        complexes = importlib.import_module("permcm.complexes")
+        monkeypatch.setattr(complexes, "_HOMOLOGY_CACHE", {})
+        monkeypatch.setattr(complexes, "_SKELETON_CACHE", {})
+        original = complexes._homology_of_key
+        calls = []
+
+        def counted(key):
+            calls.append(key)
+            return original(key)
+
+        monkeypatch.setattr(complexes, "_homology_of_key", counted)
+        bt = hochster_betti_table(independence_complex(complete_graph(n)))
+        assert len(calls) <= bound
+        # n points: beta_{i,i+1} = i * C(n, i + 1)
+        assert bt.entries == {(0, 0): 1, **{(i, i + 1): i * comb(n, i + 1) for i in range(1, n)}}
 
 
 class TestExactRankAgainstBareiss:

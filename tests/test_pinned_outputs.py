@@ -144,3 +144,17 @@ def test_classify_reports_of_every_small_graph():
                 report = classify(g, with_oracle=with_oracle).to_dict()
                 h.update(json.dumps(report, indent=2, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == REPORTS_DIGEST
+
+
+# ``verify ainv --n 8`` with its sweep cap raised, recorded before the
+# Hochster sum read folded subsets off one table over the used vertices
+AINV_8_DIGEST = "a6ae10ba76280d1f49c0eb973ff39dc7740804716d6fa384f741eb23889e791f"
+
+
+def test_verify_ainv_at_n8_digest(monkeypatch):
+    monkeypatch.setenv("PERMCM_CAPS", "ainv=8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        got = main(["verify", "ainv", "--n", "8"])
+    assert got == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == AINV_8_DIGEST
