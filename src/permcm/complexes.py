@@ -13,18 +13,7 @@ with exact integer arithmetic:
 * graded Betti numbers of the quotient by the Stanley-Reisner ideal via
   Hochster's formula, summing homology of induced subcomplexes over the
   vertex subsets, with regularity / projective dimension / depth / type
-  read off the table.  For a flag complex the table of neighbourhood
-  meets drives Engstrom's fold lemma on the complement of the 1-skeleton
-  (Independence complexes of claw-free graphs, Eur. J. Combin. 2008):
-  one table, filled in increasing order, maps each subset of the used
-  vertices to a smaller one with the same homology, each entry read off
-  the entry of the subset minus one folding vertex, or marks its induced
-  complex a cone, which has no reduced homology.  The sum tallies the
-  vertex subsets by size and folded set and takes each folded set's
-  homology once: a folded set splits into the components of that
-  complement, its complex is the join of theirs, and the homology of a
-  component is memoised by its 1-skeleton relabelled to the low bits,
-  which fixes a flag complex;
+  read off the table;
 * f-vectors, h-vectors, the Hilbert function and polynomial, both read
   from one integer formula for the coefficients of h(t)/(1-t)^d, and the
   a-invariant (degree of the Hilbert series numerator minus the Krull
@@ -32,6 +21,27 @@ with exact integer arithmetic:
 * vertex decomposability (witness tree of shedding vertices) and a
   size-capped brute-force shelling test, whose ordering search is the
   one the linear-quotients searches of ``ideals`` also use.
+
+A flag complex gets two tables over the subsets of its used vertices,
+filled together in one pass in increasing order and kept on the
+complex, where Hochster and Reisner share them.  The meet table holds
+the common closed 1-skeleton neighbourhood of each subset; the complex
+is flag exactly when every subset that equals its own meet (a maximal
+clique of the 1-skeleton) is a facet.  The fold table applies
+Engstrom's fold lemma on the complement of the 1-skeleton
+(Independence complexes of claw-free graphs, Eur. J. Combin. 2008): it
+maps each subset to a smaller one with the same homology, read off the
+entry of the subset minus one folding vertex, or marks its induced
+complex a cone, which has no reduced homology.  A folded set splits
+into the components of that complement, its complex is the join of
+theirs, and the homology of a component is memoised by its 1-skeleton
+relabelled to the low bits, which fixes a flag complex.  Hochster
+tallies the vertex subsets by size and folded set and takes each folded
+set's homology once.  Reisner reads every face and its link off the
+meet table, since the link of a face of a flag complex is the induced
+complex on the common neighbours of its vertices; a complex that is not
+flag, or has more used vertices than the ``hochster`` cap, walks vertex
+links recursively instead.
 
 Conventions: the void complex (no faces at all) and the complex {{}}
 whose only face is the empty set are distinct values; the latter has
@@ -49,12 +59,12 @@ complexes of induced subgraphs repeat massively across a sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, count
 from math import comb, factorial, gcd
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .caps import check_cap
-from .cohesive import maximal_cliques
+from .caps import check_cap, get_cap
 from .graphs import Graph, _component, _is_int, mask_of, vbit, vertices_of
 from .invariants import maximal_independent_sets
 
@@ -144,6 +154,12 @@ class SimplicialComplex:
     @property
     def is_simplex(self) -> bool:
         return len(self.facets) <= 1
+
+    @cached_property
+    def _flag(self) -> "_FlagTables | None":
+        """The subset tables of the complex when it is flag, else None;
+        built on first use and shared by Hochster and Reisner."""
+        return _flag_tables(_canonical(self.facets))
 
 
 def complex_to_json(c: SimplicialComplex) -> dict:
@@ -337,12 +353,161 @@ def euler_characteristic(c: SimplicialComplex) -> int:
     return chi
 
 
+# -- flag complexes: the subset tables --------------------------------------
+
+def _join_homology(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Reduced homology ranks over Q of the join of two complexes, from
+    theirs: H~_{i+j+1}(A * B) is the sum of H~_i(A) (x) H~_j(B).  The
+    dimensions come out ascending, as the kernel gives them."""
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j + 1] = out.get(i + j + 1, 0) + x * y
+    return dict(sorted(out.items()))
+
+
+# homology of the flag complexes met through the fold table, keyed by
+# the vertex count and the edges of the 1-skeleton relabelled to 0, 1, ...
+_SKELETON_CACHE: dict[tuple[int, int], dict[int, int]] = {}
+
+
+class _FlagTables:
+    """The subset tables of a flag complex, over the subsets u of its
+    used vertices, which are the low bits of the canonical ``key``:
+
+    * ``meet[u]``: the common closed 1-skeleton neighbourhood of u.  In a
+      flag complex the faces are the cliques, the u inside ``meet[u]``,
+      and the link of a face u is the induced complex on
+      ``meet[u] & ~u``.  A vertex x of u that shares an edge with every
+      other vertex of u lies in every facet of the induced complex on u,
+      which is then a cone: x is in ``meet[u] & u``.
+    * ``fold[u]``: what is left of u after folding, or -1 when the
+      induced complex on u folds to a cone.  In the complement G of the
+      1-skeleton the induced complex on u is Ind(G[u]).  Engstrom's fold
+      lemma: if N(a) is inside N(v) for a != v, then Ind(G) and
+      Ind(G - v) are homotopy equivalent.  Read on the skeleton that is:
+      a is in the closed neighbourhood of every vertex of the closed
+      neighbourhood of v, so v leaves exactly when ``meet`` of v's closed
+      neighbourhood holds a vertex of it besides v.  A vertex with no
+      neighbour left in G sees every other one in the skeleton, and then
+      the complex is a cone.
+
+    ``homology`` gives the reduced homology of the induced complex on a
+    folded set, memoised per complex."""
+
+    def __init__(self, key: tuple[int, ...], meet: list[int], fold: list[int]) -> None:
+        used = len(meet) - 1
+        self.key, self.meet, self.fold = key, meet, fold
+        # the complement of the 1-skeleton, whose independence complex on
+        # a vertex set is the induced complex there
+        self.apart = [0, *(used & ~meet[vbit(v)] for v in range(1, used.bit_length() + 1))]
+        self.by_fold: dict[int, dict[int, int]] = {}  # folded set -> homology
+
+    def homology(self, r: int) -> dict[int, int]:
+        """Reduced homology of the induced complex on the folded set r:
+        the join of the complexes on the components of the complement
+        of the 1-skeleton there, so it is read off theirs."""
+        ranks = self.by_fold.get(r)
+        if ranks is None:
+            part = _component(self.apart, r)
+            if part == r:
+                ranks = self._skeleton_homology(r)
+            else:
+                ranks = _join_homology(self.homology(part), self.homology(r ^ part))
+            self.by_fold[r] = ranks
+        return ranks
+
+    def _skeleton_homology(self, r: int) -> dict[int, int]:
+        # the skeleton on r with its vertices renumbered 0, 1, ... in
+        # order: the edge from i to an earlier j is bit i(i-1)/2 + j
+        apart = self.apart
+        edges = offset = i = 0
+        s = r
+        while s:
+            low = s & -s
+            s ^= low
+            x = r & (low - 1) & ~apart[low.bit_length()]
+            while x:
+                b = x & -x
+                x ^= b
+                edges |= 1 << offset + (r & (b - 1)).bit_count()
+            offset += i
+            i += 1
+        shape = (r.bit_count(), edges)
+        ranks = _SKELETON_CACHE.get(shape)
+        if ranks is None:
+            ranks = _homology_of_key(_canonical(_maximalize(m & r for m in self.key)))
+            _SKELETON_CACHE[shape] = ranks
+        return ranks
+
+    def reisner(self, size: int) -> bool:
+        """Reisner's criterion on the complex, pure with facets of
+        ``size`` vertices: the link of each face u, the induced complex on
+        ``meet[u] & ~u``, is a cone or has the homology of its folded
+        set, which must vanish below the link's dimension
+        ``size - 1 - |u|``."""
+        fold = self.fold
+        for u, m in enumerate(self.meet):
+            if u & ~m:
+                continue  # not a clique, so not a face
+            r = fold[m ^ u]
+            if r >= 0:
+                top = size - 1 - u.bit_count()
+                if any(d < top for d in self.homology(r)):
+                    return False
+        return True
+
+
+def _flag_tables(key: tuple[int, ...]) -> _FlagTables | None:
+    """The tables of ``_FlagTables`` for the complex with canonical facets
+    ``key``, filled together in one pass in increasing order, or None
+    when the complex is not flag (or is void).  Each entry is read off
+    entries of smaller subsets: ``meet`` of u minus its lowest vertex, and
+    ``fold`` of u minus its first folding vertex.  The complex is flag
+    exactly when every maximal clique of its 1-skeleton, a u with
+    ``meet[u] == u``, is a face, and then a facet: a face is a clique."""
+    if not key:
+        return None  # void: the empty clique is no face
+    used = (1 << max(m.bit_length() for m in key)) - 1
+    nbhd = [0] * (used.bit_length() + 1)  # closed neighbourhoods; index 0 unused
+    for f in key:
+        s = f
+        while s:
+            low = s & -s
+            s ^= low
+            nbhd[low.bit_length()] |= f
+    facets = set(key)
+    meet = [used] * (used + 1)
+    fold = [0] * (used + 1)
+    for u in range(1, used + 1):
+        low = u & -u
+        m = meet[u] = meet[u ^ low] & nbhd[low.bit_length()]
+        if m & u:
+            fold[u] = -1
+            if m == u and u not in facets:
+                return None  # a maximal clique of the 1-skeleton that is no face
+            continue
+        s = u
+        while s:
+            low = s & -s
+            near = u & meet[low]
+            if meet[near] & near != low:
+                fold[u] = fold[u ^ low]
+                break
+            s ^= low
+        else:
+            fold[u] = u
+    return _FlagTables(key, meet, fold)
+
+
 # -- Reisner's criterion ----------------------------------------------------
 
 _REISNER_CACHE: dict[tuple[int, ...], bool] = {}
 
 
 def _reisner_key(key: tuple[int, ...]) -> bool:
+    """Reisner's criterion on the complex with canonical facets ``key``:
+    its own homology, then each vertex link's criterion, recursively."""
     cached = _REISNER_CACHE.get(key)
     if cached is not None:
         return cached
@@ -375,10 +540,24 @@ def reisner_cm_test(c: SimplicialComplex) -> bool:
     """Cohen-Macaulayness of the Stanley-Reisner ring over Q.
 
     Reisner: the ring is CM iff for every face F (including the empty
-    face) the reduced homology of lk(F) vanishes below dim lk(F).  Links
-    of faces are iterated vertex links, so the check recurses through
-    vertex links with memoisation on canonical forms.
+    face) the reduced homology of lk(F) vanishes below dim lk(F).  Then
+    the complex is pure, so a complex that is not fails at once.  On a
+    flag complex the faces and their links are read off the shared
+    subset tables (``_FlagTables.reisner``).  Any other complex, and one
+    with more used vertices than the ``hochster`` cap, for which no
+    table is built, recurses through vertex links (links of faces are
+    iterated vertex links) with memoisation on canonical forms.
     """
+    used = 0
+    for m in c.facets:
+        used |= m
+    if used.bit_count() <= get_cap("hochster"):
+        sizes = {m.bit_count() for m in c.facets}
+        if len(sizes) > 1:
+            return False
+        tables = c._flag
+        if tables is not None:
+            return tables.reisner(sizes.pop())
     return _reisner_key(_canonical(c.facets))
 
 
@@ -413,153 +592,38 @@ class BettiTable:
         return sum(r for (i, _), r in self.entries.items() if i == pd)
 
 
-def _neighbourhood_meets(key: tuple[int, ...], used: int) -> list[int] | None:
-    """For a flag complex whose used vertices are the low bits ``used``
-    (a canonical key), the table whose entry at each set U of them is
-    the meet of their closed 1-skeleton neighbourhoods; None when the
-    complex is not flag.  It is flag exactly when every maximal clique
-    of its 1-skeleton is a face, and then a facet: a face is a clique.
-
-    In a flag complex a vertex x of U that shares an edge with every
-    other vertex of U lies in every facet of the induced complex on U,
-    which is then a cone: x is in ``meet[U] & U``."""
-    k = used.bit_length()
-    nbhd = [0] * (k + 1)  # closed neighbourhoods; index 0 unused
-    for m in key:
-        for v in vertices_of(m):
-            nbhd[v] |= m
-    skeleton = Graph(k, (0, *(nbhd[v] & ~vbit(v) for v in range(1, k + 1))))
-    facets = set(key)
-    if any(mask_of(c) not in facets for c in maximal_cliques(skeleton)):
-        return None
-    meet = [used] * (used + 1)
-    for u in range(1, used + 1):
-        meet[u] = meet[u & (u - 1)] & nbhd[(u & -u).bit_length()]
-    return meet
-
-
-def _fold_table(meet: list[int], used: int) -> list[int]:
-    """For each vertex set u inside ``used`` of a flag complex, what is
-    left of u after folding, or -1 when the induced complex on it folds
-    to a cone.
-
-    In the complement G of the 1-skeleton the induced complex on u is
-    Ind(G[u]).  Engstrom's fold lemma: if N(a) is inside N(v) for a != v,
-    then Ind(G) and Ind(G - v) are homotopy equivalent.  Read on the
-    skeleton that is: a is in the closed neighbourhood of every vertex of
-    the closed neighbourhood of v, so v leaves exactly when ``meet`` of
-    v's closed neighbourhood holds a vertex of it besides v.  A vertex
-    with no neighbour left in G sees every other one in the skeleton, and
-    then the complex is a cone.  The table is filled in increasing order,
-    so the entry of u minus its first folding vertex is already there."""
-    fold = [0] * (used + 1)
-    for u in range(1, used + 1):
-        if meet[u] & u:
-            fold[u] = -1
-            continue
-        s = u
-        while s:
-            low = s & -s
-            near = u & meet[low]
-            if meet[near] & near != low:
-                fold[u] = fold[u ^ low]
-                break
-            s ^= low
-        else:
-            fold[u] = u
-    return fold
-
-
-def _join_homology(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """Reduced homology ranks over Q of the join of two complexes, from
-    theirs: H~_{i+j+1}(A * B) is the sum of H~_i(A) (x) H~_j(B).  The
-    dimensions come out ascending, as the kernel gives them."""
-    out: dict[int, int] = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j + 1] = out.get(i + j + 1, 0) + x * y
-    return dict(sorted(out.items()))
-
-
-# homology of the flag complexes met by the Hochster sum, keyed by the
-# vertex count and the edges of the 1-skeleton relabelled to 0, 1, ...
-_SKELETON_CACHE: dict[tuple[int, int], dict[int, int]] = {}
-
-
 def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     """Betti table via Hochster: beta_{i,j} sums the reduced homology of
     the induced subcomplexes on the j-element vertex subsets W, in
     dimension j - i - 1.  The W = empty term lands at (0, 0).
 
-    When the complex is flag, ``_fold_table`` cuts each W down to a
+    When the complex is flag, its fold table cuts each W down to a
     smaller set with the same homology (Engstrom, *Independence
     complexes of claw-free graphs*, Eur. J. Combin. 2008), or marks it a
     cone, which has no reduced homology.  The sum tallies the W by size
     and folded set, walking W down from the full set as the unfolded sum
     did, so the entries come out in the same order, and takes each
-    folded set's homology once.  The induced complex on a folded set is
-    the independence complex of the complement G of the 1-skeleton
-    there, so it is the join of the complexes on the components of G,
-    and its homology is read off theirs.  A flag complex is fixed by its
-    1-skeleton, so a component's homology is memoised by that."""
+    folded set's homology once (``_FlagTables.homology``)."""
     if c.is_void:
         raise ValueError("Betti table of the zero ring is not defined")
     n = c.vertices.bit_count()
     check_cap("hochster", n, "ambient vertex set")
     # the table only depends on the complex up to relabelling: the used
     # vertices become the low bits, the ambient-only ones the rest
-    key = _canonical(c.facets)
-    used = (1 << max(m.bit_length() for m in key)) - 1
-    meet = _neighbourhood_meets(key, used)
+    tables = c._flag
     entries: dict[tuple[int, int], int] = {}
     full = (1 << n) - 1
 
-    if meet is None:
+    if tables is None:
+        key = _canonical(c.facets)
         for w in range(full, -1, -1):
             j = w.bit_count()
             for d, r in _homology_of_key(_canonical(_maximalize(m & w for m in key))).items():
                 entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + r
         return BettiTable(n, entries)
 
-    # the complement of the 1-skeleton, whose independence complex on a
-    # vertex set is the induced complex there
-    apart = [0, *(used & ~meet[vbit(v)] for v in range(1, used.bit_length() + 1))]
-    by_fold: dict[int, dict[int, int]] = {}  # folded set -> homology
-
-    def skeleton_homology(r: int) -> dict[int, int]:
-        # the skeleton on r with its vertices renumbered 0, 1, ... in
-        # order: the edge from i to an earlier j is bit i(i-1)/2 + j
-        edges = offset = i = 0
-        s = r
-        while s:
-            low = s & -s
-            s ^= low
-            x = r & (low - 1) & ~apart[low.bit_length()]
-            while x:
-                b = x & -x
-                x ^= b
-                edges |= 1 << offset + (r & (b - 1)).bit_count()
-            offset += i
-            i += 1
-        shape = (r.bit_count(), edges)
-        ranks = _SKELETON_CACHE.get(shape)
-        if ranks is None:
-            ranks = _homology_of_key(_canonical(_maximalize(m & r for m in key)))
-            _SKELETON_CACHE[shape] = ranks
-        return ranks
-
-    def folded_homology(r: int) -> dict[int, int]:
-        ranks = by_fold.get(r)
-        if ranks is None:
-            part = _component(apart, r)
-            if part == r:
-                ranks = skeleton_homology(r)
-            else:
-                ranks = _join_homology(folded_homology(part), folded_homology(r ^ part))
-            by_fold[r] = ranks
-        return ranks
-
-    fold = _fold_table(meet, used)
+    fold = tables.fold
+    used = len(fold) - 1
     tally: dict[tuple[int, int], int] = {}  # (|W|, folded W) -> count
     for w in range(full, -1, -1):
         r = fold[w & used]
@@ -567,7 +631,7 @@ def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
             t = (w.bit_count(), r)
             tally[t] = tally.get(t, 0) + 1
     for (j, r), times in tally.items():
-        for d, rank in folded_homology(r).items():
+        for d, rank in tables.homology(r).items():
             entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + times * rank
     return BettiTable(n, entries)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .caps import check_cap, get_cap
 from .cohesive import maximal_cliques
-from .graphs import Graph, complement, mask_of, vbit, vertices_of
+from .graphs import Graph, complement, mask_of, vertices_of
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,35 @@ def _max_compatible(compat: list[int], ceiling: int) -> int:
     return best
 
 
+def _matching_relations(g: Graph) -> tuple[list[int], list[int]]:
+    """For each edge i of ``g.edges()``, the masks over edge indices of
+    the edges disjoint from it and of the edges forming a gap with it.
+
+    Edge i = uv shares a vertex with exactly the edges at u or v, and
+    forms no gap with exactly the edges at a vertex of N[u] or N[v].
+    So both relations come from per-vertex masks of incident edges:
+    ``touch[w]`` holds the edges at w, ``near[w]`` those at a vertex of
+    N[w]."""
+    edges = g.edges()
+    touch = [0] * (g.n + 1)
+    for i, (u, v) in enumerate(edges):
+        touch[u] |= 1 << i
+        touch[v] |= 1 << i
+    near = [0] * (g.n + 1)
+    for w in range(1, g.n + 1):
+        acc = touch[w]
+        s = g.adj[w]
+        while s:
+            low = s & -s
+            s ^= low
+            acc |= touch[low.bit_length()]
+        near[w] = acc
+    every = (1 << len(edges)) - 1
+    disjoint = [every & ~(touch[u] | touch[v]) for u, v in edges]
+    gap = [every & ~(near[u] | near[v]) for u, v in edges]
+    return disjoint, gap
+
+
 def matching_invariants(g: Graph) -> tuple[int, int]:
     """Return (m, im): maximum matching and induced matching sizes.
 
@@ -106,22 +135,9 @@ def matching_invariants(g: Graph) -> tuple[int, int]:
     gap: disjoint and with no adjacency between their endpoints.  Both
     numbers are maximum pairwise-compatible edge sets, computed exactly.
     """
-    edges = g.edges()
-    if not edges:
+    disjoint, gap = _matching_relations(g)
+    if not disjoint:
         return 0, 0
-    vmasks = [vbit(u) | vbit(v) for u, v in edges]
-    reach = [g.adj[u] | g.adj[v] for u, v in edges]
-    k = len(edges)
-    disjoint = [0] * k
-    gap = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            if not vmasks[i] & vmasks[j]:
-                disjoint[i] |= 1 << j
-                if not reach[i] & vmasks[j]:
-                    gap[i] |= 1 << j
     # a matching covers at most n vertices, and an induced matching is
     # a matching
     m = _max_compatible(disjoint, g.n // 2)

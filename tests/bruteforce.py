@@ -16,15 +16,9 @@ from operator import itemgetter
 from permcm import Graph, Permutation, graph_from_edges, graph_from_permutation
 from permcm.classes import _code, _inverse, _reverse_complement
 from permcm.classify import GraphFacts, SheddingCertificate, extract_shedding_order
-from permcm.cohesive import CohesiveOrder
-from permcm.complexes import (
-    _canonical,
-    _homology_of_key,
-    _join_homology,
-    _maximalize,
-    _neighbourhood_meets,
-)
-from permcm.graphs import _components, induced_subgraph, vbit
+from permcm.cohesive import CohesiveOrder, maximal_cliques
+from permcm.complexes import _canonical, _homology_of_key, _join_homology, _maximalize
+from permcm.graphs import _components, induced_subgraph, mask_of, vbit, vertices_of
 
 
 def all_graphs(n: int):
@@ -125,6 +119,27 @@ def brute_induced_matching_number(g: Graph) -> int:
                 best = r
                 break
     return best
+
+
+def pairwise_matching_relations(g: Graph) -> tuple[list[int], list[int]]:
+    """The disjoint and gap relations on the edges of g, as masks over
+    edge indices, by testing every ordered pair of edges: the package's
+    construction before it read them off per-vertex masks."""
+    edges = g.edges()
+    vmasks = [vbit(u) | vbit(v) for u, v in edges]
+    reach = [g.adj[u] | g.adj[v] for u, v in edges]
+    k = len(edges)
+    disjoint = [0] * k
+    gap = [0] * k
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            if not vmasks[i] & vmasks[j]:
+                disjoint[i] |= 1 << j
+                if not reach[i] & vmasks[j]:
+                    gap[i] |= 1 << j
+    return disjoint, gap
 
 
 def brute_is_chordal(g: Graph) -> bool:
@@ -352,6 +367,28 @@ def brute_betti_table(c) -> dict[tuple[int, int], int]:
                 key = (r - d - 1, r)
                 entries[key] = entries.get(key, 0) + h
     return entries
+
+
+def _neighbourhood_meets(key: tuple[int, ...], used: int) -> list[int] | None:
+    """For a flag complex whose used vertices are the low bits ``used``
+    (a canonical key), the table whose entry at each set U of them is
+    the meet of their closed 1-skeleton neighbourhoods; None when the
+    complex is not flag.  The flag test is the package's before the
+    one-pass tables: every maximal clique of the 1-skeleton, found by
+    the clique search, must be a facet."""
+    k = used.bit_length()
+    nbhd = [0] * (k + 1)  # closed neighbourhoods; index 0 unused
+    for m in key:
+        for v in vertices_of(m):
+            nbhd[v] |= m
+    skeleton = Graph(k, (0, *(nbhd[v] & ~vbit(v) for v in range(1, k + 1))))
+    facets = set(key)
+    if any(mask_of(c) not in facets for c in maximal_cliques(skeleton)):
+        return None
+    meet = [used] * (used + 1)
+    for u in range(1, used + 1):
+        meet[u] = meet[u & (u - 1)] & nbhd[(u & -u).bit_length()]
+    return meet
 
 
 def unfolded_betti_table(c) -> dict[tuple[int, int], int]:

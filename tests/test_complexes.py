@@ -31,10 +31,12 @@ from permcm import (
     vertex_decomposable_test,
 )
 from permcm.classes import permutation_classes
-from permcm.complexes import _canonical, _neighbourhood_meets, exact_rank
+from permcm.complexes import _canonical, _flag_tables, _reisner_key, exact_rank
 from permcm.graphs import vertices_of
 from bruteforce import (
     _face_sets,
+    _neighbourhood_meets,
+    all_graphs,
     bareiss_rank,
     boundary_matrices,
     brute_betti_table,
@@ -643,3 +645,138 @@ class TestFlagTable:
             assert (_neighbourhood_meets(key, used) is not None) == flag
             seen.add(flag)
         assert seen == {True, False}
+
+    def test_one_pass_against_the_clique_search(self):
+        # the one-pass tables decide flagness as the clique search does,
+        # and their meet table is its table; a wrong "not flag" would only
+        # send Hochster and Reisner down their slower paths
+        seen = set()
+        for c in [*sweep_complexes(6), *random_complexes()]:
+            key = _canonical(c.facets)
+            used = (1 << max(m.bit_length() for m in key)) - 1
+            tables = _flag_tables(key)
+            assert (tables is not None) == is_flag(c)
+            if tables is not None:
+                assert tables.meet == _neighbourhood_meets(key, used)
+            seen.add(tables is not None)
+        assert seen == {True, False}
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Empty memo tables for Reisner and the kernel, and a counter of the
+    calls of the recursive Reisner walk."""
+    import importlib
+
+    complexes = importlib.import_module("permcm.complexes")
+    for name in ("_REISNER_CACHE", "_HOMOLOGY_CACHE", "_SKELETON_CACHE"):
+        monkeypatch.setattr(complexes, name, {})
+    walk = complexes._reisner_key
+    calls = []
+
+    def counted(key):
+        calls.append(key)
+        return walk(key)
+
+    monkeypatch.setattr(complexes, "_reisner_key", counted)
+    return calls
+
+
+def flag_path_agrees(calls, c):
+    """Reisner on c agrees with the recursive walk; within the cap a
+    complex that is not pure fails at once, and a pure one reaches the
+    walk exactly when it is not flag.  True when c took the table path."""
+    del calls[:]
+    verdict = reisner_cm_test(c)
+    tables = "_flag" in vars(c) and c._flag is not None
+    if is_pure(c):
+        assert tables != bool(calls)
+    else:
+        assert not calls and "_flag" not in vars(c)
+    assert verdict == _reisner_key(_canonical(c.facets))
+    return tables
+
+
+def is_pure(c):
+    return len({m.bit_count() for m in c.facets}) <= 1
+
+
+class TestReisnerFlagPath:
+    def test_sweep_complexes(self, cold):
+        assert all(flag_path_agrees(cold, c) for c in sweep_complexes(6) if is_pure(c))
+
+    def test_all_labelled_graphs(self, cold):
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                flag_path_agrees(cold, independence_complex(g))
+
+    def test_s7_class_complexes(self, cold):
+        for members in permutation_classes(7):
+            flag_path_agrees(cold, independence_complex(graph_from_permutation(Permutation(members[0]))))
+
+    def test_complexes_that_are_not_flag_fall_back(self, cold):
+        # pure complexes that are not flag take the walk: a few of the
+        # seeded ones, the boundaries of a triangle and a tetrahedron, a
+        # hollow triangle beside an edge, and two tetrahedron boundaries
+        # sharing a vertex, whose link there is two circles
+        tetra = list(combinations((1, 2, 3, 4), 3))
+        spheres = SimplicialComplex.from_faces(range(1, 8), tetra + list(combinations((1, 5, 6, 7), 3)))
+        named = [
+            (SimplicialComplex.from_faces({1, 2, 3}, combinations((1, 2, 3), 2)), True),
+            (SimplicialComplex.from_faces({1, 2, 3, 4}, tetra), True),
+            (SimplicialComplex.from_faces(range(1, 6), [(1, 2), (1, 3), (2, 3), (4, 5)]), False),
+            (spheres, False),
+        ]
+        for c, cm in named:
+            assert not is_flag(c)
+            assert not flag_path_agrees(cold, c)
+            assert reisner_cm_test(c) == cm
+        seeded = [c for c in random_complexes() if is_pure(c) and not flag_path_agrees(cold, c)]
+        assert sum(not is_flag(c) for c in seeded) >= 2
+
+    @pytest.mark.parametrize("g", [
+        path_graph(12), cycle_graph(10), complete_graph(12), disjoint_edges(6), three_k4(),
+        complement(path_graph(11)),
+    ], ids=["P12", "C10", "K12", "6K2", "3K4", "coP11"])
+    def test_named_graphs(self, cold, g):
+        flag_path_agrees(cold, independence_complex(g))
+
+    def test_non_pure_flag_complexes(self, cold):
+        for faces in ([(1, 2), (3,)], [(1, 2, 3), (3, 4)], [(1, 3), (2,)]):
+            c = SimplicialComplex.from_faces({1, 2, 3, 4}, faces)
+            assert is_flag(c) and not is_pure(c)
+            flag_path_agrees(cold, c)
+            assert not reisner_cm_test(c)
+
+    def test_void_empty_face_and_ambient_only(self, cold):
+        void = SimplicialComplex.from_faces({1, 2}, [])
+        assert not flag_path_agrees(cold, void) and reisner_cm_test(void)
+        assert flag_path_agrees(cold, SimplicialComplex.from_faces({1, 2}, [()]))
+        path = SimplicialComplex.from_faces({1, 2, 3, 4, 5}, [(1, 2), (2, 3)])
+        two_edges = SimplicialComplex.from_faces({1, 2, 3, 4, 5}, [(1, 3), (2, 4)])
+        assert flag_path_agrees(cold, path) and reisner_cm_test(path)
+        assert flag_path_agrees(cold, two_edges) and not reisner_cm_test(two_edges)
+
+    def test_above_the_cap_walks(self, cold, monkeypatch):
+        monkeypatch.setenv("PERMCM_CAPS", "hochster=5")
+        c = independence_complex(disjoint_edges(3))
+        assert reisner_cm_test(c) and cold
+        assert "_flag" not in vars(c)  # no table built
+
+    def test_classify_builds_the_tables_once(self, cold, monkeypatch):
+        import importlib
+
+        from permcm import classify
+
+        complexes = importlib.import_module("permcm.complexes")
+        build = complexes._flag_tables
+        built = []
+
+        def counted(key):
+            built.append(key)
+            return build(key)
+
+        monkeypatch.setattr(complexes, "_flag_tables", counted)
+        report = classify(disjoint_edges(4))
+        assert report.oracle["reisner_cm"] and report.oracle["betti_type"] == 1
+        assert len(built) == 1 and not cold

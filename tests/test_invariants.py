@@ -21,7 +21,10 @@ from bruteforce import (
     brute_matching_number,
     brute_maximal_independent_sets,
     brute_minimal_vertex_covers,
+    pairwise_matching_relations,
 )
+from permcm.classes import permutation_classes
+from permcm.invariants import _matching_relations
 
 
 class TestMaximalIndependentSets:
@@ -106,6 +109,16 @@ class TestMatching:
                 m, im = matching_invariants(g)
                 assert m == brute_matching_number(g)
                 assert im == brute_induced_matching_number(g)
+
+    def test_relations_against_the_pairwise_loop(self):
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                assert _matching_relations(g) == pairwise_matching_relations(g)
+        classes = permutation_classes(8)
+        assert len(classes) == 5699
+        for members in classes:
+            g = graph_from_permutation(Permutation(members[0]))
+            assert _matching_relations(g) == pairwise_matching_relations(g)
 
     def test_im_le_m_le_tau(self):
         for g in all_graphs(5):

@@ -1,8 +1,9 @@
 """The benchmark's tracer wraps functions by name from outside the
 package; a refactor that renames or deletes one of them (or
 ``Graph.__post_init__``, which it also wraps), that reaches the homology
-kernel or the Hochster sum by another name, or whose sweeps stop
-reaching a function the benchmark expects to be called, must fail here."""
+kernel or the Hochster sum by another name, or whose sweeps or
+classifications stop reaching a function the benchmark expects to be
+called, must fail here."""
 
 import os
 import subprocess
@@ -52,6 +53,27 @@ def test_sweeps_reach_every_expected_function():
         "        assert permcm.cli.main(['verify', theorem, '--n', '5']) == 0\n"
         "    assert permcm.cli.main(['survey', '--n', '5']) == 0\n"
         "expected = tracer.EXPECTED_CALLS['sweep-s7'] + tracer.EXPECTED_CALLS['survey-s8']\n"
+        "missing = sorted(fn for fn in set(expected) if not t.calls.get(fn))\n"
+        "assert not missing, missing\n"
+    )
+    result = _run_traced(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_classify_mix_reaches_every_expected_function():
+    # every function the benchmark expects a call of on its classify-mix
+    # workload records one when the gallery's fixed family is classified
+    code = (
+        "import gallery, tracer\n"
+        "t = tracer.install()\n"
+        "from permcm import classify\n"
+        "from permcm.graphs import graph_from_edges\n"
+        "for key in gallery.FAMILY:\n"
+        "    item = gallery.pool_item(key)\n"
+        "    classify(graph_from_edges(item['n'], item['edges'])).to_dict()\n"
+        "expected = tracer.EXPECTED_CALLS['classify-mix']\n"
+        "assert 'complexes.exact_rank' in expected, expected\n"
+        "assert 'complexes.reisner_cm_test' in expected, expected\n"
         "missing = sorted(fn for fn in set(expected) if not t.calls.get(fn))\n"
         "assert not missing, missing\n"
     )
