@@ -19,6 +19,7 @@ from permcm import (
     maximal_cliques,
     verify_cohesive_order,
 )
+from permcm.graphs import vertices_of
 
 # The running example: sigma = (2,4,5,1,3)
 sigma = Permutation((2, 4, 5, 1, 3))
@@ -34,10 +35,11 @@ order = find_cohesive_order(g)
 print(f"found order: {order.order}")
 
 # Under a cohesive order, the maximal chains of the comparability poset
-# are exactly the maximal cliques of the graph.
+# are exactly the maximal cliques of the graph.  The clique search
+# returns vertex masks; listed as sorted vertex tuples they match.
 poset = comparability_poset(g, order)
 print(f"maximal chains : {maximal_chains(poset)}")
-print(f"maximal cliques: {maximal_cliques(g)}")
+print(f"maximal cliques: {tuple(sorted(map(vertices_of, maximal_cliques(g))))}")
 
 # The 5-cycle admits no cohesive order: it is not a permutation graph.
 print(f"C_5 order: {find_cohesive_order(cycle_graph(5))}")

@@ -43,8 +43,6 @@ from .complexes import (
     link_and_deletion,
     reduced_homology_ranks,
     reisner_cm_test,
-    shellable_bruteforce_test,
-    vertex_decomposable_test,
 )
 from .graphs import (
     Graph,

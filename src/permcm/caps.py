@@ -32,7 +32,6 @@ DEFAULT_CAPS: dict[str, int] = {
     "survey": 8,
     # algebraic oracles
     "hochster": 16,          # ambient vertices for the full Betti table
-    "shelling": 8,           # facet count for the brute-force shelling test
     "linear_quotients": 20,  # generator count for the linear-quotients search
     "vertex_splittable": 20, # generator count for the splitting search
     # maximal independent sets of one graph; every graph on at most 19

@@ -67,6 +67,7 @@ from .graphs import (
 from .invariants import (
     InvariantSet,
     compute_invariants,
+    independence_invariants,
     maximal_independent_sets,
 )
 
@@ -98,9 +99,7 @@ def cm_by_clique_partition(
         raise NotPermutationGraphError("input admits no cohesive order")
     if g.n == 0:
         return True, (ChainPartition(()),)
-    mis = maximal_independent_sets(g)
-    alpha = max(len(s) for s in mis)
-    unmixed = all(len(s) == alpha for s in mis)
+    alpha, _, unmixed, _ = independence_invariants(g)
     parts = maximal_clique_partitions(g, r=alpha, limit=2)
     return unmixed and len(parts) == 1, parts
 
@@ -171,7 +170,7 @@ def _peel(cur: Graph, j: int) -> Graph | None:
     nbrs = cur.adj[j] & below | cur.adj[j] >> 1 & ~below  # in smaller's labels
     # a set maximal in smaller stays maximal in cur exactly when j, the
     # one vertex of cur it does not dominate yet, has a neighbour in it
-    if any(not nbrs & mask_of(s) for s in maximal_independent_sets(smaller)):
+    if any(not nbrs & s for s in maximal_independent_sets(smaller)):
         return None
     return smaller
 
@@ -187,11 +186,10 @@ def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCe
         labels = vertices_of(alive)
         step_order = tuple(v for v in order if alive & vbit(v))
         poset = comparability_poset(cur, _ranks(alive, step_order))
-        mis = maximal_independent_sets(cur)
-        alpha = max(len(s) for s in mis)
+        alpha, _, unmixed, _ = independence_invariants(cur)
         parts = maximal_clique_partitions(cur, r=alpha, limit=2)
         if not steps:  # the input's partition and unmixedness decide CM
-            if len(parts) != 1 or any(len(s) != alpha for s in mis):
+            if len(parts) != 1 or not unmixed:
                 raise ValueError("shedding orders exist only for Cohen-Macaulay inputs")
         if len(parts) != 1:
             raise ClaimFailureError(
@@ -333,13 +331,12 @@ def gap_witness_check(g: Graph) -> bool | None:
     the distinct (alpha - 2)-subsets of the maximal independent sets; the
     rest is 2K_2 when it has four vertices, each with exactly one
     neighbour among them."""
-    mis = maximal_independent_sets(g)
-    if not mis:
-        return None
-    alpha = max(len(s) for s in mis)
+    alpha = independence_invariants(g)[0]
     if alpha < 2:
         return None
-    for fmask in {mask_of(c) for s in mis for c in combinations(s, alpha - 2)}:
+    mis = maximal_independent_sets(g)
+    faces = {mask_of(c) for s in mis for c in combinations(vertices_of(s), alpha - 2)}
+    for fmask in faces:
         drop = fmask
         for v in vertices_of(fmask):
             drop |= g.adj[v]

@@ -137,6 +137,13 @@ def _facets_form_path(facets: tuple[tuple[int, ...], ...], n: int) -> bool:
 
 def _check_nearly(f: GraphFacts) -> dict | None:
     g = f.g
+    # Nearly Gorenstein is not kept under a cone.  An isolated vertex
+    # adds a free variable x to the ring, and the trace of the canonical
+    # module only extends along it, so it misses x unless the ring was
+    # Gorenstein: K_3 + K_1 is not nearly Gorenstein though K_3 is.  The
+    # structural flag strips isolated vertices and this check reads only
+    # facet shapes, so such graphs stay skipped until an oracle that
+    # reads the ring can check them.
     if g.isolated_vertices():
         return None
     flags = f.structure

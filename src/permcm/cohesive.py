@@ -242,22 +242,26 @@ def find_cohesive_order(g: Graph) -> CohesiveOrder | None:
 
 @dataclass(frozen=True)
 class Poset:
-    """Strict order on 1..n given by up-set and down-set bitmasks."""
+    """Strict order on 1..n given by up-set bitmasks."""
 
     n: int
     up: tuple[int, ...]      # up[v] = mask of elements strictly above v
-    down: tuple[int, ...]
-    covers_up: tuple[int, ...]  # covers_up[v] = mask of w with v covered by w
 
     def less(self, u: int, v: int) -> bool:
         return bool(self.up[u] & vbit(v))
 
     def covers(self, u: int, v: int) -> bool:
         """True when v covers u (u below v with nothing in between)."""
-        return bool(self.covers_up[u] & vbit(v))
+        return bool(_covers_up(self.up, u) & vbit(v))
 
-    def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if not self.down[v])
+
+def _covers_up(up: Sequence[int], v: int) -> int:
+    """The elements that cover v: those above v and above nothing that
+    is above v."""
+    between = 0
+    for w in vertices_of(up[v]):
+        between |= up[w]
+    return up[v] & ~between
 
 
 def comparability_poset(g: Graph, order: CohesiveOrder | Sequence[int]) -> Poset:
@@ -266,46 +270,41 @@ def comparability_poset(g: Graph, order: CohesiveOrder | Sequence[int]) -> Poset
     seq = _as_order(order)
     if not verify_cohesive_order(g, seq):
         raise ValueError("order is not cohesive for this graph")
-    n = g.n
-    up = [0] * (n + 1)
-    down = [0] * (n + 1)
+    up = [0] * (g.n + 1)
     later = 0
     for v in reversed(seq):
         up[v] = g.adj[v] & later
         later |= vbit(v)
-    earlier = 0
-    for v in seq:
-        down[v] = g.adj[v] & earlier
-        earlier |= vbit(v)
-    covers = [0] * (n + 1)
-    for v in range(1, n + 1):
-        for w in vertices_of(up[v]):
-            if not up[v] & down[w]:
-                covers[v] |= vbit(w)
-    return Poset(n, tuple(up), tuple(down), tuple(covers))
+    return Poset(g.n, tuple(up))
 
 
 def maximal_chains(p: Poset) -> tuple[tuple[int, ...], ...]:
     """All maximal chains, each listed bottom to top."""
     out: list[tuple[int, ...]] = []
+    covers = [_covers_up(p.up, v) for v in range(p.n + 1)]
 
     def walk(chain: list[int], v: int) -> None:
         chain.append(v)
         if not p.up[v]:
             out.append(tuple(chain))
         else:
-            for w in vertices_of(p.covers_up[v]):
+            for w in vertices_of(covers[v]):
                 walk(chain, w)
         chain.pop()
 
-    for v in p.minimal_elements():
-        walk([], v)
+    above = 0
+    for m in p.up:
+        above |= m
+    for v in range(1, p.n + 1):
+        if not above & vbit(v):  # a minimal element
+            walk([], v)
     return tuple(sorted(out))
 
 
-def maximal_cliques(g: Graph, limit: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """All inclusion-maximal cliques (Bron-Kerbosch with pivoting), or
-    only the first ``limit`` found when a limit is given."""
+def maximal_cliques(g: Graph, limit: int | None = None) -> tuple[int, ...]:
+    """All inclusion-maximal cliques as vertex masks, in increasing
+    order (Bron-Kerbosch with pivoting), or only the first ``limit``
+    found when a limit is given."""
     if g.n == 0:
         return ()
     found: list[int] = []
@@ -338,7 +337,7 @@ def maximal_cliques(g: Graph, limit: int | None = None) -> tuple[tuple[int, ...]
         return False
 
     bk(0, g.full_mask, 0)
-    return tuple(sorted(vertices_of(m) for m in found))
+    return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -363,7 +362,9 @@ def maximal_clique_partitions(
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    cliques = [sum(vbit(v) for v in c) for c in maximal_cliques(g)]
+    # branch in the order of the cliques' sorted vertex lists: it fixes
+    # which partitions a limited search finds
+    cliques = sorted(maximal_cliques(g), key=vertices_of)
     results: list[tuple[tuple[int, ...], ...]] = []
 
     def search(uncovered: int, chosen: list[int]) -> bool:

@@ -18,9 +18,8 @@ with exact integer arithmetic:
   from one integer formula for the coefficients of h(t)/(1-t)^d, and the
   a-invariant (degree of the Hilbert series numerator minus the Krull
   dimension);
-* vertex decomposability (witness tree of shedding vertices) and a
-  size-capped brute-force shelling test, whose ordering search is the
-  one the linear-quotients searches of ``ideals`` also use.
+* vertex decomposability, by a memoised search for a shedding vertex
+  on canonical forms.
 
 A flag complex gets two tables over the subsets of its used vertices,
 filled together in one pass in increasing order and kept on the
@@ -62,13 +61,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
 from math import comb, factorial, gcd
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 from .caps import check_cap, get_cap
 from .graphs import Graph, _component, _is_int, mask_of, vbit, vertices_of
 from .invariants import maximal_independent_sets
-
-_T = TypeVar("_T")
 
 
 def _maximalize(masks: Iterable[int]) -> tuple[int, ...]:
@@ -197,7 +194,7 @@ def complex_from_json(data: dict) -> SimplicialComplex:
 
 def independence_complex(g: Graph) -> SimplicialComplex:
     """Faces are the independent sets; facets the maximal ones."""
-    facets = tuple(sorted(mask_of(s) for s in maximal_independent_sets(g)))
+    facets = maximal_independent_sets(g)
     if g.n and not facets:  # cannot happen: singletons are independent
         raise AssertionError("graph independence complex lost its vertices")
     if g.n == 0:
@@ -748,94 +745,6 @@ def _vd_key(key: tuple[int, ...]) -> bool:
 
 
 def is_vertex_decomposable(c: SimplicialComplex) -> bool:
-    """Boolean fast path used by the exhaustive sweeps."""
+    """Vertex decomposability: the complex has at most one facet, or some
+    shedding vertex has a vertex decomposable deletion and link."""
     return _vd_key(_canonical(c.facets))
-
-
-def vertex_decomposable_test(c: SimplicialComplex) -> dict | None:
-    """Witness tree of shedding vertices, or None.
-
-    A simplex is the base case.  Otherwise some vertex x must satisfy:
-    deletion and link at x both vertex decomposable, and every facet of
-    the deletion is a facet of the whole complex.  The memoised boolean
-    guides the reconstruction, so the tree is cheap and is reported in
-    the original vertex labels.
-    """
-    if not _vd_key(_canonical(c.facets)):
-        return None
-
-    def build(facets: tuple[int, ...]) -> dict:
-        if len(facets) <= 1:
-            return {"simplex": [list(vertices_of(m)) for m in facets]}
-        found = _shedding_split(facets)
-        if found is None:
-            raise AssertionError("witness reconstruction disagrees with the memo")
-        low, del_facets, link = found
-        return {
-            "shedding_vertex": low.bit_length(),
-            "deletion": build(del_facets),
-            "link": build(link),
-        }
-
-    return build(c.facets)
-
-
-# -- ordering searches -----------------------------------------------------------
-
-def _first_ordering(
-    items: Sequence[_T], step_ok: Callable[[list[_T], _T], bool]
-) -> list[_T] | None:
-    """The first arrangement of the distinct ``items``, in depth-first
-    order, in which each item passes ``step_ok(placed, new)`` against the
-    items before it; None when there is none.
-
-    ``step_ok`` must read ``placed`` only as a set.  Then whether a
-    prefix can be completed depends only on the set it covers, so the
-    prefix sets that failed are remembered and never searched again.
-    """
-    order: list[_T] = []
-    dead: set[frozenset[_T]] = set()
-
-    def extend(remaining: list[_T]) -> bool:
-        if not remaining:
-            return True
-        state = frozenset(order)
-        if state in dead:
-            return False
-        for idx, cand in enumerate(remaining):
-            if step_ok(order, cand):
-                order.append(cand)
-                if extend(remaining[:idx] + remaining[idx + 1:]):
-                    return True
-                order.pop()
-        dead.add(state)
-        return False
-
-    return order if extend(list(items)) else None
-
-
-def _shelling_step_ok(prefix: list[int], new: int) -> bool:
-    # Bjorner-Wachs condition: for every earlier facet F_i there is an
-    # earlier F_j with F_j n F_k = F_k \ {v} containing F_i n F_k.
-    for fi in prefix:
-        inter_i = fi & new
-        ok = False
-        for fj in prefix:
-            diff = new & ~fj
-            if diff.bit_count() == 1 and inter_i & ~(fj & new) == 0:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
-def shellable_bruteforce_test(c: SimplicialComplex) -> bool:
-    """Search all facet orderings for a shelling, with prefix pruning.
-
-    Capped by facet count; for pure complexes the intersection condition
-    is the classical one (each new facet meets the old ones in a nonempty
-    union of codimension-one faces).
-    """
-    check_cap("shelling", len(c.facets), "facet count")
-    return _first_ordering(c.facets, _shelling_step_ok) is not None

@@ -113,7 +113,6 @@ class Graph:
         out = []
         for v in range(1, self.n + 1):
             higher = self.adj[v] >> v  # neighbours u > v
-            u = v
             while higher:
                 low = higher & -higher
                 out.append((v, v + low.bit_length()))

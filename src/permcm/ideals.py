@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .caps import check_cap
-from .complexes import _canonical, _first_ordering
+from .complexes import _canonical
 from .graphs import Graph, mask_of, vertices_of
-from .invariants import maximal_independent_sets
+from .invariants import independence_invariants
+
+_T = TypeVar("_T")
 
 
 def _minimalize(masks: Iterable[int]) -> tuple[int, ...]:
@@ -70,8 +72,39 @@ class MonomialIdeal:
 def cover_ideal(g: Graph) -> MonomialIdeal:
     """Generators are the minimal vertex covers of the graph, the
     complements of its maximal independent sets."""
-    mis = maximal_independent_sets(g)
-    return MonomialIdeal(g.n, tuple(sorted(g.full_mask & ~mask_of(s) for s in mis)))
+    return MonomialIdeal(g.n, independence_invariants(g)[3])
+
+
+def _first_ordering(
+    items: Sequence[_T], step_ok: Callable[[list[_T], _T], bool]
+) -> list[_T] | None:
+    """The first arrangement of the distinct ``items``, in depth-first
+    order, in which each item passes ``step_ok(placed, new)`` against the
+    items before it; None when there is none.
+
+    ``step_ok`` must read ``placed`` only as a set.  Then whether a
+    prefix can be completed depends only on the set it covers, so the
+    prefix sets that failed are remembered and never searched again.
+    """
+    order: list[_T] = []
+    dead: set[frozenset[_T]] = set()
+
+    def extend(remaining: list[_T]) -> bool:
+        if not remaining:
+            return True
+        state = frozenset(order)
+        if state in dead:
+            return False
+        for idx, cand in enumerate(remaining):
+            if step_ok(order, cand):
+                order.append(cand)
+                if extend(remaining[:idx] + remaining[idx + 1:]):
+                    return True
+                order.pop()
+        dead.add(state)
+        return False
+
+    return order if extend(list(items)) else None
 
 
 def _linear_step_ok(placed: Sequence[int], new: int) -> bool:

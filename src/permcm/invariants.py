@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import Iterable
 
 from .caps import check_cap, get_cap
 from .cohesive import maximal_cliques
-from .graphs import Graph, complement, mask_of, vertices_of
+from .graphs import Graph, complement, vertices_of
 
 
 @dataclass(frozen=True)
@@ -27,13 +28,12 @@ class InvariantSet:
 
 
 # each live graph's complete enumeration, dropped with the graph
-_MIS: weakref.WeakKeyDictionary[Graph, tuple[tuple[int, ...], ...]] = (
-    weakref.WeakKeyDictionary()
-)
+_MIS: weakref.WeakKeyDictionary[Graph, tuple[int, ...]] = weakref.WeakKeyDictionary()
 
 
-def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All inclusion-maximal independent sets (cliques of the complement).
+def maximal_independent_sets(g: Graph) -> tuple[int, ...]:
+    """All inclusion-maximal independent sets (cliques of the complement)
+    as vertex masks, in increasing order.
 
     There can be 3^(n/3) of them (Moon-Moser), so the enumeration stops
     one set past the ``independent_sets`` cap and raises.  This is the
@@ -51,27 +51,22 @@ def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     return sets
 
 
-def independence_invariants(g: Graph) -> tuple[int, int, bool, tuple[tuple[int, ...], ...]]:
-    """Return (alpha, tau, unmixed, minimal vertex covers).
+def independence_invariants(g: Graph) -> tuple[int, int, bool, tuple[int, ...]]:
+    """Return (alpha, tau, unmixed, minimal vertex covers as masks in
+    increasing order).
 
     Minimal vertex covers are exactly the complements of the maximal
     independent sets, so tau = n - alpha and unmixedness is the statement
-    that all maximal independent sets share one cardinality.
+    that all maximal independent sets share one cardinality.  This is
+    the one place that reads these numbers off the sets.
     """
-    return _independence(g)[1:]
-
-
-def _independence(g: Graph) -> tuple:
-    """The maximal independent sets, read once, then
-    ``independence_invariants`` of ``g``."""
     sets = maximal_independent_sets(g)
     if not sets:  # only for the empty graph
-        return sets, 0, 0, True, ()
-    alpha = max(len(s) for s in sets)
-    covers = tuple(sorted(vertices_of(g.full_mask & ~mask_of(s)) for s in sets))
-    tau = g.n - alpha
-    unmixed = all(len(s) == alpha for s in sets)
-    return sets, alpha, tau, unmixed, covers
+        return 0, 0, True, ()
+    sizes = {s.bit_count() for s in sets}
+    alpha = max(sizes)
+    covers = tuple(sorted(g.full_mask & ~s for s in sets))
+    return alpha, g.n - alpha, len(sizes) == 1, covers
 
 
 def _max_compatible(compat: list[int], ceiling: int) -> int:
@@ -146,8 +141,9 @@ def matching_invariants(g: Graph) -> tuple[int, int]:
 
 
 def compute_invariants(g: Graph) -> InvariantSet:
-    """All invariants of the graph."""
-    sets, alpha, tau, unmixed, covers = _independence(g)
+    """All invariants of the graph; the sets in it are sorted vertex
+    tuples, the form a report prints."""
+    alpha, tau, unmixed, covers = independence_invariants(g)
     m, im = matching_invariants(g)
     return InvariantSet(
         alpha=alpha,
@@ -155,6 +151,12 @@ def compute_invariants(g: Graph) -> InvariantSet:
         unmixed=unmixed,
         matching=m,
         induced_matching=im,
-        max_independent_sets=sets,
-        min_vertex_covers=covers,
+        # the complements of the covers, so the sets are fetched once
+        max_independent_sets=_as_tuples(g.full_mask & ~c for c in covers),
+        min_vertex_covers=_as_tuples(covers),
     )
+
+
+def _as_tuples(masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    # sorted as tuples: sorted as masks, {2} would come before {1, 3}
+    return tuple(sorted(map(vertices_of, masks)))

@@ -17,8 +17,16 @@ from permcm import Graph, Permutation, graph_from_edges, graph_from_permutation
 from permcm.classes import _code, _inverse, _reverse_complement
 from permcm.classify import GraphFacts, SheddingCertificate, extract_shedding_order
 from permcm.cohesive import CohesiveOrder, maximal_cliques
-from permcm.complexes import _canonical, _homology_of_key, _join_homology, _maximalize
-from permcm.graphs import _components, induced_subgraph, mask_of, vbit, vertices_of
+from permcm.complexes import (
+    _canonical,
+    _homology_of_key,
+    _join_homology,
+    _maximalize,
+    _shedding_split,
+    _vd_key,
+)
+from permcm.graphs import _components, induced_subgraph, vbit, vertices_of
+from permcm.ideals import _first_ordering
 
 
 def all_graphs(n: int):
@@ -383,7 +391,7 @@ def _neighbourhood_meets(key: tuple[int, ...], used: int) -> list[int] | None:
             nbhd[v] |= m
     skeleton = Graph(k, (0, *(nbhd[v] & ~vbit(v) for v in range(1, k + 1))))
     facets = set(key)
-    if any(mask_of(c) not in facets for c in maximal_cliques(skeleton)):
+    if any(c not in facets for c in maximal_cliques(skeleton)):
         return None
     meet = [used] * (used + 1)
     for u in range(1, used + 1):
@@ -488,6 +496,61 @@ def hilbert_function_from_f(f: tuple[int, ...], m: int) -> int:
     if m == 0:
         return 1
     return sum(f[k + 1] * comb(m - 1, k) for k in range(len(f) - 1))
+
+
+def vertex_decomposable_test(c) -> dict | None:
+    """Witness tree of shedding vertices, or None.
+
+    A simplex is the base case.  Otherwise some vertex x must satisfy:
+    deletion and link at x both vertex decomposable, and every facet of
+    the deletion is a facet of the whole complex.  The package's memoised
+    boolean guides the reconstruction, so the tree is cheap and is
+    reported in the original vertex labels.
+    """
+    if not _vd_key(_canonical(c.facets)):
+        return None
+
+    def build(facets: tuple[int, ...]) -> dict:
+        if len(facets) <= 1:
+            return {"simplex": [list(vertices_of(m)) for m in facets]}
+        found = _shedding_split(facets)
+        if found is None:
+            raise AssertionError("witness reconstruction disagrees with the memo")
+        low, del_facets, link = found
+        return {
+            "shedding_vertex": low.bit_length(),
+            "deletion": build(del_facets),
+            "link": build(link),
+        }
+
+    return build(c.facets)
+
+
+def _shelling_step_ok(prefix: list[int], new: int) -> bool:
+    # Bjorner-Wachs condition: for every earlier facet F_i there is an
+    # earlier F_j with F_j n F_k = F_k \ {v} containing F_i n F_k.
+    for fi in prefix:
+        inter_i = fi & new
+        ok = False
+        for fj in prefix:
+            diff = new & ~fj
+            if diff.bit_count() == 1 and inter_i & ~(fj & new) == 0:
+                ok = True
+                break
+        if not ok:
+            return False
+    return True
+
+
+def shellable_bruteforce_test(c) -> bool:
+    """Search all facet orderings for a shelling, with prefix pruning.
+
+    For pure complexes the intersection condition is the classical one
+    (each new facet meets the old ones in a nonempty union of
+    codimension-one faces).  Exponential in the facet count: call it on
+    small complexes only.
+    """
+    return _first_ordering(c.facets, _shelling_step_ok) is not None
 
 
 def check_vd_tree(facets: set[tuple[int, ...]], tree: dict) -> bool:

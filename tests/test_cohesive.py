@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import permutations
 
@@ -14,11 +16,13 @@ from permcm import (
     graph_from_permutation,
     maximal_chains,
     maximal_clique_partitions,
+    independence_invariants,
     maximal_cliques,
     path_graph,
     verify_cohesive_order,
 )
-from permcm.graphs import vbit
+from permcm.classes import permutation_classes
+from permcm.graphs import mask_of, vbit, vertices_of
 from bruteforce import (
     all_graphs,
     backtrack_cohesive_order,
@@ -210,35 +214,46 @@ class TestPoset:
                         if poset.less(v, w):
                             assert poset.less(u, w)
 
+    def test_covers_have_nothing_between(self):
+        for p in permutations(range(1, 7)):
+            g = graph_from_permutation(Permutation(p))
+            poset = comparability_poset(g, tuple(range(1, 7)))
+            for u in range(1, 7):
+                for v in range(1, 7):
+                    between = any(poset.less(u, w) and poset.less(w, v) for w in range(1, 7))
+                    assert poset.covers(u, v) == (poset.less(u, v) and not between)
+
     def test_maximal_chains_equal_maximal_cliques(self):
         # for every cohesively ordered graph on up to 6 vertices
         for n in range(1, 7):
             for p in permutations(range(1, n + 1)):
                 g = graph_from_permutation(Permutation(p))
                 poset = comparability_poset(g, tuple(range(1, n + 1)))
-                chains = {tuple(sorted(c)) for c in maximal_chains(poset)}
+                chains = {mask_of(c) for c in maximal_chains(poset)}
                 assert chains == set(maximal_cliques(g))
 
 
 class TestMaximalCliques:
     def test_k4(self):
-        assert maximal_cliques(complete_graph(4)) == ((1, 2, 3, 4),)
+        assert maximal_cliques(complete_graph(4)) == (mask_of((1, 2, 3, 4)),)
 
     def test_p4(self):
-        assert maximal_cliques(path_graph(4)) == ((1, 2), (2, 3), (3, 4))
+        assert maximal_cliques(path_graph(4)) == tuple(
+            map(mask_of, ((1, 2), (2, 3), (3, 4)))
+        )
 
     def test_remark_graph(self, remark_graph):
-        assert maximal_cliques(remark_graph) == (
-            (1, 2, 5),
-            (1, 4, 5),
-            (2, 3),
-            (3, 4),
+        # increasing as masks, not as vertex tuples
+        assert maximal_cliques(remark_graph) == tuple(
+            map(mask_of, ((2, 3), (3, 4), (1, 2, 5), (1, 4, 5)))
         )
 
     def test_matches_brute_force(self):
         for n in range(1, 6):
             for g in all_graphs(n):
-                assert set(maximal_cliques(g)) == brute_maximal_cliques(g)
+                cliques = maximal_cliques(g)
+                assert list(cliques) == sorted(set(cliques))
+                assert set(map(vertices_of, cliques)) == brute_maximal_cliques(g)
 
 
 class TestPartitions:
@@ -266,7 +281,7 @@ class TestPartitions:
         for n in range(1, 6):
             for p in permutations(range(1, n + 1)):
                 g = graph_from_permutation(Permutation(p))
-                cliques = set(maximal_cliques(g))
+                cliques = set(map(vertices_of, maximal_cliques(g)))
                 for part in maximal_clique_partitions(g, r=2, limit=None):
                     assert all(b in cliques for b in part.blocks)
                     covered = 0
@@ -276,6 +291,26 @@ class TestPartitions:
                         covered |= bmask
                     assert covered == g.full_mask
 
+    def test_a_limited_search_branches_in_vertex_list_order(self):
+        # with three or more partitions, which two a search limited to 2
+        # finds depends on the order it tries the cliques in: that of
+        # their sorted vertex lists, not of their masks
+        g = graph_from_permutation(Permutation((5, 6, 3, 4, 1, 2)))
+        assert [p.blocks for p in maximal_clique_partitions(g, r=2)] == [
+            ((1, 3, 5), (2, 4, 6)),
+            ((1, 3, 6), (2, 4, 5)),
+        ]
+        # SHA-256 over the limited search at r = alpha on every S_7
+        # class, recorded while the clique search returned vertex tuples
+        h = hashlib.sha256()
+        for members in permutation_classes(7):
+            g = graph_from_permutation(Permutation(members[0]))
+            parts = maximal_clique_partitions(g, r=independence_invariants(g)[0])
+            h.update(json.dumps([p.blocks for p in parts]).encode() + b"\n")
+        assert h.hexdigest() == (
+            "e7577d13b94ce8a83e2aaf1b566aeb375570354834d460e905d02b0bad893e0c"
+        )
+
     def test_deterministic(self):
         g = graph_from_permutation(Permutation((4, 5, 2, 1, 3)))
         first = maximal_clique_partitions(g, r=2, limit=None)
@@ -284,7 +319,7 @@ class TestPartitions:
 
     def test_exact_cover_matches_brute_force(self):
         def brute(g, r):
-            cliques = maximal_cliques(g)
+            cliques = [vertices_of(c) for c in maximal_cliques(g)]
             found = set()
             verts = set(g.vertices())
 

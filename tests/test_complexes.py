@@ -27,8 +27,6 @@ from permcm import (
     path_graph,
     reduced_homology_ranks,
     reisner_cm_test,
-    shellable_bruteforce_test,
-    vertex_decomposable_test,
 )
 from permcm.classes import permutation_classes
 from permcm.complexes import _canonical, _flag_tables, _reisner_key, exact_rank
@@ -44,7 +42,9 @@ from bruteforce import (
     fraction_rank,
     hilbert_function_from_f,
     is_flag,
+    shellable_bruteforce_test,
     unfolded_betti_table,
+    vertex_decomposable_test,
     walked_betti_table,
 )
 
@@ -418,12 +418,6 @@ class TestShelling:
     def test_single_facet(self):
         c = SimplicialComplex.from_faces({1, 2}, [(1, 2)])
         assert shellable_bruteforce_test(c)
-
-    def test_cap(self):
-        facets = [(i, 10) for i in range(1, 10)]
-        c = SimplicialComplex.from_faces(range(1, 11), facets)
-        with pytest.raises(CapExceededError):
-            shellable_bruteforce_test(c)
 
     def test_implication_chain(self):
         # vertex decomposable complexes shell; pure shellable complexes

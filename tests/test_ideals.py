@@ -18,6 +18,7 @@ from permcm import (
     power_has_linear_quotients,
     vertex_splittable_test,
 )
+from permcm.graphs import vertices_of
 from bruteforce import all_graphs, check_split_tree
 
 
@@ -71,7 +72,7 @@ class TestCoverIdeal:
         graphs = [g for n in range(6) for g in all_graphs(n)]
         graphs += [graph_from_permutation(Permutation(p)) for p in permutations(range(1, 8))]
         for g in graphs:
-            covers = independence_invariants(g)[3]
+            covers = map(vertices_of, independence_invariants(g)[3])
             assert cover_ideal(g) == MonomialIdeal.from_supports(g.n, covers)
 
 

@@ -80,4 +80,4 @@ def test_no_function_takes_the_independent_sets_as_a_parameter():
 
 def test_the_scan_sees_relative_imports():
     assert ("cohesive", "maximal_cliques") in _imports("invariants")
-    assert ("complexes", "_first_ordering") in _imports("ideals")
+    assert ("complexes", "_canonical") in _imports("ideals")

@@ -24,23 +24,30 @@ from bruteforce import (
     pairwise_matching_relations,
 )
 from permcm.classes import permutation_classes
+from permcm.graphs import mask_of, vertices_of
 from permcm.invariants import _matching_relations
 
 
 class TestMaximalIndependentSets:
     def test_complete_graph_singletons(self):
-        assert maximal_independent_sets(complete_graph(4)) == ((1,), (2,), (3,), (4,))
+        assert maximal_independent_sets(complete_graph(4)) == (0b1, 0b10, 0b100, 0b1000)
 
     def test_p4(self):
-        assert maximal_independent_sets(path_graph(4)) == ((1, 3), (1, 4), (2, 4))
+        assert maximal_independent_sets(path_graph(4)) == tuple(
+            map(mask_of, ((1, 3), (1, 4), (2, 4)))
+        )
 
     def test_remark_graph(self, remark_graph):
-        assert maximal_independent_sets(remark_graph) == ((1, 3), (2, 4), (3, 5))
+        assert maximal_independent_sets(remark_graph) == tuple(
+            map(mask_of, ((1, 3), (2, 4), (3, 5)))
+        )
 
     def test_matches_brute_force(self):
         for n in range(1, 6):
             for g in all_graphs(n):
-                assert set(maximal_independent_sets(g)) == brute_maximal_independent_sets(g)
+                sets = maximal_independent_sets(g)
+                assert list(sets) == sorted(set(sets))
+                assert set(map(vertices_of, sets)) == brute_maximal_independent_sets(g)
 
     def test_a_kept_enumeration_meets_the_current_cap(self, monkeypatch):
         g = disjoint_edges(3)  # 8 maximal independent sets
@@ -85,11 +92,11 @@ class TestIndependenceInvariants:
         for n in range(1, 6):
             for g in all_graphs(n):
                 _, _, _, covers = independence_invariants(g)
-                assert set(covers) == brute_minimal_vertex_covers(g)
+                assert set(map(vertices_of, covers)) == brute_minimal_vertex_covers(g)
         for p in permutations(range(1, 7)):
             g = graph_from_permutation(Permutation(p))
             _, _, _, covers = independence_invariants(g)
-            assert set(covers) == brute_minimal_vertex_covers(g)
+            assert set(map(vertices_of, covers)) == brute_minimal_vertex_covers(g)
 
 
 class TestMatching:
