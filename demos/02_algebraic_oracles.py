@@ -10,7 +10,6 @@ from permcm import (
     hilbert_data,
     hochster_betti_table,
     independence_complex,
-    link_and_deletion,
     path_graph,
     reduced_homology_ranks,
     reisner_cm_test,
@@ -22,7 +21,7 @@ c = independence_complex(g)
 print(f"facets of the complex: {c.facet_sets()}")
 print(f"reduced homology: {reduced_homology_ranks(c)}  (rank 1 in dim 1: a circle)")
 
-lk, dl = link_and_deletion(c, (1,))
+lk, dl = c.link((1,)), c.deletion((1,))
 print(f"link of vertex 1: {lk.facet_sets()}, deletion: {dl.facet_sets()}")
 
 # Reisner's criterion: homology of every link vanishes below top degree.

@@ -40,7 +40,6 @@ from .complexes import (
     hochster_betti_table,
     independence_complex,
     is_vertex_decomposable,
-    link_and_deletion,
     reduced_homology_ranks,
     reisner_cm_test,
 )

@@ -4,9 +4,9 @@ This module is the independent ground truth the theorem-driven
 classifiers are checked against.  Everything runs over the rationals
 with exact integer arithmetic:
 
-* reduced simplicial homology ranks, via boundary matrices and their
-  rank by sparse elimination (pivots on +-1 entries, fraction-free
-  steps otherwise);
+* reduced simplicial homology ranks, via boundary matrices, built as
+  sparse rows, and their rank by sparse elimination (pivots on +-1
+  entries, fraction-free steps otherwise);
 * Reisner's criterion for Cohen-Macaulayness of a Stanley-Reisner ring:
   every link, the empty face included, has vanishing reduced homology
   below its own dimension;
@@ -18,8 +18,11 @@ with exact integer arithmetic:
   from one integer formula for the coefficients of h(t)/(1-t)^d, and the
   a-invariant (degree of the Hilbert series numerator minus the Krull
   dimension);
-* vertex decomposability, by a memoised search for a shedding vertex
-  on canonical forms.
+* vertex decomposability, read as vertex splittability of the ideal of
+  the Alexander dual, whose generators are the complements of the
+  facets (Moradi and Khosh-Ahang, Math. Scand. 2016): a memoised search
+  for a splitting pivot on canonical forms, which ``permcm.ideals``
+  also follows to build its splitting witness trees.
 
 A flag complex gets two tables over the subsets of its used vertices,
 filled together in one pass in increasing order and kept on the
@@ -59,7 +62,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
 from math import comb, factorial, gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -202,12 +204,6 @@ def independence_complex(g: Graph) -> SimplicialComplex:
     return SimplicialComplex((1 << g.n) - 1, facets)
 
 
-def link_and_deletion(
-    c: SimplicialComplex, face: Iterable[int] | int
-) -> tuple[SimplicialComplex, SimplicialComplex]:
-    return c.link(face), c.deletion(face)
-
-
 # -- canonical forms and the homology cache --------------------------------
 
 def _canonical(facets: Sequence[int]) -> tuple[int, ...]:
@@ -237,20 +233,20 @@ def _canonical(facets: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def exact_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by sparse elimination.
+def exact_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over the rationals of an integer matrix given as sparse rows,
+    each a dict from column to nonzero entry, by sparse elimination; the
+    rows are modified in place.
 
-    Each row becomes a dict of its nonzero entries.  A step takes the
-    row that was shortest at the start among those left, pivots on one
-    of its +-1 entries when it has one, and clears that column from
-    every other row.  Boundary matrices have +-1 entries, so that is the
-    usual step, and it keeps the integers.  Against a pivot c other than
-    +-1 a row with entry a in that column takes the fraction-free step
-    row <- c*row - a*pivot and is then divided by the gcd of its
-    entries; neither changes the rank.
+    A step takes the row that was shortest at the start among those
+    left, pivots on one of its +-1 entries when it has one, and clears
+    that column from every other row.  Boundary matrices have +-1
+    entries, so that is the usual step, and it keeps the integers.
+    Against a pivot c other than +-1 a row with entry a in that column
+    takes the fraction-free step row <- c*row - a*pivot and is then
+    divided by the gcd of its entries; neither changes the rank.
     """
-    pending = [{j: r[j] for j in compress(count(), r)} for r in rows]
-    pending = sorted((r for r in pending if r), key=len, reverse=True)
+    pending = sorted((r for r in rows if r), key=len, reverse=True)
     rank = 0
     while pending:
         piv = pending.pop()
@@ -304,24 +300,23 @@ def _homology_of_key(key: tuple[int, ...]) -> dict[int, int]:
     max_size = max(by_size)
     index = {s: {f: i for i, f in enumerate(group)} for s, group in by_size.items()}
 
-    # boundary_rank[s] = rank of the map from size-s chains to size-(s-1)
+    # boundary_rank[s] = rank of the map from size-s chains to size-(s-1):
+    # one row per size-s face, its s boundary faces by index
     boundary_rank = [0] * (max_size + 2)
     for s in range(1, max_size + 1):
-        rows_faces = by_size.get(s - 1, [])
-        cols_faces = by_size.get(s, [])
-        if not rows_faces or not cols_faces:
-            continue
-        mat = [[0] * len(cols_faces) for _ in rows_faces]
         row_index = index[s - 1]
-        for col, fac in enumerate(cols_faces):
+        rows = []
+        for fac in by_size[s]:
+            row = {}
             sign = 1
             x = fac
             while x:
                 low = x & -x
-                mat[row_index[fac ^ low]][col] = sign
+                row[row_index[fac ^ low]] = sign
                 sign = -sign
                 x ^= low
-        boundary_rank[s] = exact_rank(mat)
+            rows.append(row)
+        boundary_rank[s] = exact_rank(rows)
 
     ranks: dict[int, int] = {}
     for s in range(0, max_size + 1):
@@ -706,45 +701,68 @@ def hilbert_data(c: SimplicialComplex) -> HilbertData:
     return HilbertData(f=f, h=h_t, d=d, hf=hf, a=deg_h - d)
 
 
-# -- vertex decomposability ---------------------------------------------------
+# -- vertex decomposability, read through the Alexander dual ----------------
 
+# splittability of a canonical generator list, and so vertex
+# decomposability of the complex whose facets are their complements
 _VD_CACHE: dict[tuple[int, ...], bool] = {}
 
 
-def _shedding_split(
-    facets: tuple[int, ...]
-) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
-    """The first shedding vertex, as a bit, whose deletion and link are
-    both vertex decomposable, with those two facet lists; None if there
-    is none.  A shedding vertex is one whose deletion keeps only facets
-    of the whole complex."""
-    facet_set = set(facets)
-    supp = 0
-    for m in facets:
-        supp |= m
-    s = supp
-    while s:
-        low = s & -s
-        s ^= low
-        del_facets = _maximalize(m & ~low for m in facets)
-        if any(df not in facet_set for df in del_facets):
-            continue  # deletion loses a facet, not a shedding vertex
-        link = tuple(sorted(m ^ low for m in facets if m & low))
-        if _vd_key(_canonical(del_facets)) and _vd_key(_canonical(link)):
-            return low, del_facets, link
-    return None
-
-
-def _vd_key(key: tuple[int, ...]) -> bool:
-    cached = _VD_CACHE.get(key)
+def _split_key(gens: tuple[int, ...]) -> bool:
+    cached = _VD_CACHE.get(gens)
     if cached is not None:
         return cached
-    result = len(key) <= 1 or _shedding_split(key) is not None
-    _VD_CACHE[key] = result
+    result = _split_search(gens) is not None
+    _VD_CACHE[gens] = result
     return result
+
+
+def _pivot_candidates(gens: Sequence[int]) -> list[int]:
+    counts: dict[int, int] = {}
+    for g in gens:
+        x = g
+        while x:
+            low = x & -x
+            counts[low] = counts.get(low, 0) + 1
+            x ^= low
+    # fail fast: most frequent variable first, smallest index on ties
+    return sorted(counts, key=lambda b: (-counts[b], b))
+
+
+def _split_search(gens: tuple[int, ...]) -> int | None:
+    """A pivot bit x that splits the squarefree monomial ideal with
+    minimal generators ``gens`` as x I_1 + I_2, with I_2 inside I_1 and
+    both parts vertex splittable; 0 for a base case ((0), (u) or S);
+    None if there is none."""
+    if len(gens) <= 1:
+        return 0
+    for xb in _pivot_candidates(gens):
+        with_x = tuple(g & ~xb for g in gens if g & xb)
+        without = tuple(g for g in gens if not g & xb)
+        if not with_x:
+            continue
+        # I_2 contained in I_1: every generator without the pivot must be
+        # divisible by a generator of the pivot part
+        if not all(any(w & v == w for w in with_x) for v in without):
+            continue
+        if _split_key(_canonical(with_x)) and _split_key(_canonical(without)):
+            return xb
+    return None
 
 
 def is_vertex_decomposable(c: SimplicialComplex) -> bool:
     """Vertex decomposability: the complex has at most one facet, or some
-    shedding vertex has a vertex decomposable deletion and link."""
-    return _vd_key(_canonical(c.facets))
+    shedding vertex has a vertex decomposable deletion and link.
+
+    Read as vertex splittability of the ideal of the Alexander dual,
+    whose generators are the complements of the facets (Moradi and
+    Khosh-Ahang, *On vertex decomposable simplicial complexes and their
+    Alexander duals*, Math. Scand. 2016).  The complements are taken in
+    the used vertices, so cone points drop out; for an independence
+    complex the generators are those of the cover ideal.  It reads no
+    cap, unlike ``permcm.ideals.vertex_splittable_test``: ``classify``
+    reports it for complexes with more facets than that cap allows."""
+    used = 0
+    for m in c.facets:
+        used |= m
+    return _split_key(_canonical([used & ~m for m in c.facets]))

@@ -2,7 +2,7 @@
 
 A squarefree monomial is a variable subset, stored as a bitmask (bit i-1
 for x_i), and an ideal is its antichain of minimal generators.  The two
-searches here are exact and capped by generator count:
+searches are exact, and here they are capped by generator count:
 
 * linear quotients: an ordering u_1..u_m such that each colon ideal
   (u_1,...,u_{k-1}) : u_k is generated by variables.  For squarefree
@@ -10,7 +10,9 @@ searches here are exact and capped by generator count:
   condition is purely set arithmetic.
 * vertex splittable: I = (0), (u) or S, or I = x_i I_1 + I_2 for some
   pivot variable with I_2 contained in I_1 and both parts recursively
-  splittable.
+  splittable.  The search, memoised on canonical forms, lives in
+  ``permcm.complexes``, which reads vertex decomposability off it
+  through the Alexander dual; here it guides the witness trees.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .caps import check_cap
-from .complexes import _canonical
+from .complexes import _canonical, _split_key, _split_search
 from .graphs import Graph, mask_of, vertices_of
 from .invariants import independence_invariants
 
@@ -141,48 +143,6 @@ def linear_quotients_order(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...] 
     check_cap("linear_quotients", len(ideal.gens), "generator count")
     order = _first_ordering(ideal.gens, _linear_step_ok)
     return None if order is None else tuple(vertices_of(m) for m in order)
-
-
-_SPLIT_CACHE: dict[tuple[int, ...], bool] = {}
-
-
-def _split_key(gens: tuple[int, ...]) -> bool:
-    cached = _SPLIT_CACHE.get(gens)
-    if cached is not None:
-        return cached
-    result = _split_search(gens) is not None
-    _SPLIT_CACHE[gens] = result
-    return result
-
-
-def _pivot_candidates(gens: Sequence[int]) -> list[int]:
-    counts: dict[int, int] = {}
-    for g in gens:
-        x = g
-        while x:
-            low = x & -x
-            counts[low] = counts.get(low, 0) + 1
-            x ^= low
-    # fail fast: most frequent variable first, smallest index on ties
-    return sorted(counts, key=lambda b: (-counts[b], b))
-
-
-def _split_search(gens: tuple[int, ...]) -> int | None:
-    """Return a workable pivot bit, or None.  Assumes gens minimalized."""
-    if len(gens) <= 1:
-        return 0  # base case: (0), (u) or S
-    for xb in _pivot_candidates(gens):
-        with_x = tuple(g & ~xb for g in gens if g & xb)
-        without = tuple(g for g in gens if not g & xb)
-        if not with_x:
-            continue
-        # I_2 contained in I_1: every generator without the pivot must be
-        # divisible by a generator of the pivot part
-        if not all(any(w & v == w for w in with_x) for v in without):
-            continue
-        if _split_key(_canonical(with_x)) and _split_key(_canonical(without)):
-            return xb
-    return None
 
 
 def vertex_splittable_test(ideal: MonomialIdeal) -> dict | None:

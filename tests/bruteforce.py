@@ -22,8 +22,6 @@ from permcm.complexes import (
     _homology_of_key,
     _join_homology,
     _maximalize,
-    _shedding_split,
-    _vd_key,
 )
 from permcm.graphs import _components, induced_subgraph, vbit, vertices_of
 from permcm.ideals import _first_ordering
@@ -498,14 +496,54 @@ def hilbert_function_from_f(f: tuple[int, ...], m: int) -> int:
     return sum(f[k + 1] * comb(m - 1, k) for k in range(len(f) - 1))
 
 
+_VD_CACHE: dict[tuple[int, ...], bool] = {}
+
+
+def _shedding_split(
+    facets: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """The first shedding vertex, as a bit, whose deletion and link are
+    both vertex decomposable, with those two facet lists; None if there
+    is none.  A shedding vertex is one whose deletion keeps only facets
+    of the whole complex."""
+    facet_set = set(facets)
+    supp = 0
+    for m in facets:
+        supp |= m
+    s = supp
+    while s:
+        low = s & -s
+        s ^= low
+        del_facets = _maximalize(m & ~low for m in facets)
+        if any(df not in facet_set for df in del_facets):
+            continue  # deletion loses a facet, not a shedding vertex
+        link = tuple(sorted(m ^ low for m in facets if m & low))
+        if _vd_key(_canonical(del_facets)) and _vd_key(_canonical(link)):
+            return low, del_facets, link
+    return None
+
+
+def _vd_key(key: tuple[int, ...]) -> bool:
+    """Vertex decomposability by the direct shedding-vertex search on
+    canonical facets, memoised here: the reference for
+    ``permcm.complexes.is_vertex_decomposable``, which reads it off the
+    Alexander dual."""
+    cached = _VD_CACHE.get(key)
+    if cached is not None:
+        return cached
+    result = len(key) <= 1 or _shedding_split(key) is not None
+    _VD_CACHE[key] = result
+    return result
+
+
 def vertex_decomposable_test(c) -> dict | None:
     """Witness tree of shedding vertices, or None.
 
     A simplex is the base case.  Otherwise some vertex x must satisfy:
     deletion and link at x both vertex decomposable, and every facet of
-    the deletion is a facet of the whole complex.  The package's memoised
-    boolean guides the reconstruction, so the tree is cheap and is
-    reported in the original vertex labels.
+    the deletion is a facet of the whole complex.  The memoised boolean
+    of the direct search guides the reconstruction, so the tree is cheap
+    and is reported in the original vertex labels.
     """
     if not _vd_key(_canonical(c.facets)):
         return None

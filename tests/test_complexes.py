@@ -12,6 +12,7 @@ from permcm import (
     CapExceededError,
     Permutation,
     SimplicialComplex,
+    classify,
     complement,
     complete_graph,
     cycle_graph,
@@ -23,11 +24,11 @@ from permcm import (
     hochster_betti_table,
     independence_complex,
     is_vertex_decomposable,
-    link_and_deletion,
     path_graph,
     reduced_homology_ranks,
     reisner_cm_test,
 )
+from permcm.caps import get_cap
 from permcm.classes import permutation_classes
 from permcm.complexes import _canonical, _flag_tables, _reisner_key, exact_rank
 from permcm.graphs import vertices_of
@@ -47,6 +48,11 @@ from bruteforce import (
     vertex_decomposable_test,
     walked_betti_table,
 )
+
+
+def sparse_rows(mat):
+    """A dense matrix as the rows ``exact_rank`` takes: column -> entry."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
 
 
 def sweep_complexes(max_n):
@@ -120,19 +126,19 @@ class TestJsonWireFormat:
 class TestLinkDeletion:
     def test_link_in_full_simplex(self):
         c = independence_complex(graph_from_edges(4, []))
-        lk, dl = link_and_deletion(c, (1,))
+        lk, dl = c.link((1,)), c.deletion((1,))
         assert lk.facet_sets() == ((2, 3, 4),)
         assert dl.facet_sets() == ((2, 3, 4),)
 
     def test_four_cycle_vertex(self):
         c = independence_complex(disjoint_edges(2))
-        lk, dl = link_and_deletion(c, (1,))
+        lk, dl = c.link((1,)), c.deletion((1,))
         assert lk.facet_sets() == ((3,), (4,))
         assert dl.facet_sets() == ((2, 3), (2, 4))
 
     def test_three_points_vertex(self):
         c = independence_complex(complete_graph(3))
-        lk, dl = link_and_deletion(c, (1,))
+        lk, dl = c.link((1,)), c.deletion((1,))
         assert lk.facet_sets() == ((),)
         assert dl.facet_sets() == ((2,), (3,))
 
@@ -163,7 +169,7 @@ class TestLinkDeletion:
 
     def test_ambient_shrinks(self):
         c = independence_complex(disjoint_edges(2))
-        lk, dl = link_and_deletion(c, (1,))
+        lk, dl = c.link((1,)), c.deletion((1,))
         assert lk.vertices == dl.vertices == 0b1110
 
 
@@ -203,11 +209,11 @@ class TestExactRank:
             nr = rng.randint(1, 6)
             nc = rng.randint(1, 6)
             mat = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-            assert exact_rank(mat) == fraction_rank(mat)
+            assert exact_rank(sparse_rows(mat)) == fraction_rank(mat)
 
     def test_rank_deficient(self):
         mat = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-        assert exact_rank(mat) == 2
+        assert exact_rank(sparse_rows(mat)) == 2
 
     def test_empty(self):
         assert exact_rank([]) == 0
@@ -400,11 +406,28 @@ class TestVertexDecomposable:
         assert check_vd_tree(set(c.facet_sets()), tree)
 
     def test_witnesses_validate(self):
-        for c in sweep_complexes(5):
+        # the package reads VD off the Alexander dual; the direct shedding
+        # search gives a witness tree exactly when it answers yes
+        s7 = [independence_complex(graph_from_permutation(Permutation(members[0])))
+              for members in permutation_classes(7)]
+        seen = set()
+        for c in [*sweep_complexes(6), *random_complexes(), *s7]:
             tree = vertex_decomposable_test(c)
-            assert (tree is not None) == is_vertex_decomposable(c)
+            vd = is_vertex_decomposable(c)
+            assert (tree is not None) == vd
             if tree is not None:
                 assert check_vd_tree(set(c.facet_sets()), tree)
+            seen.add(vd)
+        assert seen == {True, False}
+
+    def test_more_facets_than_the_splitting_cap(self):
+        # 3K_3 has 27 maximal independent sets, above the 20-generator
+        # vertex_splittable cap, which VD does not read
+        g = graph_from_permutation(Permutation((3, 2, 1, 6, 5, 4, 9, 8, 7)))
+        c = independence_complex(g)
+        assert len(c.facets) == 27 > get_cap("vertex_splittable")
+        assert is_vertex_decomposable(c)
+        assert classify(g).oracle["vertex_decomposable"] is True
 
 
 class TestShelling:
@@ -624,7 +647,7 @@ class TestExactRankAgainstBareiss:
     def test_boundary_matrices(self):
         for c in [*sweep_complexes(6), *random_complexes()]:
             for _, mat in boundary_matrices(_face_sets(list(c.facets))):
-                assert exact_rank(mat) == bareiss_rank(mat)
+                assert exact_rank(sparse_rows(mat)) == bareiss_rank(mat)
 
 
 class TestFlagTable:
