@@ -121,12 +121,17 @@ def class_chunk(n: int, prefix: tuple[int, ...] = ()) -> list[tuple[Code, set[tu
     The orbit of p is {p, its inverse, its reverse-complement, the
     reverse-complement of its inverse}: all four give isomorphic graphs,
     so only the least is canonicalised and its orbit joins its class
-    whole.
+    whole.  The other three start with ``p.index(1) + 1``,
+    ``n + 1 - p[-1]`` and ``n - p.index(n)``, so a permutation whose
+    first value exceeds one of these is rejected before its orbit is
+    built.
     """
     rest = [v for v in range(1, n + 1) if v not in prefix]
     out = []
     for tail in permutations(rest):
         p = prefix + tail
+        if n and (n + 1 - p[-1] < p[0] or p.index(1) + 1 < p[0] or n - p.index(n) < p[0]):
+            continue
         inv = _inverse(p)
         orbit = {p, inv, _reverse_complement(p), _reverse_complement(inv)}
         if p == min(orbit):

@@ -434,7 +434,13 @@ class GraphFacts:
     def nearly_gorenstein(self) -> bool:
         """Strictly nearly Gorenstein: not Gorenstein, and the stripped
         graph is complete or a path complement on at least 3 vertices."""
-        if self.stripped[0].n < 3 or self.gorenstein:
+        h = self.stripped[0]
+        if h.n < 3 or self.gorenstein:
+            return False
+        # K_k has C(k,2) edges and the complement of P_k has k - 1 fewer:
+        # any other count is neither, and is settled without recognition
+        full = h.n * (h.n - 1) // 2
+        if h.edge_count() not in (full, full - h.n + 1):
             return False
         return self.structure.is_complete or self.structure.is_path_complement
 

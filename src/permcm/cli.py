@@ -17,20 +17,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, permutations, repeat
+from functools import lru_cache
+from itertools import combinations, compress, permutations, repeat
 from operator import itemgetter
 from typing import Callable
 
 from .caps import check_cap, env_overrides
-from .classes import class_chunk, merge_classes
+from .classes import _inverse, class_chunk, merge_classes
 from .classify import (
     ClaimFailureError,
     GraphFacts,
@@ -321,10 +320,25 @@ def _facts(perm: tuple[int, ...]) -> GraphFacts:
     return GraphFacts(g, order=CohesiveOrder(tuple(range(1, g.n + 1))))
 
 
-def _edge_key(edges: list[tuple[int, int]]) -> bytes:
-    """``edges`` flattened to bytes, two a pair: keys order as the edge
-    lists do, and sort far faster (every label is below 256)."""
-    return bytes(chain.from_iterable(edges))
+@lru_cache(maxsize=None)
+def _pair_table(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[bytes, ...], tuple[str, ...]]:
+    """The vertex pairs u < v on 1..n in increasing order, as 0-based
+    indices, each with its two key bytes and its ``u-v`` survey cell.
+
+    A member's edge key is the join of the key bytes of its edges: keys
+    order as the edge lists do, and sort far faster (every label is
+    below 256).
+    """
+    pairs = tuple(combinations(range(n), 2))
+    return (pairs, tuple(bytes((u + 1, v + 1)) for u, v in pairs),
+            tuple(f"{u + 1}-{v + 1}" for u, v in pairs))
+
+
+def _inverted(p: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> list[bool]:
+    """For each of ``pairs``, whether its values appear out of order in
+    ``p``: whether it is an edge of the inversion graph."""
+    pos = _inverse(p)
+    return [pos[v] < pos[u] for u, v in pairs]
 
 
 def _sweep_chunk(per_graph: Callable[[GraphFacts], dict | None], entries: Callable,
@@ -338,7 +352,7 @@ def _sweep(per_graph: Callable[[GraphFacts], dict | None], entries: Callable,
     """``entries(per_graph, members, result)`` of each isomorphism class
     of the inversion graphs of S_n, given its sorted member permutations
     and ``per_graph`` of its least member; all entries sorted by their
-    first field, an ``_edge_key``.
+    first field, an edge key (``_pair_table``).
 
     Every check and every survey column is an isomorphism invariant, so
     one member stands for its class; ``entries`` weights it by the class
@@ -369,10 +383,14 @@ def _verify_entries(check: Callable[[GraphFacts], dict | None],
     """(key, weight, permutation, result): one entry, weighted by the class
     size, when the least member passes or is skipped; else one entry per
     member, re-checked with its labels."""
+    pairs, keys, _ = _pair_table(len(members[0]))
+
+    def key(p):
+        return b"".join(compress(keys, _inverted(p, pairs)))
+
     if res is None or res["ok"]:
-        key = min(_edge_key(inversions(p)) for p in members)
-        return [(key, len(members), members[0], res)]
-    return [(_edge_key(inversions(p)), 1, p, check(_facts(p))) for p in members]
+        return [(min(map(key, members)), len(members), members[0], res)]
+    return [(key(p), 1, p, check(_facts(p))) for p in members]
 
 
 def _discrepancy(perm: tuple[int, ...], res: dict) -> dict:
@@ -462,10 +480,11 @@ def _survey_row(f: GraphFacts) -> dict:
 def _survey_entries(per_graph, members: list[tuple[int, ...]], row: dict) -> list[tuple]:
     """(key, edges cell, row) for each member of a class: every member
     shares the row of the least one."""
+    pairs, keys, cells = _pair_table(len(members[0]))
     out = []
     for p in members:
-        edges = inversions(p)
-        out.append((_edge_key(edges), ";".join(f"{u}-{v}" for u, v in edges), row))
+        edges = _inverted(p, pairs)
+        out.append((b"".join(compress(keys, edges)), ";".join(compress(cells, edges)), row))
     return out
 
 
@@ -489,12 +508,21 @@ def _format_cell(value) -> str:
 
 def render_survey(rows: list[dict], fmt: str) -> str:
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_SURVEY_COLUMNS)
+        # no cell holds a comma, a quote or a line break, so no cell is
+        # quoted; the members of a class share every cell but ``edges``,
+        # and those are formatted once, with the line's end (a bool and
+        # the int it equals share a cache slot, and both format alike)
+        shared = itemgetter(*_SURVEY_COLUMNS[1:])
+        formatted: dict[tuple, str] = {}
+        pieces = [",".join(_SURVEY_COLUMNS), "\n"]
         for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in _SURVEY_COLUMNS])
-        return buf.getvalue()
+            cells = shared(row)
+            tail = formatted.get(cells)
+            if tail is None:
+                tail = formatted[cells] = "," + ",".join(map(_format_cell, cells)) + "\n"
+            pieces.append(row["edges"])
+            pieces.append(tail)
+        return "".join(pieces)
     if fmt == "json":
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial, gcd
+from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
 
 from .caps import check_cap, get_cap
@@ -632,14 +632,17 @@ def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
 
 def _series_coef(m: int, d: int) -> int:
     """Coefficient of t^m in 1/(1-t)^d, C(m+d-1, d-1), as a polynomial in
-    m evaluated at any integer m: (m+1)(m+2)...(m+d-1) / (d-1)!, where
-    the division is exact.  For d = 0 it is 1 at m = 0 and 0 elsewhere."""
+    m evaluated at any integer m: (m+1)(m+2)...(m+d-1) / (d-1)!.  A
+    factor vanishes for -d < m < 0; for m <= -d every factor is
+    negative, which gives (-1)^(d-1) C(-m-1, d-1).  For d = 0 it is 1 at
+    m = 0 and 0 elsewhere."""
     if d == 0:
         return int(m == 0)
-    num = 1
-    for i in range(1, d):
-        num *= m + i
-    return num // factorial(d - 1)
+    if m >= 0:
+        return comb(m + d - 1, d - 1)
+    if m > -d:
+        return 0
+    return (-1) ** (d - 1) * comb(-m - 1, d - 1)
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,19 @@ genuine cross-validation.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from math import factorial
 from operator import itemgetter
 
 from permcm import Graph, Permutation, graph_from_edges, graph_from_permutation
 from permcm.classes import _code, _inverse, _reverse_complement
 from permcm.classify import GraphFacts, SheddingCertificate, extract_shedding_order
+from permcm.cli import _SURVEY_COLUMNS, _format_cell
 from permcm.cohesive import CohesiveOrder, maximal_cliques
 from permcm.complexes import (
     _canonical,
@@ -23,7 +27,7 @@ from permcm.complexes import (
     _join_homology,
     _maximalize,
 )
-from permcm.graphs import _components, induced_subgraph, vbit, vertices_of
+from permcm.graphs import _components, induced_subgraph, inversions, vbit, vertices_of
 from permcm.ideals import _first_ordering
 
 
@@ -487,6 +491,18 @@ def walked_betti_table(c) -> dict[tuple[int, int], int]:
     return entries
 
 
+def product_series_coef(m: int, d: int) -> int:
+    """Coefficient of t^m in 1/(1-t)^d as the product
+    (m+1)(m+2)...(m+d-1) / (d-1)!, at any integer m: the form
+    ``complexes._series_coef`` had before it read binomials."""
+    if d == 0:
+        return int(m == 0)
+    num = 1
+    for i in range(1, d):
+        num *= m + i
+    return num // factorial(d - 1)
+
+
 def hilbert_function_from_f(f: tuple[int, ...], m: int) -> int:
     """Direct count of degree-m monomials supported on faces."""
     from math import comb
@@ -729,6 +745,37 @@ def labelled_survey_rows(n: int, row) -> list[dict]:
         {"edges": ";".join(f"{u}-{v}" for u, v in edges), **cells}
         for edges, _, cells in labelled_sweep(row, n)
     ]
+
+
+def _edge_key(edges: list[tuple[int, int]]) -> bytes:
+    """``edges`` flattened to bytes, two a pair: the sweep's edge key as
+    built from ``inversions`` before the pair table."""
+    return bytes(chain.from_iterable(edges))
+
+
+def inversion_edges_cell(p: tuple[int, ...]) -> str:
+    """The survey's ``edges`` cell of ``p`` from its sorted inversions."""
+    return ";".join(f"{u}-{v}" for u, v in inversions(p))
+
+
+def csv_writer_survey(rows: list[dict]) -> str:
+    """``render_survey(rows, "csv")`` through ``csv.writer``, one row at
+    a time and one cell at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_SURVEY_COLUMNS)
+    for row in rows:
+        writer.writerow([_format_cell(row[c]) for c in _SURVEY_COLUMNS])
+    return buf.getvalue()
+
+
+def ungated_nearly_gorenstein(facts: GraphFacts) -> bool:
+    """``GraphFacts.nearly_gorenstein`` without its edge-count gate:
+    every stripped graph on at least 3 vertices that is not Gorenstein
+    goes through ``recognize_structure``."""
+    if facts.stripped[0].n < 3 or facts.gorenstein:
+        return False
+    return facts.structure.is_complete or facts.structure.is_path_complement
 
 
 def subset_walk_gap_witness_check(g: Graph) -> bool | None:

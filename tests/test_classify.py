@@ -429,6 +429,23 @@ class TestGraphFacts:
         assert len(calls) == 120
 
 
+    def test_nearly_gate_matches_the_ungated_flag(self):
+        # the edge-count gate only skips recognition: every labelled graph
+        # with n <= 6 and every S_7 class gets the flag it got before
+        from bruteforce import all_graphs, ungated_nearly_gorenstein
+        from permcm.classes import permutation_classes
+        from permcm.cli import _facts
+
+        graphs = [g for n in range(7) for g in all_graphs(n)]
+        graphs += [_facts(members[0]).g for members in permutation_classes(7)]
+        flags = []
+        for g in graphs:
+            facts = GraphFacts(g)
+            flags.append(facts.nearly_gorenstein)  # gated, before structure is kept
+            assert flags[-1] == ungated_nearly_gorenstein(facts), g.edges()
+        assert 0 < sum(flags) < len(flags)
+
+
 class TestSheddingWalk:
     @staticmethod
     def count(monkeypatch, module_name, fn_name):

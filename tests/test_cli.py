@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from itertools import permutations
+
+from permcm import cli
 from permcm.cli import main, render_survey, run_verify, survey_rows
+from permcm.graphs import inversions
+from bruteforce import _edge_key, csv_writer_survey, inversion_edges_cell
 
 
 def run(capsys, *argv):
@@ -195,6 +200,60 @@ class TestSurveyCommand:
     def test_bad_sweep_sizes_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "survey", *argv)
         assert code == 2 and out == "" and "must be" in err
+
+
+class TestSurveyFastPaths:
+    def test_pair_table_selects_the_inversions(self):
+        # every permutation of S_n, n <= 7, as one class: its entries
+        # carry the key and the cell built from its sorted inversions
+        for n in range(8):
+            members = list(permutations(range(1, n + 1)))
+            expected = [(_edge_key(inversions(p)), inversion_edges_cell(p)) for p in members]
+            row = {}
+            assert cli._survey_entries(None, members, row) == [e + (row,) for e in expected]
+            [(key, weight, perm, res)] = cli._verify_entries(None, members, None)
+            assert (key, weight, perm, res) == (min(expected)[0], len(members), members[0], None)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_renderer_matches_csv_writer(self, n):
+        rows = survey_rows(n)
+        assert render_survey(rows, "csv") == csv_writer_survey(rows)
+
+    def test_renderer_on_mixed_cells(self):
+        # True == 1 and False == 0 share a cache slot; both format alike
+        values = [None, True, 1, False, 0, -1, -12, 7, 1, True, None, 0, False]
+        rows = []
+        for i, value in enumerate(values):
+            row = dict.fromkeys(cli._SURVEY_COLUMNS, 0)
+            row.update(edges="1-2;2-3" if i % 2 else "", a_invariant=value,
+                       hilbertian=values[-1 - i], cm=value)
+            rows.append(row)
+        rows += rows[::-1]
+        assert render_survey(rows, "csv") == csv_writer_survey(rows)
+
+
+# Predicates that no graph of S_6 sets: none.  A name listed here is
+# reported by its check but never true, so the sweep checks nothing
+# positively through it.
+NEVER_FIRES: dict[str, set[str]] = {theorem: set() for theorem in cli._CHECKS}
+
+
+@pytest.mark.parametrize("theorem", sorted(cli._CHECKS))
+def test_every_predicate_fires_at_n6(monkeypatch, theorem):
+    # the names a check reports, recorded as the sweep runs it, against
+    # the names its counts hold: each must be true on some graph
+    check, reported = cli._CHECKS[theorem], set()
+
+    def recorded(f):
+        res = check(f)
+        if res is not None:
+            reported.update(res["predicates"])
+        return res
+
+    monkeypatch.setitem(cli._CHECKS, theorem, recorded)
+    counts = run_verify(theorem, 6).counts
+    assert reported
+    assert reported - set(counts) == NEVER_FIRES[theorem]
 
 
 class TestShedCommand:

@@ -30,7 +30,7 @@ from permcm import (
 )
 from permcm.caps import get_cap
 from permcm.classes import permutation_classes
-from permcm.complexes import _canonical, _flag_tables, _reisner_key, exact_rank
+from permcm.complexes import _canonical, _flag_tables, _reisner_key, _series_coef, exact_rank
 from permcm.graphs import vertices_of
 from bruteforce import (
     _face_sets,
@@ -43,6 +43,7 @@ from bruteforce import (
     fraction_rank,
     hilbert_function_from_f,
     is_flag,
+    product_series_coef,
     shellable_bruteforce_test,
     unfolded_betti_table,
     vertex_decomposable_test,
@@ -239,6 +240,12 @@ class TestHilbert:
             hd = hilbert_data(independence_complex(graph_from_edges(n, [])))
             assert hd.h[0] == 1 and not any(hd.h[1:])
             assert hd.a == -n
+
+    def test_series_coef_matches_the_product_form(self):
+        # binomials on both sides of the zero window -d < m < 0
+        for d in range(16):
+            for m in range(-40, 41):
+                assert _series_coef(m, d) == product_series_coef(m, d), (m, d)
 
     def test_hf_agrees_with_direct_count(self):
         for c in sweep_complexes(5):

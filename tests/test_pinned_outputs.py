@@ -43,6 +43,12 @@ PINNED = [
      "24e4b92a18dbde5e7938c7c851a7cacb7db721712d36e02bb253572580c75793"),
     (("survey", "--n", "6"), 0,
      "48176e738636cf6ed71541288718cb854a851d64b7fa4ab1ead4368c05ee8cdf"),
+    # recorded while every CSV row went through csv.writer and every
+    # member's edges through a sorted inversion list
+    (("survey", "--n", "7"), 0,
+     "9592d5e0276cbd1cf416fa7eb5128868362e1143eed8fda3e7b57613c91acaae"),
+    (("survey", "--n", "6", "--format", "json"), 0,
+     "6feaade5bcb393a027535e047b1eeed73983df944e0cef5ddabf8c21a45ab563"),
     # permutations whose inversion graphs have isolated vertices
     (("shed", "--perm", "2,1,3"), 0,
      "552bae4e157f1cdbf867ba0296f65e2332097ba86582659260f47439b080084c"),

@@ -60,6 +60,25 @@ def test_sweeps_reach_every_expected_function():
     assert result.returncode == 0, result.stderr
 
 
+def test_survey_alone_reaches_every_expected_function():
+    # the survey on its own, so a verify sweep cannot make a call the
+    # survey stopped making: the nearly-Gorenstein flag counts edges
+    # first, and only complete graphs and path complements reach
+    # recognize_structure and is_chordal
+    code = (
+        "import contextlib, io\n"
+        "import tracer\n"
+        "t = tracer.install()\n"
+        "import permcm.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert permcm.cli.main(['survey', '--n', '6']) == 0\n"
+        "missing = sorted(fn for fn in tracer.EXPECTED_CALLS['survey-s8'] if not t.calls.get(fn))\n"
+        "assert not missing, missing\n"
+    )
+    result = _run_traced(code)
+    assert result.returncode == 0, result.stderr
+
+
 def test_classify_mix_reaches_every_expected_function():
     # every function the benchmark expects a call of on its classify-mix
     # workload records one when the gallery's fixed family is classified
