@@ -20,9 +20,10 @@ with exact integer arithmetic:
   dimension);
 * vertex decomposability, read as vertex splittability of the ideal of
   the Alexander dual, whose generators are the complements of the
-  facets (Moradi and Khosh-Ahang, Math. Scand. 2016): a memoised search
-  for a splitting pivot on canonical forms, which ``permcm.ideals``
-  also follows to build its splitting witness trees.
+  facets (Moradi and Khosh-Ahang, Math. Scand. 2016): one search for a
+  splitting pivot, memoised on canonical forms, which hands its pivot
+  back in the caller's labels; ``permcm.ideals`` builds its splitting
+  witness trees from it, one call per node.
 
 A flag complex gets two tables over the subsets of its used vertices,
 filled together in one pass in increasing order and kept on the
@@ -42,8 +43,9 @@ tallies the vertex subsets by size and folded set and takes each folded
 set's homology once.  Reisner reads every face and its link off the
 meet table, since the link of a face of a flag complex is the induced
 complex on the common neighbours of its vertices; a complex that is not
-flag, or has more used vertices than the ``hochster`` cap, walks vertex
-links recursively instead.
+flag, or has more used vertices than the ``hochster`` cap, takes each
+face's link from the facets that contain it instead, and reads its
+homology off the global homology memo.
 
 Conventions: the void complex (no faces at all) and the complex {{}}
 whose only face is the empty set are distinct values; the latter has
@@ -196,11 +198,7 @@ def complex_from_json(data: dict) -> SimplicialComplex:
 
 def independence_complex(g: Graph) -> SimplicialComplex:
     """Faces are the independent sets; facets the maximal ones."""
-    facets = maximal_independent_sets(g)
-    if g.n and not facets:  # cannot happen: singletons are independent
-        raise AssertionError("graph independence complex lost its vertices")
-    if g.n == 0:
-        facets = (0,)
+    facets = maximal_independent_sets(g) or (0,)  # n = 0: the complex {{}}
     return SimplicialComplex((1 << g.n) - 1, facets)
 
 
@@ -494,38 +492,19 @@ def _flag_tables(key: tuple[int, ...]) -> _FlagTables | None:
 
 # -- Reisner's criterion ----------------------------------------------------
 
-_REISNER_CACHE: dict[tuple[int, ...], bool] = {}
-
-
 def _reisner_key(key: tuple[int, ...]) -> bool:
-    """Reisner's criterion on the complex with canonical facets ``key``:
-    its own homology, then each vertex link's criterion, recursively."""
-    cached = _REISNER_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if not key:
-        _REISNER_CACHE[key] = True
-        return True
-    top = max(m.bit_count() for m in key) - 1
-    result = True
-    for d, r in _homology_of_key(key).items():
-        if d < top and r:
-            result = False
-            break
-    if result and top > 0:
-        supp = 0
-        for m in key:
-            supp |= m
-        s = supp
-        while s:
-            low = s & -s
-            s ^= low
-            link = tuple(sorted(m ^ low for m in key if m & low))
-            if not _reisner_key(_canonical(link)):
-                result = False
-                break
-    _REISNER_CACHE[key] = result
-    return result
+    """Reisner's criterion on the complex with canonical facets ``key``,
+    face by face: the complex is pure, and the link of each face F, the
+    facets that contain F minus F, has no reduced homology below its
+    dimension d - 1 - |F|, where the facets have d vertices."""
+    if len({m.bit_count() for m in key}) > 1:
+        return False
+    for f in _faces(key):
+        top = key[0].bit_count() - 1 - f.bit_count()
+        link = _canonical([m & ~f for m in key if m & f == f])
+        if any(d < top for d in _homology_of_key(link)):
+            return False
+    return True
 
 
 def reisner_cm_test(c: SimplicialComplex) -> bool:
@@ -537,8 +516,8 @@ def reisner_cm_test(c: SimplicialComplex) -> bool:
     flag complex the faces and their links are read off the shared
     subset tables (``_FlagTables.reisner``).  Any other complex, and one
     with more used vertices than the ``hochster`` cap, for which no
-    table is built, recurses through vertex links (links of faces are
-    iterated vertex links) with memoisation on canonical forms.
+    table is built, takes each face's link from its facets and reads
+    the link's homology off the memo on canonical forms.
     """
     used = 0
     for m in c.facets:
@@ -680,9 +659,7 @@ def hilbert_data(c: SimplicialComplex) -> HilbertData:
     deg h - d."""
     if c.is_void:
         raise ValueError("Hilbert data of the zero ring is not defined")
-    dim = c.dim
-    assert dim is not None
-    d = dim + 1
+    d = max(m.bit_count() for m in c.facets)
     counts = [0] * (d + 1)
     for face in c.faces():
         counts[face.bit_count()] += 1
@@ -706,18 +683,11 @@ def hilbert_data(c: SimplicialComplex) -> HilbertData:
 
 # -- vertex decomposability, read through the Alexander dual ----------------
 
-# splittability of a canonical generator list, and so vertex
-# decomposability of the complex whose facets are their complements
-_VD_CACHE: dict[tuple[int, ...], bool] = {}
-
-
-def _split_key(gens: tuple[int, ...]) -> bool:
-    cached = _VD_CACHE.get(gens)
-    if cached is not None:
-        return cached
-    result = _split_search(gens) is not None
-    _VD_CACHE[gens] = result
-    return result
+# the splitting pivot of each canonical generator list: 0 for a base
+# case, None when there is no splitting; the complex whose facets are
+# the complements of the generators is vertex decomposable exactly when
+# the pivot is not None
+_VD_CACHE: dict[tuple[int, ...], int | None] = {}
 
 
 def _pivot_candidates(gens: Sequence[int]) -> list[int]:
@@ -732,25 +702,43 @@ def _pivot_candidates(gens: Sequence[int]) -> list[int]:
     return sorted(counts, key=lambda b: (-counts[b], b))
 
 
-def _split_search(gens: tuple[int, ...]) -> int | None:
+def _split_pivot(gens: Sequence[int]) -> int | None:
     """A pivot bit x that splits the squarefree monomial ideal with
     minimal generators ``gens`` as x I_1 + I_2, with I_2 inside I_1 and
     both parts vertex splittable; 0 for a base case ((0), (u) or S);
-    None if there is none."""
-    if len(gens) <= 1:
-        return 0
-    for xb in _pivot_candidates(gens):
-        with_x = tuple(g & ~xb for g in gens if g & xb)
-        without = tuple(g for g in gens if not g & xb)
-        if not with_x:
-            continue
-        # I_2 contained in I_1: every generator without the pivot must be
-        # divisible by a generator of the pivot part
-        if not all(any(w & v == w for w in with_x) for v in without):
-            continue
-        if _split_key(_canonical(with_x)) and _split_key(_canonical(without)):
-            return xb
-    return None
+    None if there is none.
+
+    The search runs on the canonical form and is memoised there.  The
+    pivot comes back in the labels of ``gens``, as the used variable of
+    the same rank: relabelling the used variables in order keeps the
+    order of ``_pivot_candidates``, so it is the pivot a search on
+    ``gens`` itself would find."""
+    key = _canonical(gens)
+    if key in _VD_CACHE:
+        pivot = _VD_CACHE[key]
+    elif len(key) <= 1:
+        pivot = _VD_CACHE[key] = 0
+    else:
+        pivot = None
+        for xb in _pivot_candidates(key):
+            with_x = tuple(g & ~xb for g in key if g & xb)
+            without = tuple(g for g in key if not g & xb)
+            # I_2 contained in I_1: every generator without the pivot
+            # must be divisible by a generator of the pivot part
+            if (with_x and all(any(w & v == w for w in with_x) for v in without)
+                    and _split_pivot(with_x) is not None
+                    and _split_pivot(without) is not None):
+                pivot = xb
+                break
+        _VD_CACHE[key] = pivot
+    if not pivot:
+        return pivot
+    used = 0
+    for g in gens:
+        used |= g
+    for _ in range(pivot.bit_length() - 1):
+        used &= used - 1  # drop the lowest used variable
+    return used & -used
 
 
 def is_vertex_decomposable(c: SimplicialComplex) -> bool:
@@ -762,10 +750,12 @@ def is_vertex_decomposable(c: SimplicialComplex) -> bool:
     Khosh-Ahang, *On vertex decomposable simplicial complexes and their
     Alexander duals*, Math. Scand. 2016).  The complements are taken in
     the used vertices, so cone points drop out; for an independence
-    complex the generators are those of the cover ideal.  It reads no
+    complex the generators are those of the cover ideal.  The complex
+    is vertex decomposable exactly when ``_split_pivot`` returns a
+    pivot for them (0 for a base case) rather than None.  It reads no
     cap, unlike ``permcm.ideals.vertex_splittable_test``: ``classify``
     reports it for complexes with more facets than that cap allows."""
     used = 0
     for m in c.facets:
         used |= m
-    return _split_key(_canonical([used & ~m for m in c.facets]))
+    return _split_pivot([used & ~m for m in c.facets]) is not None

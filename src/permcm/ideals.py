@@ -10,9 +10,11 @@ searches are exact, and here they are capped by generator count:
   condition is purely set arithmetic.
 * vertex splittable: I = (0), (u) or S, or I = x_i I_1 + I_2 for some
   pivot variable with I_2 contained in I_1 and both parts recursively
-  splittable.  The search, memoised on canonical forms, lives in
+  splittable.  The search, ``_split_pivot``, lives in
   ``permcm.complexes``, which reads vertex decomposability off it
-  through the Alexander dual; here it guides the witness trees.
+  through the Alexander dual.  It is memoised on canonical forms and
+  returns its pivot in the caller's labels, so a witness tree here is
+  one call of it per node.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .caps import check_cap
-from .complexes import _canonical, _split_key, _split_search
+from .complexes import _split_pivot
 from .graphs import Graph, mask_of, vertices_of
 from .invariants import independence_invariants
 
@@ -150,26 +152,23 @@ def vertex_splittable_test(ideal: MonomialIdeal) -> dict | None:
 
     Base cases are the zero ideal, a principal ideal and the unit ideal.
     The recursion splits the generators as x_i G(I_1) plus G(I_2) and
-    requires I_2 inside I_1 with both parts splittable.
+    requires I_2 inside I_1 with both parts splittable.  Each node takes
+    its pivot x_i from one call of the memoised search
+    (``permcm.complexes._split_pivot``), which only returns a pivot
+    whose two parts split in turn.
     """
     check_cap("vertex_splittable", len(ideal.gens), "generator count")
 
     def build(gens: tuple[int, ...]) -> dict | None:
         if len(gens) <= 1:
             return {"base": [list(vertices_of(g)) for g in gens]}
-        if not _split_key(_canonical(gens)):
+        xb = _split_pivot(gens)
+        if xb is None:
             return None
-        xb = _split_search(gens)
-        assert xb, "memo and search disagree"
-        with_x = tuple(sorted(g & ~xb for g in gens if g & xb))
-        without = tuple(g for g in gens if not g & xb)
-        left = build(with_x)
-        right = build(without)
-        assert left is not None and right is not None
         return {
             "pivot": xb.bit_length(),
-            "factor": left,
-            "rest": right,
+            "factor": build(tuple(sorted(g & ~xb for g in gens if g & xb))),
+            "rest": build(tuple(g for g in gens if not g & xb)),
         }
 
     return build(ideal.gens)

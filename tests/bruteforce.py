@@ -491,6 +491,42 @@ def walked_betti_table(c) -> dict[tuple[int, int], int]:
     return entries
 
 
+_WALKED_REISNER: dict[tuple[int, ...], bool] = {}
+
+
+def walked_reisner(key: tuple[int, ...]) -> bool:
+    """Reisner's criterion on the complex with canonical facets ``key``:
+    its own homology, then each vertex link's criterion, recursively.
+    The package walked links this way before it checked each face's
+    link directly (``permcm.complexes._reisner_key``)."""
+    cached = _WALKED_REISNER.get(key)
+    if cached is not None:
+        return cached
+    if not key:
+        _WALKED_REISNER[key] = True
+        return True
+    top = max(m.bit_count() for m in key) - 1
+    result = True
+    for d, r in _homology_of_key(key).items():
+        if d < top and r:
+            result = False
+            break
+    if result and top > 0:
+        supp = 0
+        for m in key:
+            supp |= m
+        s = supp
+        while s:
+            low = s & -s
+            s ^= low
+            link = tuple(sorted(m ^ low for m in key if m & low))
+            if not walked_reisner(_canonical(link)):
+                result = False
+                break
+    _WALKED_REISNER[key] = result
+    return result
+
+
 def product_series_coef(m: int, d: int) -> int:
     """Coefficient of t^m in 1/(1-t)^d as the product
     (m+1)(m+2)...(m+d-1) / (d-1)!, at any integer m: the form

@@ -48,6 +48,7 @@ from bruteforce import (
     unfolded_betti_table,
     vertex_decomposable_test,
     walked_betti_table,
+    walked_reisner,
 )
 
 
@@ -693,7 +694,7 @@ def cold(monkeypatch):
     import importlib
 
     complexes = importlib.import_module("permcm.complexes")
-    for name in ("_REISNER_CACHE", "_HOMOLOGY_CACHE", "_SKELETON_CACHE"):
+    for name in ("_HOMOLOGY_CACHE", "_SKELETON_CACHE"):
         monkeypatch.setattr(complexes, name, {})
     walk = complexes._reisner_key
     calls = []
@@ -804,3 +805,50 @@ class TestReisnerFlagPath:
         report = classify(disjoint_edges(4))
         assert report.oracle["reisner_cm"] and report.oracle["betti_type"] == 1
         assert len(built) == 1 and not cold
+
+
+def walk_agrees(c):
+    """The face-by-face fallback agrees with the recursive vertex-link
+    walk it replaced; returns the verdict."""
+    key = _canonical(c.facets)
+    verdict = _reisner_key(key)
+    assert verdict == walked_reisner(key)
+    return verdict
+
+
+class TestReisnerFallbackAgainstTheWalk:
+    def test_sweep_and_seeded_complexes(self):
+        seen = {walk_agrees(c) for c in [*sweep_complexes(6), *random_complexes()]}
+        assert seen == {True, False}
+
+    def test_named_complexes_that_are_not_flag(self):
+        # the boundaries of a triangle and a tetrahedron, a hollow
+        # triangle beside an edge, and two tetrahedron boundaries
+        # sharing a vertex, whose link there is two circles
+        tetra = list(combinations((1, 2, 3, 4), 3))
+        named = [
+            (SimplicialComplex.from_faces({1, 2, 3}, combinations((1, 2, 3), 2)), True),
+            (SimplicialComplex.from_faces({1, 2, 3, 4}, tetra), True),
+            (SimplicialComplex.from_faces(range(1, 6), [(1, 2), (1, 3), (2, 3), (4, 5)]), False),
+            (SimplicialComplex.from_faces(
+                range(1, 8), tetra + list(combinations((1, 5, 6, 7), 3))), False),
+        ]
+        for c, cm in named:
+            assert walk_agrees(c) == cm
+
+    def test_graphs_under_a_low_cap(self, monkeypatch):
+        # with the cap at four, every complex with more used vertices,
+        # here each one on five or seven vertices, builds no table and
+        # takes the fallback
+        monkeypatch.setenv("PERMCM_CAPS", "hochster=4")
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+        graphs += [graph_from_permutation(Permutation(m[0])) for m in permutation_classes(7)]
+        fell_back = 0
+        for g in graphs:
+            c = independence_complex(g)
+            verdict = reisner_cm_test(c)
+            if reduce(or_, c.facets).bit_count() > 4:
+                assert "_flag" not in vars(c)
+                fell_back += 1
+            assert verdict == walk_agrees(c)
+        assert fell_back == 1024 + 776

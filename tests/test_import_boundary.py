@@ -80,4 +80,15 @@ def test_no_function_takes_the_independent_sets_as_a_parameter():
 
 def test_the_scan_sees_relative_imports():
     assert ("cohesive", "maximal_cliques") in _imports("invariants")
-    assert ("complexes", "_canonical") in _imports("ideals")
+    assert ("complexes", "_split_pivot") in _imports("ideals")
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so a check the package relies
+    # on must raise on its own
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"assert statements at {found}"

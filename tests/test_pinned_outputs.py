@@ -15,7 +15,8 @@ import json
 
 import pytest
 
-from permcm import classify
+from permcm import Permutation, classify, cover_ideal, graph_from_permutation, vertex_splittable_test
+from permcm.classes import permutation_classes
 from permcm.cli import main
 from bruteforce import all_graphs
 
@@ -164,3 +165,21 @@ def test_verify_ainv_at_n8_digest(monkeypatch):
         got = main(["verify", "ainv", "--n", "8"])
     assert got == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == AINV_8_DIGEST
+
+
+# SHA-256 over the splitting witness tree of the cover ideal of every
+# labelled graph with 1 <= n <= 5 and of one member of every S_7 class:
+# 1,875 trees, 230 of them None, recorded while the witness builder
+# asked the memoised yes/no search and then a second, labelled search
+# for each pivot
+WITNESS_TREES_DIGEST = "b1044f23ec3dd3f9810354d649e185be7f0a75e649c918cc36087e336a50c065"
+
+
+def test_splitting_witness_trees_digest():
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    graphs += [graph_from_permutation(Permutation(m[0])) for m in permutation_classes(7)]
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(json.dumps(vertex_splittable_test(cover_ideal(g))).encode() + b"\n")
+    assert len(graphs) == 1875
+    assert h.hexdigest() == WITNESS_TREES_DIGEST
