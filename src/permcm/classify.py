@@ -34,9 +34,10 @@ increasing order, so its vertex c is ``vertices_of(alive)[c - 1]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import combinations
+from typing import Iterable
 
 from .caps import get_cap
 from .cohesive import (
@@ -380,6 +381,11 @@ class GraphFacts:
         return find_cohesive_order(self.g)
 
     @cached_property
+    def independence(self) -> tuple[int, int, bool, tuple[int, ...]]:
+        """``independence_invariants`` of the graph."""
+        return independence_invariants(self.g)
+
+    @cached_property
     def invariants(self) -> InvariantSet:
         return compute_invariants(self.g)
 
@@ -400,8 +406,13 @@ class GraphFacts:
             raise NotPermutationGraphError("input admits no cohesive order")
         return cm_by_clique_partition(self.g, order=self.order)
 
-    @property
+    @cached_property
     def cm(self) -> bool:
+        """``cm_by_clique_partition`` of the graph, whose partition
+        search runs only on an unmixed permutation graph: a mixed one is
+        not CM whatever its partitions."""
+        if self.order is not None and not self.independence[2]:
+            return False
         return self.cm_partitions[0]
 
     @property
@@ -466,7 +477,7 @@ class ClassificationReport:
     is_permutation: bool
     cohesive_order: tuple[int, ...] | None
     isolated_vertices: tuple[int, ...]
-    invariants: InvariantSet
+    invariants: dict  # the InvariantSet fields and the sets as sorted vertex tuples
     unmixed: bool
     cm: bool | None
     vertex_decomposable: bool | None
@@ -481,6 +492,24 @@ class ClassificationReport:
 
     def to_dict(self) -> dict:
         return _to_json(self)
+
+
+def _as_tuples(masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    # sorted as tuples: sorted as masks, {2} would come before {1, 3}
+    return tuple(sorted(map(vertices_of, masks)))
+
+
+def _report_invariants(facts: GraphFacts) -> dict:
+    """The invariants of a report: the numbers, with the minimal vertex
+    covers and the maximal independent sets (their complements) as
+    sorted vertex tuples, the form a report prints."""
+    covers = facts.independence[3]
+    full = facts.g.full_mask
+    return {
+        **asdict(facts.invariants),
+        "max_independent_sets": _as_tuples(full & ~c for c in covers),
+        "min_vertex_covers": _as_tuples(covers),
+    }
 
 
 def classify(g: Graph, with_oracle: bool = True) -> ClassificationReport:
@@ -541,7 +570,7 @@ def classify(g: Graph, with_oracle: bool = True) -> ClassificationReport:
         is_permutation=order is not None,
         cohesive_order=order.order if order is not None else None,
         isolated_vertices=g.isolated_vertices(),
-        invariants=inv,
+        invariants=_report_invariants(facts),
         unmixed=inv.unmixed,
         cm=cm_flag,
         vertex_decomposable=oracle["vertex_decomposable"] if oracle else None,

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -655,8 +656,8 @@ class HilbertData:
 
 def hilbert_data(c: SimplicialComplex) -> HilbertData:
     """f-vector by face enumeration, h by binomial transform, Hilbert
-    function from the series h(t)/(1-t)^d on [0, n], a-invariant =
-    deg h - d."""
+    function from the series h(t)/(1-t)^d on [0, n] by prefix sums,
+    a-invariant = deg h - d."""
     if c.is_void:
         raise ValueError("Hilbert data of the zero ring is not defined")
     d = max(m.bit_count() for m in c.facets)
@@ -673,10 +674,11 @@ def hilbert_data(c: SimplicialComplex) -> HilbertData:
         h.append(acc)
     h_t = tuple(h)
 
-    hf = tuple(
-        sum(h_t[j] * _series_coef(m - j, d) for j in range(min(m, d) + 1))
-        for m in range(c.vertices.bit_count() + 1)
-    )
+    # the series h(t)/(1-t)^d: h, padded to the window, summed up d times
+    window = c.vertices.bit_count() + 1
+    hf = (h_t + (0,) * window)[:window]
+    for _ in range(d):
+        hf = tuple(accumulate(hf))
     deg_h = max((j for j, hj in enumerate(h_t) if hj), default=0)
     return HilbertData(f=f, h=h_t, d=d, hf=hf, a=deg_h - d)
 

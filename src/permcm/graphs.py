@@ -67,7 +67,10 @@ class Permutation:
 
 @dataclass(frozen=True)
 class Graph:
-    """Finite simple graph; ``adj[v]`` is the neighbour bitmask of v."""
+    """Finite simple graph; ``adj[v]`` is the neighbour bitmask of v.
+
+    ``Graph(n, adj)`` checks the table; the graphs the package builds
+    itself (``_built``) skip that check."""
 
     n: int
     adj: tuple[int, ...]  # length n+1, index 0 unused
@@ -126,6 +129,16 @@ class Graph:
         return tuple(v for v in range(1, self.n + 1) if not self.adj[v])
 
 
+def _built(n: int, adj: tuple[int, ...]) -> Graph:
+    """A graph the package built itself, whose adjacency is a valid
+    table by construction, so ``Graph.__post_init__`` does not check it
+    again."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a graph from an edge list, each edge a list or tuple of two
     vertices, rejecting loops and duplicates."""
@@ -167,16 +180,19 @@ def graph_from_permutation(perm: Permutation | Iterable[int]) -> Graph:
     if not isinstance(perm, Permutation):
         perm = Permutation(tuple(perm))
     adj = [0] * (perm.n + 1)
-    for u, v in inversions(perm.values):
-        adj[u] |= vbit(v)
-        adj[v] |= vbit(u)
-    return Graph(perm.n, tuple(adj))
+    seen = 0  # the values read so far
+    for v in perm.values:
+        bit = 1 << (v - 1)
+        # the larger values read before v and the smaller ones not read yet
+        adj[v] = seen ^ (bit - 1)
+        seen |= bit
+    return _built(perm.n, tuple(adj))
 
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
     adj = [0] + [full & ~g.adj[v] & ~vbit(v) for v in range(1, g.n + 1)]
-    return Graph(g.n, tuple(adj))
+    return _built(g.n, tuple(adj))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -193,7 +209,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
         for u in vertices_of(g.adj[v]):
             if u in old_to_new:
                 adj[nv] |= vbit(old_to_new[u])
-    return Graph(len(kept), tuple(adj)), old_to_new
+    return _built(len(kept), tuple(adj)), old_to_new
 
 
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Iterable
 
 from .caps import check_cap, get_cap
 from .cohesive import maximal_cliques
-from .graphs import Graph, complement, vertices_of
+from .graphs import Graph, complement
 
 
 @dataclass(frozen=True)
@@ -23,8 +22,6 @@ class InvariantSet:
     unmixed: bool
     matching: int
     induced_matching: int
-    max_independent_sets: tuple[tuple[int, ...], ...]
-    min_vertex_covers: tuple[tuple[int, ...], ...]
 
 
 # each live graph's complete enumeration, dropped with the graph
@@ -65,7 +62,8 @@ def independence_invariants(g: Graph) -> tuple[int, int, bool, tuple[int, ...]]:
         return 0, 0, True, ()
     sizes = {s.bit_count() for s in sets}
     alpha = max(sizes)
-    covers = tuple(sorted(g.full_mask & ~s for s in sets))
+    # the sets increase as masks, so their complements decrease
+    covers = tuple(g.full_mask & ~s for s in reversed(sets))
     return alpha, g.n - alpha, len(sizes) == 1, covers
 
 
@@ -141,22 +139,7 @@ def matching_invariants(g: Graph) -> tuple[int, int]:
 
 
 def compute_invariants(g: Graph) -> InvariantSet:
-    """All invariants of the graph; the sets in it are sorted vertex
-    tuples, the form a report prints."""
-    alpha, tau, unmixed, covers = independence_invariants(g)
+    """The numeric invariants of the graph."""
+    alpha, tau, unmixed, _ = independence_invariants(g)
     m, im = matching_invariants(g)
-    return InvariantSet(
-        alpha=alpha,
-        tau=tau,
-        unmixed=unmixed,
-        matching=m,
-        induced_matching=im,
-        # the complements of the covers, so the sets are fetched once
-        max_independent_sets=_as_tuples(g.full_mask & ~c for c in covers),
-        min_vertex_covers=_as_tuples(covers),
-    )
-
-
-def _as_tuples(masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    # sorted as tuples: sorted as masks, {2} would come before {1, 3}
-    return tuple(sorted(map(vertices_of, masks)))
+    return InvariantSet(alpha, tau, unmixed, m, im)

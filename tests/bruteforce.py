@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations
 from math import factorial
 from operator import itemgetter
+from typing import Iterable
 
 from permcm import Graph, Permutation, graph_from_edges, graph_from_permutation
 from permcm.classes import _code, _inverse, _reverse_complement
@@ -22,13 +23,16 @@ from permcm.classify import GraphFacts, SheddingCertificate, extract_shedding_or
 from permcm.cli import _SURVEY_COLUMNS, _format_cell
 from permcm.cohesive import CohesiveOrder, maximal_cliques
 from permcm.complexes import (
+    HilbertData,
     _canonical,
     _homology_of_key,
     _join_homology,
     _maximalize,
+    _series_coef,
 )
 from permcm.graphs import _components, induced_subgraph, inversions, vbit, vertices_of
 from permcm.ideals import _first_ordering
+from permcm.invariants import independence_invariants, matching_invariants
 
 
 def all_graphs(n: int):
@@ -539,6 +543,16 @@ def product_series_coef(m: int, d: int) -> int:
     return num // factorial(d - 1)
 
 
+def summed_hilbert_function(hd: HilbertData) -> tuple[int, ...]:
+    """``hd.hf`` as ``hilbert_data`` summed it before prefix sums: each
+    value its own sum of h_j times a series coefficient."""
+    h_t, d = hd.h, hd.d
+    return tuple(
+        sum(h_t[j] * _series_coef(m - j, d) for j in range(min(m, d) + 1))
+        for m in range(len(hd.hf))
+    )
+
+
 def hilbert_function_from_f(f: tuple[int, ...], m: int) -> int:
     """Direct count of degree-m monomials supported on faces."""
     from math import comb
@@ -803,6 +817,42 @@ def csv_writer_survey(rows: list[dict]) -> str:
     for row in rows:
         writer.writerow([_format_cell(row[c]) for c in _SURVEY_COLUMNS])
     return buf.getvalue()
+
+
+@dataclass(frozen=True)
+class TupleInvariantSet:
+    """``InvariantSet`` as it was when it carried the sets as tuples."""
+
+    alpha: int
+    tau: int
+    unmixed: bool
+    matching: int
+    induced_matching: int
+    max_independent_sets: tuple[tuple[int, ...], ...]
+    min_vertex_covers: tuple[tuple[int, ...], ...]
+
+
+def tuple_invariants(g: Graph) -> TupleInvariantSet:
+    """All invariants of the graph; the sets in it are sorted vertex
+    tuples, the form a report prints: ``compute_invariants`` when it
+    returned them."""
+    alpha, tau, unmixed, covers = independence_invariants(g)
+    m, im = matching_invariants(g)
+    return TupleInvariantSet(
+        alpha=alpha,
+        tau=tau,
+        unmixed=unmixed,
+        matching=m,
+        induced_matching=im,
+        # the complements of the covers, so the sets are fetched once
+        max_independent_sets=_as_tuples(g.full_mask & ~c for c in covers),
+        min_vertex_covers=_as_tuples(covers),
+    )
+
+
+def _as_tuples(masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    # sorted as tuples: sorted as masks, {2} would come before {1, 3}
+    return tuple(sorted(map(vertices_of, masks)))
 
 
 def ungated_nearly_gorenstein(facts: GraphFacts) -> bool:

@@ -445,6 +445,64 @@ class TestGraphFacts:
             assert flags[-1] == ungated_nearly_gorenstein(facts), g.edges()
         assert 0 < sum(flags) < len(flags)
 
+    def test_cm_gate_matches_the_partition_test(self):
+        # the partition search runs on unmixed graphs only: every labelled
+        # graph with n <= 6 and every S_7 class gets the flag of the full
+        # test.  Both read the order only for its presence, so one given
+        # to every graph checks the gate on each of them without
+        # recognition.
+        from bruteforce import all_graphs
+        from permcm.classes import permutation_classes
+        from permcm.cli import _facts
+        from permcm.cohesive import CohesiveOrder
+
+        graphs = [g for n in range(7) for g in all_graphs(n)]
+        graphs += [_facts(members[0]).g for members in permutation_classes(7)]
+        flags = []
+        for g in graphs:
+            order = CohesiveOrder(g.vertices())
+            flags.append(GraphFacts(g, order).cm)
+            assert flags[-1] == cm_by_clique_partition(g, order)[0], g.edges()
+        assert 0 < sum(flags) < len(flags)
+
+    def test_cm_gate_rejects_graphs_without_a_cohesive_order(self):
+        # C_5 is unmixed; with a pendant vertex it is mixed
+        mixed = graph_from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)])
+        for g in (cycle_graph(5), mixed):
+            with pytest.raises(NotPermutationGraphError):
+                GraphFacts(g).cm
+
+    def test_report_invariants_match_the_tuple_form(self):
+        # the report's invariants are the seven fields compute_invariants
+        # returned when it built the sorted tuples itself
+        from dataclasses import asdict
+
+        from bruteforce import all_graphs, tuple_invariants
+        from permcm.classes import permutation_classes
+
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+        graphs += [graph_from_permutation(Permutation(m[0])) for m in permutation_classes(6)]
+        for g in graphs:
+            report = classify(g, with_oracle=False)
+            assert report.invariants == asdict(tuple_invariants(g)), g.edges()
+
+    def test_classify_searches_the_matchings_once(self, monkeypatch, remark_graph):
+        import permcm.invariants
+
+        original = permcm.invariants.matching_invariants
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(permcm.invariants, "matching_invariants", counted)
+        for g in (remark_graph, path_graph(4), cycle_graph(5), disjoint_edges(3),
+                  graph_from_permutation(Permutation((2, 4, 5, 1, 3)))):
+            calls.clear()
+            classify(g)
+            assert calls == [g]
+
 
 class TestSheddingWalk:
     @staticmethod

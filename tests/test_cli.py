@@ -11,7 +11,7 @@ from itertools import permutations
 
 from permcm import cli
 from permcm.cli import main, render_survey, run_verify, survey_rows
-from permcm.graphs import inversions
+from permcm.graphs import graph_from_permutation, inversions
 from bruteforce import _edge_key, csv_writer_survey, inversion_edges_cell
 
 
@@ -230,6 +230,31 @@ class TestSurveyFastPaths:
             rows.append(row)
         rows += rows[::-1]
         assert render_survey(rows, "csv") == csv_writer_survey(rows)
+
+    def test_partitions_searched_for_unmixed_classes_only(self, monkeypatch):
+        # CM is unmixed and a unique partition, so the survey searches
+        # the partitions of the one graph of each unmixed class; the
+        # classes are counted here by brute force
+        from bruteforce import brute_canonical, brute_maximal_independent_sets
+
+        module = sys.modules["permcm.classify"]  # the package's classify is the function
+        original = module.maximal_clique_partitions
+        searched = []
+
+        def counted(g, *args, **kwargs):
+            searched.append(g)
+            return original(g, *args, **kwargs)
+
+        monkeypatch.setattr(module, "maximal_clique_partitions", counted)
+        survey_rows(6)
+
+        def unmixed(g):
+            return len({len(s) for s in brute_maximal_independent_sets(g)}) == 1
+
+        classes = {brute_canonical(g) for g in map(graph_from_permutation, permutations(range(1, 7)))
+                   if unmixed(g)}
+        assert all(map(unmixed, searched))
+        assert sorted(map(brute_canonical, searched)) == sorted(classes)
 
 
 # Predicates that no graph of S_6 sets: none.  A name listed here is

@@ -45,6 +45,7 @@ from bruteforce import (
     is_flag,
     product_series_coef,
     shellable_bruteforce_test,
+    summed_hilbert_function,
     unfolded_betti_table,
     vertex_decomposable_test,
     walked_betti_table,
@@ -253,6 +254,14 @@ class TestHilbert:
             hd = hilbert_data(c)
             for m, value in enumerate(hd.hf):
                 assert value == hilbert_function_from_f(hd.f, m)
+
+    def test_prefix_sums_match_the_summed_series(self):
+        complexes = list(sweep_complexes(6))
+        complexes += [independence_complex(graph_from_permutation(Permutation(m[0])))
+                      for m in permutation_classes(7)]
+        for c in complexes:
+            hd = hilbert_data(c)
+            assert hd.hf == summed_hilbert_function(hd), c.facets
 
     def test_hf_equals_hp_beyond_a(self):
         for c in sweep_complexes(5):

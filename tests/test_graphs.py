@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import permutations
 
 import pytest
 
@@ -20,6 +21,7 @@ from permcm import (
     path_graph,
     recognize_structure,
 )
+from permcm.graphs import inversions, vertices_of
 from bruteforce import all_graphs, brute_is_chordal
 
 
@@ -95,6 +97,31 @@ class TestSubgraphs:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             induced_subgraph(path_graph(3), {4})
+
+
+class TestBuiltGraphs:
+    """The package's own builders skip ``Graph`` validation, so each
+    graph they return must pass it."""
+
+    @staticmethod
+    def valid(g: Graph) -> Graph:
+        assert Graph(g.n, g.adj) == g
+        return g
+
+    def test_complements_and_subgraphs_pass_validation(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                self.valid(complement(g))
+                for v in g.vertices():
+                    self.valid(delete_vertex(g, v)[0])
+                for keep in range(1 << n):
+                    self.valid(induced_subgraph(g, vertices_of(keep))[0])
+
+    def test_inversion_graphs_match_the_inversion_list(self):
+        for n in range(8):
+            for p in permutations(range(1, n + 1)):
+                g = self.valid(graph_from_permutation(p))
+                assert g == graph_from_edges(n, inversions(p)), p
 
 
 class TestRecognizers:

@@ -6,8 +6,10 @@ classifiers, the CLI or the isomorphism classes; the one theorem-side
 routine they may use is the maximal-clique search of ``cohesive``.
 The same scan keeps the CLI from reading a stripped graph: where
 isolated vertices are removed is decided in ``permcm.classify`` alone;
-and it keeps every function from taking the maximal independent sets as
-a parameter: ``permcm.invariants`` alone enumerates them.
+it keeps every function from taking the maximal independent sets as
+a parameter: ``permcm.invariants`` alone enumerates them; and it keeps
+the sorted vertex tuples of those sets to the report ``classify``
+builds.
 """
 
 import ast
@@ -92,3 +94,31 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements at {found}"
+
+
+def _callers(name: str, mapped: bool = False) -> set[tuple[str, str]]:
+    """(module, function) for each function of the package source that
+    calls ``name``, or with ``mapped`` that maps it: ``map(name, ...)``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                    continue
+                if mapped:
+                    target = node.args[0] if node.func.id == "map" and node.args else None
+                else:
+                    target = node.func
+                if isinstance(target, ast.Name) and target.id == name:
+                    found.add((path.stem, fn.name))
+    return found
+
+
+def test_only_classify_builds_report_tuples():
+    # the sets are masks everywhere else: a sweep never pays for their
+    # sorted vertex tuples, which only a report prints
+    assert _callers("vertices_of", mapped=True) == {("classify", "_as_tuples")}
+    assert _callers("_as_tuples") == {("classify", "_report_invariants")}
+    assert _callers("_report_invariants") == {("classify", "classify")}
