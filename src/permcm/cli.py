@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .caps import check_cap, env_overrides
-from .classes import _inverse, class_chunk, merge_classes
+from .classes import _inverse, class_chunk, class_members, class_records, merge_classes
 from .classify import (
     ClaimFailureError,
     GraphFacts,
@@ -341,56 +341,31 @@ def _inverted(p: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> list[bo
     return [pos[v] < pos[u] for u, v in pairs]
 
 
-def _sweep_chunk(per_graph: Callable[[GraphFacts], dict | None], entries: Callable,
-                 classes: list[list[tuple[int, ...]]]) -> list[tuple]:
-    return [e for members in classes
-            for e in entries(per_graph, members, per_graph(_facts(members[0])))]
+@contextlib.contextmanager
+def _mapper(jobs: int, tasks: int):
+    """``map``, or with more than one job and task the ``map`` of a
+    process pool of at most one worker per job, task and CPU (a forked
+    pool starts all its workers at the first submit)."""
+    if jobs > 1 and tasks > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, tasks, os.cpu_count() or 1)) as pool:
+            yield pool.map
+    else:
+        yield map
 
 
-def _sweep(per_graph: Callable[[GraphFacts], dict | None], entries: Callable,
-           n: int, jobs: int) -> list[tuple]:
-    """``entries(per_graph, members, result)`` of each isomorphism class
-    of the inversion graphs of S_n, given its sorted member permutations
-    and ``per_graph`` of its least member; all entries sorted by their
-    first field, an edge key (``_pair_table``).
-
-    Every check and every survey column is an isomorphism invariant, so
-    one member stands for its class; ``entries`` weights it by the class
-    size or expands it to the members.  With more than one job, one pool
-    builds the classes in chunks of S_n that share their first two
-    values, then runs chunks of classes; it is forked before anything is
-    canonicalised, so its workers start small.  One job runs the same two
-    rounds in process, the first as a single chunk.
-    """
-    prefixes = list(permutations(range(1, n + 1), min(n, 2) if jobs > 1 else 0))
-    pool = None
-    if len(prefixes) > 1:
-        # a forked pool starts all its workers at the first submit
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(prefixes), os.cpu_count() or 1))
-    with pool or contextlib.nullcontext():
-        run = pool.map if pool else map
-        classes = merge_classes(run(class_chunk, repeat(n), prefixes))
-        size = max(1, len(classes) // (jobs * 4))
-        chunks = [classes[i:i + size] for i in range(0, len(classes), size)]
-        out = [e for part in run(_sweep_chunk, repeat(per_graph), repeat(entries), chunks)
-               for e in part]
-    out.sort(key=itemgetter(0))
-    return out
+def _chunks(items: list, jobs: int) -> list[list]:
+    size = max(1, len(items) // (jobs * 4))
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _verify_entries(check: Callable[[GraphFacts], dict | None],
-                    members: list[tuple[int, ...]], res: dict | None) -> list[tuple]:
-    """(key, weight, permutation, result): one entry, weighted by the class
-    size, when the least member passes or is skipped; else one entry per
-    member, re-checked with its labels."""
-    pairs, keys, _ = _pair_table(len(members[0]))
+def _edge_key(p: tuple[int, ...]) -> bytes:
+    pairs, keys, _ = _pair_table(len(p))
+    return b"".join(compress(keys, _inverted(p, pairs)))
 
-    def key(p):
-        return b"".join(compress(keys, _inverted(p, pairs)))
 
-    if res is None or res["ok"]:
-        return [(min(map(key, members)), len(members), members[0], res)]
-    return [(key(p), 1, p, check(_facts(p))) for p in members]
+def _check_chunk(check: Callable[[GraphFacts], dict | None],
+                 reps: list[tuple[int, ...]]) -> list[dict | None]:
+    return [check(_facts(p)) for p in reps]
 
 
 def _discrepancy(perm: tuple[int, ...], res: dict) -> dict:
@@ -404,23 +379,50 @@ def _discrepancy(perm: tuple[int, ...], res: dict) -> dict:
     }
 
 
+def _holds(res: dict | None) -> set[str]:
+    return {name for name, value in res["predicates"].items() if value} if res else set()
+
+
 def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
     """Sweep all of S_n for one theorem/oracle pair.
 
-    A class whose representative fails is re-checked member by member,
-    with labels, and those results replace its weighted one.  Results
-    are tallied in the order of a labelled sweep, by edge tuple (a class
-    at its least member), so ``counts`` lists predicates in the order
-    such a sweep first meets them and discrepancies come sorted.
+    Each isomorphism class (``class_records``) is checked once, at its
+    representative, and its result weighted by the class size: every
+    check is an isomorphism invariant.  A class whose representative
+    fails is expanded and re-checked member by member, with labels, and
+    those results replace its weighted one.  Results are tallied in the
+    order of a labelled sweep, by edge key (``_pair_table``), so
+    ``counts`` lists predicates in the order such a sweep first meets
+    them and discrepancies come sorted.  Only the classes that decide
+    that order get a key, the least over their members: the edgeless
+    graph's class (``class_records`` puts it first), of one member with
+    the least key, and each class whose result holds a predicate the
+    edgeless graph's does not.  The rest only add to counts already
+    listed.
     """
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem!r}")
     _check_sweep_args(n, jobs)
     check_cap(theorem, n, "sweep")
+    check = _CHECKS[theorem]
+    records = class_records(n)
+    chunks = _chunks([rep for _, _, rep in records], jobs)
+    with _mapper(jobs, len(chunks)) as run:
+        results = [res for part in run(_check_chunk, repeat(check), chunks) for res in part]
+    base = _holds(results[0])
+    keyed, rest = [], []  # (key, weight, permutation, result), and without the key
+    for i, ((code, size, rep), res) in enumerate(zip(records, results)):
+        if res is not None and not res["ok"]:
+            keyed += [(_edge_key(p), 1, p, check(_facts(p))) for p in class_members(code, n)]
+        elif i == 0 or _holds(res) - base:
+            keyed.append((min(map(_edge_key, class_members(code, n))), size, rep, res))
+        else:
+            rest.append((None, size, rep, res))
+    keyed.sort(key=itemgetter(0))
     counts: dict[str, int] = {}
     discrepancies = []
     checked = skipped = 0
-    for _, weight, perm, res in _sweep(_CHECKS[theorem], _verify_entries, n, jobs):
+    for _, weight, perm, res in keyed + rest:
         if res is None:
             skipped += weight
             continue
@@ -477,7 +479,7 @@ def _survey_row(f: GraphFacts) -> dict:
     }
 
 
-def _survey_entries(per_graph, members: list[tuple[int, ...]], row: dict) -> list[tuple]:
+def _survey_entries(members: list[tuple[int, ...]], row: dict) -> list[tuple]:
     """(key, edges cell, row) for each member of a class: every member
     shares the row of the least one."""
     pairs, keys, cells = _pair_table(len(members[0]))
@@ -488,14 +490,40 @@ def _survey_entries(per_graph, members: list[tuple[int, ...]], row: dict) -> lis
     return out
 
 
+def _sweep_chunk(classes: list[list[tuple[int, ...]]]) -> list[tuple]:
+    return [e for members in classes
+            for e in _survey_entries(members, _survey_row(_facts(members[0])))]
+
+
+def _sweep(n: int, jobs: int) -> list[tuple]:
+    """``_survey_entries`` of each isomorphism class of the inversion
+    graphs of S_n, sorted by edge key (``_pair_table``).
+
+    Every survey column but ``edges`` is an isomorphism invariant, so
+    the least member of a class stands for it, and every member gets
+    its own row.  The survey needs every member, so it lists the classes
+    by scanning S_n (``class_chunk``), not from their trees.  With more
+    than one job, one pool builds the classes in chunks of S_n that
+    share their first two values, then runs chunks of classes; it is
+    forked before anything is canonicalised, so its workers start small.
+    One job runs the same two rounds in process, the first as a single
+    chunk.
+    """
+    prefixes = list(permutations(range(1, n + 1), min(n, 2) if jobs > 1 else 0))
+    with _mapper(jobs, len(prefixes)) as run:
+        classes = merge_classes(run(class_chunk, repeat(n), prefixes))
+        out = [e for part in run(_sweep_chunk, _chunks(classes, jobs)) for e in part]
+    out.sort(key=itemgetter(0))
+    return out
+
+
 def survey_rows(n: int, jobs: int = 1) -> list[dict]:
     """One row per permutation of S_n, in order of its inversion graph's
     edge tuple: ``edges`` from the permutation, every other column from
     its isomorphism class."""
     _check_sweep_args(n, jobs)
     check_cap("survey", n, "survey")
-    return [{"edges": edges, **row}
-            for _, edges, row in _sweep(_survey_row, _survey_entries, n, jobs)]
+    return [{"edges": edges, **row} for _, edges, row in _sweep(n, jobs)]
 
 
 def _format_cell(value) -> str:

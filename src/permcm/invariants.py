@@ -48,6 +48,10 @@ def maximal_independent_sets(g: Graph) -> tuple[int, ...]:
     return sets
 
 
+# each live graph's numbers read off its sets, dropped with the graph
+_INDEPENDENCE: weakref.WeakKeyDictionary[Graph, tuple] = weakref.WeakKeyDictionary()
+
+
 def independence_invariants(g: Graph) -> tuple[int, int, bool, tuple[int, ...]]:
     """Return (alpha, tau, unmixed, minimal vertex covers as masks in
     increasing order).
@@ -55,16 +59,24 @@ def independence_invariants(g: Graph) -> tuple[int, int, bool, tuple[int, ...]]:
     Minimal vertex covers are exactly the complements of the maximal
     independent sets, so tau = n - alpha and unmixedness is the statement
     that all maximal independent sets share one cardinality.  This is
-    the one place that reads these numbers off the sets.
+    the one place that reads these numbers off the sets, once per live
+    graph; a kept result is checked against the cap again, as the sets
+    are.
     """
-    sets = maximal_independent_sets(g)
+    found = _INDEPENDENCE.get(g)
+    if found is not None and len(found[3]) <= get_cap("independent_sets"):
+        return found
+    sets = maximal_independent_sets(g)  # past the cap, this raises
     if not sets:  # only for the empty graph
-        return 0, 0, True, ()
-    sizes = {s.bit_count() for s in sets}
-    alpha = max(sizes)
-    # the sets increase as masks, so their complements decrease
-    covers = tuple(g.full_mask & ~s for s in reversed(sets))
-    return alpha, g.n - alpha, len(sizes) == 1, covers
+        found = 0, 0, True, ()
+    else:
+        sizes = {s.bit_count() for s in sets}
+        alpha = max(sizes)
+        # the sets increase as masks, so their complements decrease
+        covers = tuple(g.full_mask & ~s for s in reversed(sets))
+        found = alpha, g.n - alpha, len(sizes) == 1, covers
+    _INDEPENDENCE[g] = found
+    return found
 
 
 def _max_compatible(compat: list[int], ceiling: int) -> int:

@@ -1,8 +1,9 @@
 """Isomorphism classes of inversion graphs and the class sweep.
 
 The canonical code is checked against a brute-force canonical form over
-all relabellings, and every class-sweep document against the labelled
-sweep of ``bruteforce.py``, which checks all n! graphs one by one.
+all relabellings, the classes built from substitution trees against the
+scan of S_n, and every class-sweep document against the labelled sweep
+of ``bruteforce.py``, which checks all n! graphs one by one.
 """
 
 from functools import lru_cache
@@ -13,7 +14,15 @@ import pytest
 from permcm import Permutation, graph_from_permutation
 from permcm import cli
 import permcm.classes
-from permcm.classes import canonical_code, class_chunk, merge_classes, permutation_classes
+from permcm.classes import (
+    canonical_code,
+    class_chunk,
+    class_members,
+    class_records,
+    merge_classes,
+    permutation_classes,
+    simple_orbits,
+)
 from bruteforce import (
     brute_canonical,
     labelled_survey_rows,
@@ -67,6 +76,65 @@ class TestChunkedClasses:
         for length in range(1, min(n, 3) + 1):
             prefixes = permutations(range(1, n + 1), length)
             assert merge_classes(class_chunk(n, p) for p in prefixes) == expected
+
+
+# simple permutations of length k = 1..8 (OEIS A111111)
+SIMPLE_COUNTS = [1, 2, 0, 2, 6, 46, 338, 2926]
+
+
+def _brute_is_simple(p):
+    """No window of 2..k-1 positions holds an interval of values."""
+    k = len(p)
+    return not any(max(p[i:j]) - min(p[i:j]) == j - i - 1
+                   for i in range(k) for j in range(i + 2, k + 1) if j - i < k)
+
+
+class TestGeneratedClasses:
+    @pytest.mark.parametrize("n", range(9))
+    def test_records_match_the_scan(self, n):
+        # class_chunk is the oracle: the same codes with the same sizes,
+        # a representative of each, and the same members on expansion
+        scanned = {canonical_code(members[0]): members for members in permutation_classes(n)}
+        records = class_records(n)
+        assert len(records) == len(scanned)
+        assert {code: size for code, size, _ in records} == {
+            code: len(members) for code, members in scanned.items()}
+        for code, _, rep in records:
+            assert canonical_code(rep) == code
+            assert sorted(class_members(code, n)) == scanned[code]
+        # the edgeless graph's class, of the identity alone, comes first
+        assert records[0][1:] == (1, tuple(range(1, n + 1)))
+
+    def test_simple_permutation_counts(self):
+        for k, count in enumerate(SIMPLE_COUNTS, 1):
+            orbits = simple_orbits(k)
+            members = [p for orbit in orbits for p in orbit]
+            assert len(members) == len(set(members)) == count
+            assert all(_brute_is_simple(p) for p in members)
+            least = [min(orbit) for orbit in orbits]
+            assert least == sorted(least)
+        assert not any(_brute_is_simple(p) for p in permutations(range(1, 4)))
+
+    def test_verify_builds_no_member_list(self, monkeypatch):
+        # besides the edgeless graph's class, of one member, only the
+        # classes whose result holds a predicate the edgeless graph's
+        # does not are expanded, for their least edge key
+        expanded = []
+
+        def members(code, n):
+            expanded.append(code)
+            return class_members(code, n)
+
+        def no_scan(*args):
+            raise AssertionError("verify scanned S_n")
+
+        monkeypatch.setattr(cli, "class_members", members)
+        monkeypatch.setattr(cli, "class_chunk", no_scan)
+        edgeless = class_records(6)[0][0]
+        assert cli.run_verify("cm", 6).to_dict() == _oracle_verify("cm", 6)
+        assert expanded == [edgeless]
+        assert cli.run_verify("gap", 6).to_dict() == _oracle_verify("gap", 6)
+        assert len(expanded) > 2
 
 
 class TestPooledSweep:
@@ -136,8 +204,10 @@ def _edge_count_check(f):
 
 
 def test_counts_list_predicates_as_the_labelled_sweep_meets_them(monkeypatch):
+    # every class but the edgeless one holds a new predicate, so every
+    # class gets its least edge key
     monkeypatch.setitem(cli._CHECKS, "cm", _edge_count_check)
-    for n in range(6):
+    for n in range(7):
         expected = labelled_verify("cm", n, _edge_count_check)
         result = cli.run_verify("cm", n)
         assert result.to_dict() == expected
@@ -158,7 +228,7 @@ class TestFailingClass:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_class_expands_to_its_members(self, monkeypatch, jobs):
         monkeypatch.setitem(cli._CHECKS, "cm", _cm_failing_on_p4)
-        for n in (4, 5):
+        for n in (4, 5, 6):
             result = cli.run_verify("cm", n, jobs=jobs)
             expected = labelled_verify("cm", n, _cm_failing_on_p4)
             assert len(expected["discrepancies"]) > 1

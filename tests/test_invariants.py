@@ -66,6 +66,39 @@ class TestMaximalIndependentSets:
 
 
 class TestIndependenceInvariants:
+    def test_read_off_the_sets_once_per_graph(self, monkeypatch):
+        # the classifier's facts, the numeric invariants, the partition
+        # test and the cover ideal all ask for the one kept tuple
+        from permcm import GraphFacts, classify, cover_ideal
+        import permcm.invariants
+
+        calls = []
+        enumerate_sets = permcm.invariants.maximal_independent_sets
+
+        def counted(g):
+            calls.append(g)
+            return enumerate_sets(g)
+
+        monkeypatch.setattr(permcm.invariants, "maximal_independent_sets", counted)
+        g = graph_from_permutation(Permutation((2, 1, 4, 3, 6, 5)))  # 3K_2, unmixed
+        facts = GraphFacts(g)
+        assert facts.cm and facts.independence == independence_invariants(g)
+        assert facts.invariants == compute_invariants(g)
+        cover_ideal(g)
+        assert calls == [g]
+        # a report also reads the sets of the graphs its shedding walk
+        # peels off, each of them once
+        h = graph_from_permutation(Permutation((3, 1, 4, 2)))  # P_4
+        classify(h)
+        assert calls[:2] == [g, h] and len(set(calls)) == len(calls)
+
+    def test_a_kept_tuple_meets_the_current_cap(self, monkeypatch):
+        g = disjoint_edges(3)  # 8 minimal vertex covers
+        assert len(independence_invariants(g)[3]) == 8
+        monkeypatch.setenv("PERMCM_CAPS", "independent_sets=5")
+        with pytest.raises(CapExceededError):
+            independence_invariants(g)
+
     def test_complete(self):
         alpha, tau, unmixed, covers = independence_invariants(complete_graph(5))
         assert (alpha, tau, unmixed) == (1, 4, True)

@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +152,56 @@ def test_classify_reports_of_every_small_graph():
                 report = classify(g, with_oracle=with_oracle).to_dict()
                 h.update(json.dumps(report, indent=2, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == REPORTS_DIGEST
+
+
+# (PERMCM_CAPS, argv, SHA-256 of stdout) of sweeps past the default caps
+# or at the cap, recorded while the verify sweeps still listed their
+# classes by scanning S_n and built an edge key for every member.  The
+# n = 7 rows are the benchmark's sweep-s7 calls, with its caps.
+SWEEP_CAPS = "ainv=7,bicm=7,hilb=7,covs=7"
+PINNED_SWEEPS = [
+    ("", ("verify", "vd", "--n", "7"),
+     "4f6892f20766380d21d7eebd92f61b8b7dc0a67e36d326428129bd47f4e4f324"),
+    ("", ("verify", "cm", "--n", "7"),
+     "04470106f88c5dbd31b2ca67c0648217459aa429a9b83801593516f29bccec93"),
+    ("", ("verify", "goren", "--n", "7"),
+     "bc100270a44d9b0b783ec46de17335cdd8fae2213db9035f995daf9349d2c3ad"),
+    ("", ("verify", "nearly", "--n", "7"),
+     "9b8715ef4a1976fa0bbabff23fc4599d514eeb83b3db0f0655e199fe7c12a594"),
+    (SWEEP_CAPS, ("verify", "ainv", "--n", "7"),
+     "c3e9595b75fb483cc3a517f7ed0f1de58f5b6c7bae176b452cdd1d87ba622fb6"),
+    (SWEEP_CAPS, ("verify", "bicm", "--n", "7"),
+     "11411c1a5923a0b04cc8d8cc5686da9b674506e3db2ae5662c5fd76856b50e7f"),
+    (SWEEP_CAPS, ("verify", "hilb", "--n", "7"),
+     "b62f333469317cc253c90e42063cdd864387d4097db5491e84c5b79d5c913405"),
+    (SWEEP_CAPS, ("verify", "covs", "--n", "7"),
+     "0d9b38f7926347a1e94a2048e8ef04d1cc6e71603174c47d00b51afe94417088"),
+    ("", ("verify", "shed", "--n", "7"),
+     "ceb7a6e3d53bae9d61d20fe58a6257218af7d50d0c1de1373773ee3c0e7d3c60"),
+    ("", ("verify", "gap", "--n", "7"),
+     "0d3e297f5847e9d69c0a03a3a01a3c8dcf26173edefc1c24d7b0bcd3b3d7fe26"),
+    ("cm=8", ("verify", "cm", "--n", "8"),
+     "1453b59d09bd194718284419f1cecc81b7d3be5bcf338f6b6094f4626f7f3050"),
+    ("", ("verify", "gap", "--n", "8"),
+     "b50946c9e55f872d6f36042d721b3b03c06728947f543b9064b812fff47a2183"),
+]
+
+
+@pytest.mark.parametrize("caps,argv,digest", PINNED_SWEEPS,
+                         ids=[" ".join(argv) for _, argv, _ in PINNED_SWEEPS])
+def test_sweep_stdout_digest(monkeypatch, caps, argv, digest):
+    monkeypatch.setenv("PERMCM_CAPS", caps)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        got = main(list(argv))
+    assert got == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_n7_sweep_pins_are_the_benchmark_golden_digests():
+    golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+    pinned = {argv[1]: digest for _, argv, digest in PINNED_SWEEPS if argv[3] == "7"}
+    assert pinned == golden["verify"]
 
 
 # ``verify ainv --n 8`` with its sweep cap raised, recorded before the

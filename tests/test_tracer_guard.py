@@ -60,6 +60,26 @@ def test_sweeps_reach_every_expected_function():
     assert result.returncode == 0, result.stderr
 
 
+def test_verify_sweeps_alone_reach_every_expected_function():
+    # the ten verify sweeps on their own, so the survey cannot make a
+    # call the sweeps stopped making: a sweep checks one member per
+    # class, and expands only the classes it needs an edge key of
+    code = (
+        "import contextlib, io\n"
+        "import tracer\n"
+        "t = tracer.install()\n"
+        "import permcm.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for theorem in ('vd', 'cm', 'goren', 'nearly', 'ainv', 'bicm', 'hilb',\n"
+        "                    'covs', 'shed', 'gap'):\n"
+        "        assert permcm.cli.main(['verify', theorem, '--n', '5']) == 0\n"
+        "missing = sorted(fn for fn in tracer.EXPECTED_CALLS['sweep-s7'] if not t.calls.get(fn))\n"
+        "assert not missing, missing\n"
+    )
+    result = _run_traced(code)
+    assert result.returncode == 0, result.stderr
+
+
 def test_survey_alone_reaches_every_expected_function():
     # the survey on its own, so a verify sweep cannot make a call the
     # survey stopped making: the nearly-Gorenstein flag counts edges
