@@ -20,19 +20,20 @@ least of its four (quotient, child codes in quotient order) pairs.  A
 sum node sorts the codes of its children.  Two permutations get the
 same code exactly when their inversion graphs are isomorphic.
 
-The classes come two ways.  ``class_chunk`` and ``merge_classes`` scan
-S_n and keep every member; ``class_records`` builds each class from its
-tree, bottom-up, with its size and one member, and ``class_members``
-expands one class when its members are needed (Albert and Atkinson,
-*Simple permutations and pattern restricted permutations*, 2005).
+The classes are built from their trees, never by scanning S_n:
+``class_records`` builds each class bottom-up, with its size and one
+member, and ``class_members`` expands one class when its members are
+needed (Albert and Atkinson, *Simple permutations and pattern
+restricted permutations*, 2005).  The scan that computes the code of
+every permutation is the tests' oracle of both.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import factorial, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Code = tuple
 
@@ -56,59 +57,6 @@ def _symmetries(p: tuple[int, ...]) -> set[tuple[int, ...]]:
     return {p, inv, _reverse_complement(p), _reverse_complement(inv)}
 
 
-def _children(p: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
-    """Kind of the root node (0 direct sum, 1 skew sum, 2 prime) and the
-    position ranges [start, stop) of its children, left to right."""
-    n = len(p)
-    hi, lo = 0, n + 1
-    sum_cuts, skew_cuts = [0], [0]
-    for k, v in enumerate(p, 1):
-        hi, lo = max(hi, v), min(lo, v)
-        if hi == k:
-            sum_cuts.append(k)
-        if lo == n + 1 - k:
-            skew_cuts.append(k)
-    for kind, cuts in enumerate((sum_cuts, skew_cuts)):
-        if len(cuts) > 2:
-            return kind, list(zip(cuts, cuts[1:]))
-    # prime: the maximal proper intervals partition the positions, so
-    # the child at a position is the longest proper interval from it
-    ranges = []
-    start = 0
-    while start < n:
-        lo = hi = p[start]
-        stop = start + 1
-        for j in range(start + 1, n if start else n - 1):
-            lo, hi = min(lo, p[j]), max(hi, p[j])
-            if hi - lo == j - start:
-                stop = j + 1
-        ranges.append((start, stop))
-        start = stop
-    return 2, ranges
-
-
-def _code(p: tuple[int, ...], memo: dict[tuple[int, ...], Code]) -> Code:
-    if len(p) <= 1:
-        return ()
-    kind, ranges = _children(p)
-    codes = []
-    for start, stop in ranges:
-        block = p[start:stop]
-        low = min(block) - 1
-        pattern = tuple(v - low for v in block)
-        code = memo.get(pattern)
-        if code is None:
-            code = memo[pattern] = _code(pattern, memo)
-        codes.append(code)
-    if kind < 2:
-        return (kind, tuple(sorted(codes)))
-    firsts = sorted(range(len(ranges)), key=lambda k: p[ranges[k][0]])
-    quotient = [0] * len(ranges)
-    for rank, k in enumerate(firsts, 1):
-        quotient[k] = rank
-    return (2,) + min(_prime_forms(tuple(quotient), tuple(codes)))
-
-
 def _prime_forms(q: tuple[int, ...], codes: tuple[Code, ...]) -> tuple[tuple, ...]:
     """The four (quotient, child codes in quotient order) pairs of the
     prime node with quotient ``q`` and child codes ``codes`` by
@@ -125,73 +73,13 @@ def _prime_forms(q: tuple[int, ...], codes: tuple[Code, ...]) -> tuple[tuple, ..
     )
 
 
-def canonical_code(perm: Sequence[int]) -> Code:
-    """A code of the inversion graph of ``perm`` that two permutations
-    share exactly when their inversion graphs are isomorphic."""
-    return _code(tuple(perm), {})
-
-
-# block patterns, kept for the life of the process: a sweep's workers
-# canonicalise many chunks, and their blocks recur from chunk to chunk
-_MEMO: dict[tuple[int, ...], Code] = {}
-
-
-def class_chunk(n: int, prefix: tuple[int, ...] = ()) -> list[tuple[Code, set[tuple[int, ...]]]]:
-    """(code, orbit) for each permutation of S_n that starts with
-    ``prefix`` and is the least of its orbit, in ascending order.
-
-    The orbit of p is {p, its inverse, its reverse-complement, the
-    reverse-complement of its inverse}: all four give isomorphic graphs,
-    so only the least is canonicalised and its orbit joins its class
-    whole.  The other three start with ``p.index(1) + 1``,
-    ``n + 1 - p[-1]`` and ``n - p.index(n)``, so a permutation whose
-    first value exceeds one of these is rejected before its orbit is
-    built.
-    """
-    rest = [v for v in range(1, n + 1) if v not in prefix]
-    out = []
-    for tail in permutations(rest):
-        p = prefix + tail
-        if n and (n + 1 - p[-1] < p[0] or p.index(1) + 1 < p[0] or n - p.index(n) < p[0]):
-            continue
-        orbit = _symmetries(p)
-        if p == min(orbit):
-            out.append((_code(p, _MEMO), orbit))
-    return out
-
-
-def merge_classes(
-    chunks: Iterable[list[tuple[Code, set[tuple[int, ...]]]]],
-) -> list[list[tuple[int, ...]]]:
-    """The classes of S_n from the ``class_chunk`` lists of prefixes
-    that cover it, in ascending prefix order.
-
-    Each class is sorted, and the classes come in the order of their
-    least members: a class's least member is the least member of one
-    of its orbits, and the orbits come in that order.
-    """
-    by_code: dict[Code, list[tuple[int, ...]]] = {}
-    for chunk in chunks:
-        for code, orbit in chunk:
-            by_code.setdefault(code, []).extend(orbit)
-    return [sorted(members) for members in by_code.values()]
-
-
-def permutation_classes(n: int) -> list[list[tuple[int, ...]]]:
-    """S_n split by the isomorphism class of the inversion graph: one
-    chunk, with the empty prefix."""
-    return merge_classes([class_chunk(n)])
-
-
-# -- classes from their trees ---------------------------------------------------
-
 Record = tuple  # (code, size, representative)
 
 
 @lru_cache(maxsize=None)
-def simple_orbits(k: int) -> tuple[frozenset[tuple[int, ...]], ...]:
-    """The simple permutations of length ``k``, one orbit of the four
-    symmetries at a time, in the order of their least members.
+def simple_orbits(k: int) -> tuple[tuple[int, ...], ...]:
+    """The least member of each orbit of the simple permutations of
+    length ``k`` under the four symmetries, in ascending order.
 
     A permutation is simple when no window of positions but a single
     one or all of them holds an interval of values.  A depth-first
@@ -223,8 +111,7 @@ def simple_orbits(k: int) -> tuple[frozenset[tuple[int, ...]], ...]:
                 used[v] = False
 
     grow()
-    orbits = (frozenset(_symmetries(q)) for q in simple)
-    return tuple(orbit for q, orbit in zip(simple, orbits) if q == min(orbit))
+    return tuple(q for q in simple if q == min(_symmetries(q)))
 
 
 def _inflate(q: tuple[int, ...], blocks: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -282,8 +169,7 @@ def _prime_records(levels: list[list[Record]], m: int) -> list[Record]:
     children, and its representative is the inflation of its quotient."""
     found: dict[Code, Record] = {}
     for k in range(4, m + 1):
-        for orbit in simple_orbits(k):
-            q = min(orbit)
+        for q in simple_orbits(k):
             for cuts in combinations(range(1, m), k - 1):
                 widths = [b - a for a, b in zip((0,) + cuts, cuts + (m,))]
                 for children in product(*(levels[w] for w in widths)):
@@ -322,10 +208,11 @@ def _arrangements(items: tuple) -> list[tuple]:
             for rest in _arrangements(items[:i] + items[i + 1:])]
 
 
-@lru_cache(maxsize=None)
 def _expand(code: Code) -> tuple[tuple[int, ...], ...]:
     """The members of the class with this code, on at least one point,
-    expanded from its tree."""
+    expanded from its tree.  Only the children's members are kept
+    (``_expand_child``): a sweep expands each class at most once, and
+    its children recur from class to class."""
     if not code:
         return ((1,),)
     if code[0] == 2:
@@ -334,7 +221,10 @@ def _expand(code: Code) -> tuple[tuple[int, ...], ...]:
     else:
         forms = {(_sum_quotient(code[0], len(order)), order) for order in _arrangements(code[1])}
     return tuple(_inflate(q, blocks) for q, codes in forms
-                 for blocks in product(*map(_expand, codes)))
+                 for blocks in product(*map(_expand_child, codes)))
+
+
+_expand_child = lru_cache(maxsize=None)(_expand)
 
 
 def class_members(code: Code, n: int) -> tuple[tuple[int, ...], ...]:

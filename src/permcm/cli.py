@@ -16,20 +16,19 @@ bytes, and parallel sweeps merge worker results in canonical order.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations, compress, permutations, repeat
+from functools import lru_cache, partial
+from itertools import combinations, compress, repeat
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from .caps import check_cap, env_overrides
-from .classes import _inverse, class_chunk, class_members, class_records, merge_classes
+from .classes import Record, _inverse, class_members, class_records
 from .classify import (
     ClaimFailureError,
     GraphFacts,
@@ -341,21 +340,32 @@ def _inverted(p: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> list[bo
     return [pos[v] < pos[u] for u, v in pairs]
 
 
-@contextlib.contextmanager
-def _mapper(jobs: int, tasks: int):
-    """``map``, or with more than one job and task the ``map`` of a
-    process pool of at most one worker per job, task and CPU (a forked
-    pool starts all its workers at the first submit)."""
-    if jobs > 1 and tasks > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, tasks, os.cpu_count() or 1)) as pool:
-            yield pool.map
-    else:
-        yield map
+def _class_slice(fn: Callable[[Record], object], n: int, start: int, step: int) -> list:
+    """``fn`` of every ``step``-th class record of S_n from ``start``."""
+    return [fn(record) for record in class_records(n)[start::step]]
 
 
-def _chunks(items: list, jobs: int) -> list[list]:
-    size = max(1, len(items) // (jobs * 4))
-    return [items[i:i + size] for i in range(0, len(items), size)]
+def _map_classes(fn: Callable[[Record], object], n: int, jobs: int) -> list:
+    """``fn`` of each class record of S_n (``class_records``), in record
+    order: the one pool of both sweeps.
+
+    With more than one job, a process pool of at most one worker per job
+    and CPU maps four strided slices of the records per worker, and
+    their results are interleaved back into record order.  The pool is
+    forked before any record exists (a forked pool starts all its
+    workers at the first submit), so each worker builds the records
+    itself and none holds a copy of the parent's.
+    """
+    if jobs == 1:
+        return _class_slice(fn, n, 0, 1)
+    workers = min(jobs, os.cpu_count() or 1)
+    step = 4 * workers
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(_class_slice, repeat(fn), repeat(n), range(step), repeat(step)))
+    out = [None] * sum(map(len, parts))
+    for start, part in enumerate(parts):
+        out[start::step] = part
+    return out
 
 
 def _edge_key(p: tuple[int, ...]) -> bytes:
@@ -363,9 +373,9 @@ def _edge_key(p: tuple[int, ...]) -> bytes:
     return b"".join(compress(keys, _inverted(p, pairs)))
 
 
-def _check_chunk(check: Callable[[GraphFacts], dict | None],
-                 reps: list[tuple[int, ...]]) -> list[dict | None]:
-    return [check(_facts(p)) for p in reps]
+def _check_class(check: Callable[[GraphFacts], dict | None], record: Record) -> tuple:
+    """``record`` and the result of ``check`` on its representative."""
+    return record, check(_facts(record[2]))
 
 
 def _discrepancy(perm: tuple[int, ...], res: dict) -> dict:
@@ -387,31 +397,29 @@ def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
     """Sweep all of S_n for one theorem/oracle pair.
 
     Each isomorphism class (``class_records``) is checked once, at its
-    representative, and its result weighted by the class size: every
-    check is an isomorphism invariant.  A class whose representative
-    fails is expanded and re-checked member by member, with labels, and
-    those results replace its weighted one.  Results are tallied in the
-    order of a labelled sweep, by edge key (``_pair_table``), so
-    ``counts`` lists predicates in the order such a sweep first meets
-    them and discrepancies come sorted.  Only the classes that decide
-    that order get a key, the least over their members: the edgeless
-    graph's class (``class_records`` puts it first), of one member with
-    the least key, and each class whose result holds a predicate the
-    edgeless graph's does not.  The rest only add to counts already
-    listed.
+    representative, through ``_map_classes``, and its
+    result weighted by the class size: every check is an isomorphism
+    invariant.  A class whose representative fails is expanded and
+    re-checked member by member, with labels, and those results replace
+    its weighted one.  Results are tallied in the order of a labelled
+    sweep, by edge key (``_pair_table``), so ``counts`` lists predicates
+    in the order such a sweep first meets them and discrepancies come
+    sorted.  Only the classes that decide that order get a key, the
+    least over their members: the edgeless graph's class
+    (``class_records`` puts it first), of one member with the least key,
+    and each class whose result holds a predicate the edgeless graph's
+    does not.  The rest only add to counts already listed.  The parent
+    builds no record: each comes back with its result.
     """
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem!r}")
     _check_sweep_args(n, jobs)
     check_cap(theorem, n, "sweep")
     check = _CHECKS[theorem]
-    records = class_records(n)
-    chunks = _chunks([rep for _, _, rep in records], jobs)
-    with _mapper(jobs, len(chunks)) as run:
-        results = [res for part in run(_check_chunk, repeat(check), chunks) for res in part]
-    base = _holds(results[0])
+    results = _map_classes(partial(_check_class, check), n, jobs)
+    base = _holds(results[0][1])
     keyed, rest = [], []  # (key, weight, permutation, result), and without the key
-    for i, ((code, size, rep), res) in enumerate(zip(records, results)):
+    for i, ((code, size, rep), res) in enumerate(results):
         if res is not None and not res["ok"]:
             keyed += [(_edge_key(p), 1, p, check(_facts(p))) for p in class_members(code, n)]
         elif i == 0 or _holds(res) - base:
@@ -479,7 +487,7 @@ def _survey_row(f: GraphFacts) -> dict:
     }
 
 
-def _survey_entries(members: list[tuple[int, ...]], row: dict) -> list[tuple]:
+def _survey_entries(members: Sequence[tuple[int, ...]], row: dict) -> list[tuple]:
     """(key, edges cell, row) for each member of a class: every member
     shares the row of the least one."""
     pairs, keys, cells = _pair_table(len(members[0]))
@@ -490,40 +498,27 @@ def _survey_entries(members: list[tuple[int, ...]], row: dict) -> list[tuple]:
     return out
 
 
-def _sweep_chunk(classes: list[list[tuple[int, ...]]]) -> list[tuple]:
-    return [e for members in classes
-            for e in _survey_entries(members, _survey_row(_facts(members[0])))]
-
-
-def _sweep(n: int, jobs: int) -> list[tuple]:
-    """``_survey_entries`` of each isomorphism class of the inversion
-    graphs of S_n, sorted by edge key (``_pair_table``).
-
-    Every survey column but ``edges`` is an isomorphism invariant, so
-    the least member of a class stands for it, and every member gets
-    its own row.  The survey needs every member, so it lists the classes
-    by scanning S_n (``class_chunk``), not from their trees.  With more
-    than one job, one pool builds the classes in chunks of S_n that
-    share their first two values, then runs chunks of classes; it is
-    forked before anything is canonicalised, so its workers start small.
-    One job runs the same two rounds in process, the first as a single
-    chunk.
-    """
-    prefixes = list(permutations(range(1, n + 1), min(n, 2) if jobs > 1 else 0))
-    with _mapper(jobs, len(prefixes)) as run:
-        classes = merge_classes(run(class_chunk, repeat(n), prefixes))
-        out = [e for part in run(_sweep_chunk, _chunks(classes, jobs)) for e in part]
-    out.sort(key=itemgetter(0))
-    return out
+def _survey_class(n: int, record: Record) -> list[tuple]:
+    """``_survey_entries`` of the members of one class of S_n, expanded
+    from its tree, with the row of its representative."""
+    code, _, rep = record
+    return _survey_entries(class_members(code, n), _survey_row(_facts(rep)))
 
 
 def survey_rows(n: int, jobs: int = 1) -> list[dict]:
     """One row per permutation of S_n, in order of its inversion graph's
-    edge tuple: ``edges`` from the permutation, every other column from
-    its isomorphism class."""
+    edge tuple (``_pair_table``): ``edges`` from the permutation, every
+    other column from its isomorphism class.
+
+    Every column but ``edges`` is an isomorphism invariant, so
+    ``_map_classes`` computes the row of each class once, at its
+    representative, and gives it to every member.
+    """
     _check_sweep_args(n, jobs)
     check_cap("survey", n, "survey")
-    return [{"edges": edges, **row} for _, edges, row in _sweep(n, jobs)]
+    entries = [e for part in _map_classes(partial(_survey_class, n), n, jobs) for e in part]
+    entries.sort(key=itemgetter(0))
+    return [{"edges": edges, **row} for _, edges, row in entries]
 
 
 def _format_cell(value) -> str:

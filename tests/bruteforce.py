@@ -15,10 +15,10 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations
 from math import factorial
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from permcm import Graph, Permutation, graph_from_edges, graph_from_permutation
-from permcm.classes import _code, _inverse, _reverse_complement
+from permcm.classes import Code, _inverse, _prime_forms, _reverse_complement
 from permcm.classify import GraphFacts, SheddingCertificate, extract_shedding_order
 from permcm.cli import _SURVEY_COLUMNS, _format_cell
 from permcm.cohesive import CohesiveOrder, maximal_cliques
@@ -728,12 +728,74 @@ def brute_canonical(g: Graph) -> int:
     return min(sum(bits[e] for e in edges) for bits in _relabelled_pair_bits(g.n))
 
 
+# -- the scan of S_n: the oracle of the classes built from trees ----------------
+
+def _children(p: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """Kind of the root node (0 direct sum, 1 skew sum, 2 prime) and the
+    position ranges [start, stop) of its children, left to right."""
+    n = len(p)
+    hi, lo = 0, n + 1
+    sum_cuts, skew_cuts = [0], [0]
+    for k, v in enumerate(p, 1):
+        hi, lo = max(hi, v), min(lo, v)
+        if hi == k:
+            sum_cuts.append(k)
+        if lo == n + 1 - k:
+            skew_cuts.append(k)
+    for kind, cuts in enumerate((sum_cuts, skew_cuts)):
+        if len(cuts) > 2:
+            return kind, list(zip(cuts, cuts[1:]))
+    # prime: the maximal proper intervals partition the positions, so
+    # the child at a position is the longest proper interval from it
+    ranges = []
+    start = 0
+    while start < n:
+        lo = hi = p[start]
+        stop = start + 1
+        for j in range(start + 1, n if start else n - 1):
+            lo, hi = min(lo, p[j]), max(hi, p[j])
+            if hi - lo == j - start:
+                stop = j + 1
+        ranges.append((start, stop))
+        start = stop
+    return 2, ranges
+
+
+def _code(p: tuple[int, ...], memo: dict[tuple[int, ...], Code]) -> Code:
+    if len(p) <= 1:
+        return ()
+    kind, ranges = _children(p)
+    codes = []
+    for start, stop in ranges:
+        block = p[start:stop]
+        low = min(block) - 1
+        pattern = tuple(v - low for v in block)
+        code = memo.get(pattern)
+        if code is None:
+            code = memo[pattern] = _code(pattern, memo)
+        codes.append(code)
+    if kind < 2:
+        return (kind, tuple(sorted(codes)))
+    firsts = sorted(range(len(ranges)), key=lambda k: p[ranges[k][0]])
+    quotient = [0] * len(ranges)
+    for rank, k in enumerate(firsts, 1):
+        quotient[k] = rank
+    return (2,) + min(_prime_forms(tuple(quotient), tuple(codes)))
+
+
+def canonical_code(perm: Sequence[int]) -> Code:
+    """A code of the inversion graph of ``perm`` that two permutations
+    share exactly when their inversion graphs are isomorphic."""
+    return _code(tuple(perm), {})
+
+
 def serial_permutation_classes(n: int) -> list[list[tuple[int, ...]]]:
-    """S_n split by the isomorphism class of the inversion graph, in one
-    pass with one memo: the construction before the sweep built its
-    classes in chunks, kept as the oracle of the chunked assembly.  Each
-    class is sorted, and the classes come in the order of their least
-    members."""
+    """S_n split by the isomorphism class of the inversion graph, by
+    the code of the least member of each orbit, in one pass with one
+    memo: the scan both sweeps ran before their classes were built from
+    substitution trees, kept as the oracle of ``class_records`` and
+    ``class_members``.  Each class is sorted, and the classes come in
+    the order of their least members."""
     memo: dict = {}
     by_code: dict = {}
     for p in permutations(range(1, n + 1)):

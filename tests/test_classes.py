@@ -6,6 +6,7 @@ scan of S_n, and every class-sweep document against the labelled sweep
 of ``bruteforce.py``, which checks all n! graphs one by one.
 """
 
+import os
 from functools import lru_cache
 from itertools import permutations
 
@@ -14,17 +15,10 @@ import pytest
 from permcm import Permutation, graph_from_permutation
 from permcm import cli
 import permcm.classes
-from permcm.classes import (
-    canonical_code,
-    class_chunk,
-    class_members,
-    class_records,
-    merge_classes,
-    permutation_classes,
-    simple_orbits,
-)
+from permcm.classes import _symmetries, class_members, class_records, simple_orbits
 from bruteforce import (
     brute_canonical,
+    canonical_code,
     labelled_survey_rows,
     labelled_verify,
     serial_permutation_classes,
@@ -48,7 +42,7 @@ class TestCanonicalCode:
 
     @pytest.mark.parametrize("n", range(8))
     def test_classes_partition_by_code(self, n):
-        classes = permutation_classes(n)
+        classes = serial_permutation_classes(n)
         assert len(classes) == CLASS_COUNTS[n]
         members = [p for c in classes for p in c]
         assert sorted(members) == list(permutations(range(1, n + 1)))
@@ -65,17 +59,50 @@ class TestCanonicalCode:
         assert canonical_code((2, 4, 1, 3)) != canonical_code((2, 1, 4, 3))
 
 
+def _recording_pool(events: list):
+    """A stand-in for ``ProcessPoolExecutor`` that maps in process, in
+    order, and logs to ``events``: "pool" when it is made, and "mapping"
+    and "mapped" around each call it maps, as a worker would run it."""
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            events.append("pool")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            out = []
+            for args in zip(*iterables):
+                events.append("mapping")
+                out.append(fn(*args))
+                events.append("mapped")
+            return out
+
+    return RecordingPool
+
+
+def _same(record):
+    return record
+
+
 class TestChunkedClasses:
     @pytest.mark.parametrize("n", range(9))
-    def test_chunks_assemble_the_serial_classes(self, n):
-        # the same classes, in the same order, with the same member
-        # lists, whether S_n comes in one chunk or split by the first
-        # one, two or three values, as a pooled sweep splits it by two
-        expected = serial_permutation_classes(n)
-        assert permutation_classes(n) == expected
-        for length in range(1, min(n, 3) + 1):
-            prefixes = permutations(range(1, n + 1), length)
-            assert merge_classes(class_chunk(n, p) for p in prefixes) == expected
+    def test_chunks_assemble_the_serial_classes(self, monkeypatch, n):
+        # the pool of the sweeps maps strided slices of the records and
+        # interleaves their results back: at every pool width, slices
+        # empty or not, the records come in order, and expanded they
+        # are the classes of the serial scan, in the same order
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _recording_pool([]))
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        records = class_records(n)
+        for jobs in (1, 2, 3, 8):
+            assert cli._map_classes(_same, n, jobs) == records
+        classes = sorted(sorted(class_members(code, n)) for code, _, _ in records)
+        assert classes == serial_permutation_classes(n)
 
 
 # simple permutations of length k = 1..8 (OEIS A111111)
@@ -92,9 +119,9 @@ def _brute_is_simple(p):
 class TestGeneratedClasses:
     @pytest.mark.parametrize("n", range(9))
     def test_records_match_the_scan(self, n):
-        # class_chunk is the oracle: the same codes with the same sizes,
+        # the scan is the oracle: the same codes with the same sizes,
         # a representative of each, and the same members on expansion
-        scanned = {canonical_code(members[0]): members for members in permutation_classes(n)}
+        scanned = {canonical_code(members[0]): members for members in serial_permutation_classes(n)}
         records = class_records(n)
         assert len(records) == len(scanned)
         assert {code: size for code, size, _ in records} == {
@@ -106,13 +133,15 @@ class TestGeneratedClasses:
         assert records[0][1:] == (1, tuple(range(1, n + 1)))
 
     def test_simple_permutation_counts(self):
+        # each orbit rebuilt from its least member holds only simple
+        # permutations, and the orbits together hold all of them
         for k, count in enumerate(SIMPLE_COUNTS, 1):
-            orbits = simple_orbits(k)
+            least = simple_orbits(k)
+            orbits = [_symmetries(q) for q in least]
             members = [p for orbit in orbits for p in orbit]
             assert len(members) == len(set(members)) == count
             assert all(_brute_is_simple(p) for p in members)
-            least = [min(orbit) for orbit in orbits]
-            assert least == sorted(least)
+            assert list(least) == [min(orbit) for orbit in orbits] == sorted(least)
         assert not any(_brute_is_simple(p) for p in permutations(range(1, 4)))
 
     def test_verify_builds_no_member_list(self, monkeypatch):
@@ -125,11 +154,7 @@ class TestGeneratedClasses:
             expanded.append(code)
             return class_members(code, n)
 
-        def no_scan(*args):
-            raise AssertionError("verify scanned S_n")
-
         monkeypatch.setattr(cli, "class_members", members)
-        monkeypatch.setattr(cli, "class_chunk", no_scan)
         edgeless = class_records(6)[0][0]
         assert cli.run_verify("cm", 6).to_dict() == _oracle_verify("cm", 6)
         assert expanded == [edgeless]
@@ -139,43 +164,33 @@ class TestGeneratedClasses:
 
 class TestPooledSweep:
     def test_pool_is_forked_before_anything_is_canonicalised(self, monkeypatch):
-        # with a recording pool that maps in process: the pool comes
-        # first, its first round maps the class chunks, and every code
-        # is computed inside a mapped call, as in a worker
+        # with a recording pool that maps in process and no level of
+        # records built yet: for both sweeps the pool comes first, and
+        # every record is built inside a mapped call, as in a worker
         events = []
-        original = permcm.classes._code
 
-        def recorded_code(p, memo):
-            if not events or events[-1] != "mapping":
-                events.append("code in parent")
-            return original(p, memo)
+        def recorded(build):
+            def wrapper(*args):
+                pool_events = [e for e in events if e in ("mapping", "mapped")]
+                events.append("build" if pool_events[-1:] == ["mapping"] else "build in parent")
+                return build(*args)
+            return wrapper
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                events.append("pool")
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                events.append(fn)
-                out = []
-                for args in zip(*iterables):
-                    events.append("mapping")
-                    out.append(fn(*args))
-                    events.append("mapped")
-                return out
-
-        monkeypatch.setattr(permcm.classes, "_code", recorded_code)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        assert cli.survey_rows(5, jobs=2) == labelled_survey_rows(5, cli._survey_row)
-        assert "code in parent" not in events
-        mapped = [e for e in events if callable(e)]
-        assert events[0] == "pool"
-        assert mapped == [class_chunk, cli._sweep_chunk]
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _recording_pool(events))
+        for name in ("_sum_records", "_prime_records"):
+            monkeypatch.setattr(permcm.classes, name, recorded(getattr(permcm.classes, name)))
+        sweeps = [
+            lambda: cli.survey_rows(5, jobs=2) == labelled_survey_rows(5, cli._survey_row),
+            lambda: cli.run_verify("cm", 5, jobs=2).to_dict() == _oracle_verify("cm", 5),
+        ]
+        for sweep in sweeps:
+            monkeypatch.setattr(permcm.classes, "_LEVELS", [[((), 1, ())], [((), 1, (1,))]])
+            events.clear()
+            assert sweep()
+            assert events[0] == "pool"
+            assert "build" in events
+            assert "build in parent" not in events
+            assert events.count("mapping") == 4 * min(2, os.cpu_count() or 1)
 
 
 @lru_cache(maxsize=None)

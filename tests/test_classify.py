@@ -432,12 +432,11 @@ class TestGraphFacts:
     def test_nearly_gate_matches_the_ungated_flag(self):
         # the edge-count gate only skips recognition: every labelled graph
         # with n <= 6 and every S_7 class gets the flag it got before
-        from bruteforce import all_graphs, ungated_nearly_gorenstein
-        from permcm.classes import permutation_classes
+        from bruteforce import all_graphs, serial_permutation_classes, ungated_nearly_gorenstein
         from permcm.cli import _facts
 
         graphs = [g for n in range(7) for g in all_graphs(n)]
-        graphs += [_facts(members[0]).g for members in permutation_classes(7)]
+        graphs += [_facts(members[0]).g for members in serial_permutation_classes(7)]
         flags = []
         for g in graphs:
             facts = GraphFacts(g)
@@ -451,13 +450,12 @@ class TestGraphFacts:
         # test.  Both read the order only for its presence, so one given
         # to every graph checks the gate on each of them without
         # recognition.
-        from bruteforce import all_graphs
-        from permcm.classes import permutation_classes
+        from bruteforce import all_graphs, serial_permutation_classes
         from permcm.cli import _facts
         from permcm.cohesive import CohesiveOrder
 
         graphs = [g for n in range(7) for g in all_graphs(n)]
-        graphs += [_facts(members[0]).g for members in permutation_classes(7)]
+        graphs += [_facts(members[0]).g for members in serial_permutation_classes(7)]
         flags = []
         for g in graphs:
             order = CohesiveOrder(g.vertices())
@@ -477,11 +475,10 @@ class TestGraphFacts:
         # returned when it built the sorted tuples itself
         from dataclasses import asdict
 
-        from bruteforce import all_graphs, tuple_invariants
-        from permcm.classes import permutation_classes
+        from bruteforce import all_graphs, serial_permutation_classes, tuple_invariants
 
         graphs = [g for n in range(1, 6) for g in all_graphs(n)]
-        graphs += [graph_from_permutation(Permutation(m[0])) for m in permutation_classes(6)]
+        graphs += [graph_from_permutation(Permutation(m[0])) for m in serial_permutation_classes(6)]
         for g in graphs:
             report = classify(g, with_oracle=False)
             assert report.invariants == asdict(tuple_invariants(g)), g.edges()

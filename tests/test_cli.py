@@ -462,7 +462,7 @@ class TestDeterminism:
         # large --jobs is checked with a fake pool that maps serially
         import permcm.cli
 
-        workers = []
+        workers, tasks = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -475,9 +475,13 @@ class TestDeterminism:
                 return False
 
             def map(self, fn, *iterables):
-                return map(fn, *iterables)
+                calls = list(zip(*iterables))
+                tasks.append(len(calls))
+                return [fn(*args) for args in calls]
 
         monkeypatch.setattr(permcm.cli, "ProcessPoolExecutor", SerialPool)
-        # 33 classes at n = 5, one per chunk at this many jobs
+        # the pool is forked before the records exist, so its size is
+        # bounded by the CPUs alone, and it maps four slices per worker
         assert run_verify("vd", 5, jobs=10_000).to_dict() == run_verify("vd", 5).to_dict()
-        assert workers == [min(33, os.cpu_count() or 1)]
+        assert workers == [min(10_000, os.cpu_count() or 1)]
+        assert tasks == [4 * workers[0]]

@@ -21,13 +21,13 @@ from permcm import (
     path_graph,
     verify_cohesive_order,
 )
-from permcm.classes import permutation_classes
 from permcm.graphs import mask_of, vbit, vertices_of
 from bruteforce import (
     all_graphs,
     backtrack_cohesive_order,
     brute_maximal_cliques,
     brute_verify_cohesive_order,
+    serial_permutation_classes,
 )
 
 
@@ -303,7 +303,7 @@ class TestPartitions:
         # SHA-256 over the limited search at r = alpha on every S_7
         # class, recorded while the clique search returned vertex tuples
         h = hashlib.sha256()
-        for members in permutation_classes(7):
+        for members in serial_permutation_classes(7):
             g = graph_from_permutation(Permutation(members[0]))
             parts = maximal_clique_partitions(g, r=independence_invariants(g)[0])
             h.update(json.dumps([p.blocks for p in parts]).encode() + b"\n")

@@ -29,7 +29,6 @@ from permcm import (
     reisner_cm_test,
 )
 from permcm.caps import get_cap
-from permcm.classes import permutation_classes
 from permcm.complexes import _canonical, _flag_tables, _reisner_key, _series_coef, exact_rank
 from permcm.graphs import vertices_of
 from bruteforce import (
@@ -44,6 +43,7 @@ from bruteforce import (
     hilbert_function_from_f,
     is_flag,
     product_series_coef,
+    serial_permutation_classes,
     shellable_bruteforce_test,
     summed_hilbert_function,
     unfolded_betti_table,
@@ -258,7 +258,7 @@ class TestHilbert:
     def test_prefix_sums_match_the_summed_series(self):
         complexes = list(sweep_complexes(6))
         complexes += [independence_complex(graph_from_permutation(Permutation(m[0])))
-                      for m in permutation_classes(7)]
+                      for m in serial_permutation_classes(7)]
         for c in complexes:
             hd = hilbert_data(c)
             assert hd.hf == summed_hilbert_function(hd), c.facets
@@ -426,7 +426,7 @@ class TestVertexDecomposable:
         # the package reads VD off the Alexander dual; the direct shedding
         # search gives a witness tree exactly when it answers yes
         s7 = [independence_complex(graph_from_permutation(Permutation(members[0])))
-              for members in permutation_classes(7)]
+              for members in serial_permutation_classes(7)]
         seen = set()
         for c in [*sweep_complexes(6), *random_complexes(), *s7]:
             tree = vertex_decomposable_test(c)
@@ -596,7 +596,7 @@ class TestFoldAgainstUnfoldedWalk:
 
     def test_s7_class_representatives_pinned(self):
         h = hashlib.sha256()
-        classes = permutation_classes(7)
+        classes = serial_permutation_classes(7)
         for members in classes:
             c = independence_complex(graph_from_permutation(Permutation(members[0])))
             h.update(json.dumps(betti_rows(c)).encode() + b"\n")
@@ -745,7 +745,7 @@ class TestReisnerFlagPath:
                 flag_path_agrees(cold, independence_complex(g))
 
     def test_s7_class_complexes(self, cold):
-        for members in permutation_classes(7):
+        for members in serial_permutation_classes(7):
             flag_path_agrees(cold, independence_complex(graph_from_permutation(Permutation(members[0]))))
 
     def test_complexes_that_are_not_flag_fall_back(self, cold):
@@ -851,7 +851,7 @@ class TestReisnerFallbackAgainstTheWalk:
         # takes the fallback
         monkeypatch.setenv("PERMCM_CAPS", "hochster=4")
         graphs = [g for n in range(1, 6) for g in all_graphs(n)]
-        graphs += [graph_from_permutation(Permutation(m[0])) for m in permutation_classes(7)]
+        graphs += [graph_from_permutation(Permutation(m[0])) for m in serial_permutation_classes(7)]
         fell_back = 0
         for g in graphs:
             c = independence_complex(g)

@@ -7,9 +7,10 @@ routine they may use is the maximal-clique search of ``cohesive``.
 The same scan keeps the CLI from reading a stripped graph: where
 isolated vertices are removed is decided in ``permcm.classify`` alone;
 it keeps every function from taking the maximal independent sets as
-a parameter: ``permcm.invariants`` alone enumerates them; and it keeps
+a parameter: ``permcm.invariants`` alone enumerates them; it keeps
 the sorted vertex tuples of those sets to the report ``classify``
-builds.
+builds; and it keeps both sweeps from listing S_n: their classes come
+from substitution trees (``permcm.classes``).
 """
 
 import ast
@@ -94,6 +95,22 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements at {found}"
+
+
+def test_no_module_lists_the_permutations():
+    # the sweeps build the classes of S_n from their substitution trees,
+    # so nothing in the package imports or calls itertools.permutations
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                hit = any(alias.name == "permutations" for alias in node.names)
+            else:
+                hit = (isinstance(node, ast.Attribute) and node.attr == "permutations"
+                       and isinstance(node.value, ast.Name) and node.value.id == "itertools")
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"itertools.permutations at {found}"
 
 
 def _callers(name: str, mapped: bool = False) -> set[tuple[str, str]]:

@@ -22,8 +22,8 @@ from bruteforce import (
     brute_maximal_independent_sets,
     brute_minimal_vertex_covers,
     pairwise_matching_relations,
+    serial_permutation_classes,
 )
-from permcm.classes import permutation_classes
 from permcm.graphs import mask_of, vertices_of
 from permcm.invariants import _matching_relations
 
@@ -154,7 +154,7 @@ class TestMatching:
         for n in range(1, 7):
             for g in all_graphs(n):
                 assert _matching_relations(g) == pairwise_matching_relations(g)
-        classes = permutation_classes(8)
+        classes = serial_permutation_classes(8)
         assert len(classes) == 5699
         for members in classes:
             g = graph_from_permutation(Permutation(members[0]))

@@ -17,9 +17,8 @@ from pathlib import Path
 import pytest
 
 from permcm import Permutation, classify, cover_ideal, graph_from_permutation, vertex_splittable_test
-from permcm.classes import permutation_classes
 from permcm.cli import main
-from bruteforce import all_graphs
+from bruteforce import all_graphs, serial_permutation_classes
 
 # (argv, exit code, SHA-256 of stdout)
 PINNED = [
@@ -198,10 +197,35 @@ def test_sweep_stdout_digest(monkeypatch, caps, argv, digest):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
+# the benchmark's digests, recorded from the seed tree
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+
+# (PERMCM_CAPS, argv, SHA-256 of stdout) of pooled sweeps, which must
+# print what they print serially, checked before both sweeps mapped
+# their classes through one pool: the benchmark's survey, and a verify
+# whose 776 classes split unevenly over the pool's slices, 27 of them
+# expanded for their edge keys
+PINNED_POOLED = [
+    ("", ("survey", "--n", "8", "--jobs", "2"), GOLDEN["survey"]),
+    (SWEEP_CAPS, ("verify", "bicm", "--n", "7", "--jobs", "2"),
+     {argv: digest for _, argv, digest in PINNED_SWEEPS}[("verify", "bicm", "--n", "7")]),
+]
+
+
+@pytest.mark.parametrize("caps,argv,digest", PINNED_POOLED,
+                         ids=[" ".join(argv) for _, argv, _ in PINNED_POOLED])
+def test_pooled_stdout_digest(monkeypatch, caps, argv, digest):
+    monkeypatch.setenv("PERMCM_CAPS", caps)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        got = main(list(argv))
+    assert got == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 def test_n7_sweep_pins_are_the_benchmark_golden_digests():
-    golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
     pinned = {argv[1]: digest for _, argv, digest in PINNED_SWEEPS if argv[3] == "7"}
-    assert pinned == golden["verify"]
+    assert pinned == GOLDEN["verify"]
 
 
 # ``verify ainv --n 8`` with its sweep cap raised, recorded before the
@@ -228,7 +252,7 @@ WITNESS_TREES_DIGEST = "b1044f23ec3dd3f9810354d649e185be7f0a75e649c918cc36087e33
 
 def test_splitting_witness_trees_digest():
     graphs = [g for n in range(1, 6) for g in all_graphs(n)]
-    graphs += [graph_from_permutation(Permutation(m[0])) for m in permutation_classes(7)]
+    graphs += [graph_from_permutation(Permutation(m[0])) for m in serial_permutation_classes(7)]
     h = hashlib.sha256()
     for g in graphs:
         h.update(json.dumps(vertex_splittable_test(cover_ideal(g))).encode() + b"\n")
