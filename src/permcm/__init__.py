@@ -10,12 +10,10 @@ from .classify import (
     NotPermutationGraphError,
     SheddingCertificate,
     ShedStep,
-    bicm_and_hilbertian,
     classify,
     cm_by_clique_partition,
     extract_shedding_order,
     gap_witness_check,
-    gorenstein_by_structure,
     verify_shedding_certificate,
 )
 from .cohesive import (

@@ -309,19 +309,6 @@ def verify_shedding_certificate(g: Graph, cert: SheddingCertificate) -> bool:
     return cur.edge_count() == 0 and cert.remaining == vertices_of(alive)
 
 
-def gorenstein_by_structure(g: Graph) -> tuple[bool, bool]:
-    """Structural (gorenstein, strictly nearly gorenstein) flags.
-
-    Isolated vertices are ignored.  Gorenstein means a disjoint union of
-    edges (the edge ideal is then a complete intersection); the strict
-    nearly-Gorenstein graphs are the complete graphs and the path
-    complements on n >= 3 vertices.  An edgeless graph counts as
-    Gorenstein (polynomial ring).
-    """
-    facts = GraphFacts(g)
-    return facts.gorenstein, facts.nearly_gorenstein
-
-
 def gap_witness_check(g: Graph) -> bool | None:
     """For a Gorenstein candidate with alpha >= 2: removing the closed
     neighbourhood of any independent set of size alpha - 2 must leave a
@@ -349,18 +336,6 @@ def gap_witness_check(g: Graph) -> bool | None:
     return True
 
 
-def bicm_and_hilbertian(g: Graph) -> tuple[bool, bool, int]:
-    """(bi-CM, Hilbertian, a-invariant) for a CM permutation graph.
-
-    a = im + tau - n; Hilbertian exactly when a < 0; bi-CM exactly when
-    additionally im = 1.  Raises on non-CM input, where the formula is
-    not claimed (use the Hilbert oracle there instead).
-    """
-    facts = GraphFacts(g)
-    a, hilbertian = facts.a_invariant
-    return facts.bicm, hilbertian, a
-
-
 class GraphFacts:
     """The facts about one graph that the classifiers and the oracles
     share, each computed on first use and then kept.
@@ -379,11 +354,6 @@ class GraphFacts:
     @cached_property
     def order(self) -> CohesiveOrder | None:
         return find_cohesive_order(self.g)
-
-    @cached_property
-    def independence(self) -> tuple[int, int, bool, tuple[int, ...]]:
-        """``independence_invariants`` of the graph."""
-        return independence_invariants(self.g)
 
     @cached_property
     def invariants(self) -> InvariantSet:
@@ -411,7 +381,7 @@ class GraphFacts:
         """``cm_by_clique_partition`` of the graph, whose partition
         search runs only on an unmixed permutation graph: a mixed one is
         not CM whatever its partitions."""
-        if self.order is not None and not self.independence[2]:
+        if self.order is not None and not independence_invariants(self.g)[2]:
             return False
         return self.cm_partitions[0]
 
@@ -437,7 +407,8 @@ class GraphFacts:
 
     @cached_property
     def gorenstein(self) -> bool:
-        """Gorenstein: the stripped graph is a disjoint union of edges."""
+        """Gorenstein: the stripped graph is a disjoint union of edges
+        (an edgeless one leaves the polynomial ring, which counts)."""
         h = self.stripped[0]
         return all(h.degree(v) == 1 for v in h.vertices())
 
@@ -500,15 +471,13 @@ def _as_tuples(masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def _report_invariants(facts: GraphFacts) -> dict:
-    """The invariants of a report: the numbers, with the minimal vertex
-    covers and the maximal independent sets (their complements) as
-    sorted vertex tuples, the form a report prints."""
-    covers = facts.independence[3]
-    full = facts.g.full_mask
+    """The invariants of a report: the numbers, with the maximal
+    independent sets and the minimal vertex covers as sorted vertex
+    tuples, the form a report prints."""
     return {
         **asdict(facts.invariants),
-        "max_independent_sets": _as_tuples(full & ~c for c in covers),
-        "min_vertex_covers": _as_tuples(covers),
+        "max_independent_sets": _as_tuples(maximal_independent_sets(facts.g)),
+        "min_vertex_covers": _as_tuples(independence_invariants(facts.g)[3]),
     }
 
 

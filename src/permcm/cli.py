@@ -61,6 +61,7 @@ from .ideals import (
     power_has_linear_quotients,
     vertex_splittable_test,
 )
+from .invariants import independence_invariants
 
 
 # -- per-theorem checks ------------------------------------------------------
@@ -75,7 +76,7 @@ def _check_vd(f: GraphFacts) -> dict | None:
     comp = f.complex
     oracle_cm = reisner_cm_test(comp)
     theorem_cm = f.cm
-    unmixed_vd = f.invariants.unmixed and is_vertex_decomposable(comp)
+    unmixed_vd = independence_invariants(f.g)[2] and is_vertex_decomposable(comp)
     ok = oracle_cm == theorem_cm == unmixed_vd
     return {
         "ok": ok,
@@ -89,7 +90,7 @@ def _check_vd(f: GraphFacts) -> dict | None:
 
 def _check_cm(f: GraphFacts) -> dict | None:
     oracle_cm = reisner_cm_test(f.complex)
-    unmixed = f.invariants.unmixed
+    unmixed = independence_invariants(f.g)[2]
     _, parts = f.cm_partitions
     count = len(parts)  # 0, 1, or 2 meaning "at least 2"
     if oracle_cm:
@@ -126,11 +127,7 @@ def _check_goren(f: GraphFacts) -> dict | None:
 def _facets_form_path(facets: tuple[tuple[int, ...], ...], n: int) -> bool:
     if n < 2 or any(len(f) != 2 for f in facets):
         return False
-    try:
-        h = graph_from_edges(n, facets)
-    except ValueError:
-        return False
-    return _is_path(h)
+    return _is_path(graph_from_edges(n, facets))
 
 
 def _check_nearly(f: GraphFacts) -> dict | None:
@@ -226,7 +223,7 @@ def _check_hilb(f: GraphFacts) -> dict | None:
 
 
 def _check_covs(f: GraphFacts) -> dict | None:
-    if not f.invariants.unmixed:
+    if not independence_invariants(f.g)[2]:
         return None
     ideal = cover_ideal(f.g)
     splittable = vertex_splittable_test(ideal) is not None
@@ -554,8 +551,10 @@ def render_survey(rows: list[dict], fmt: str) -> str:
 # -- input parsing --------------------------------------------------------------
 
 def _parse_perm(text: str) -> Permutation:
-    # ASCII digits only: int() would also take "1_0", "+2" and non-ASCII digits
-    parts = text.replace(",", " ").split()
+    # commas and whitespace separate the entries, and no entry may be
+    # empty ("2,,1", "2,1,"); ASCII digits only: int() would also take
+    # "1_0", "+2" and non-ASCII digits
+    parts = re.split(r"\s*,\s*|\s+", text.strip())
     if not all(re.fullmatch(r"[0-9]+", p) for p in parts):
         raise ValueError(f"bad permutation {text!r}")
     return Permutation(tuple(map(int, parts)))
@@ -649,8 +648,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_args(p):
-        p.add_argument("--perm", help="permutation in one-line notation, e.g. 2,4,5,1,3")
-        p.add_argument("--graph", help='path to graph JSON {"n": 5, "edges": [[1,2],...]}')
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--perm", help="permutation in one-line notation, e.g. 2,4,5,1,3")
+        source.add_argument("--graph", help='path to graph JSON {"n": 5, "edges": [[1,2],...]}')
 
     p = sub.add_parser("classify", help="full classification report as JSON")
     add_graph_args(p)

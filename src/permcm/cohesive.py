@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, _components, mask_of, vbit, vertices_of
+from .graphs import Graph, _components, complement, mask_of, vbit, vertices_of
 
 
 @dataclass(frozen=True)
@@ -232,9 +232,7 @@ def find_cohesive_order(g: Graph) -> CohesiveOrder | None:
     """
     if g.n == 0:
         return CohesiveOrder(())
-    full = g.full_mask
-    coadj = [0] + [full & ~g.adj[v] & ~vbit(v) for v in range(1, g.n + 1)]
-    seq = _lex_first(g.adj, coadj, full)
+    seq = _lex_first(g.adj, complement(g).adj, g.full_mask)
     if seq is None or not verify_cohesive_order(g, seq):
         return None
     return CohesiveOrder(tuple(seq))

@@ -293,24 +293,17 @@ def is_chordal(g: Graph) -> bool:
 @dataclass(frozen=True)
 class StructureFlags:
     is_complete: bool
-    is_path: bool
     is_path_complement: bool
-    is_disjoint_union_of_edges: bool
     is_chordal: bool
-    isolated_vertices: tuple[int, ...]
 
 
 def recognize_structure(g: Graph) -> StructureFlags:
     """Exact membership flags for the special graph families used here."""
     full = g.full_mask
-    comp = complement(g)
     return StructureFlags(
         is_complete=all(g.adj[v] == full & ~vbit(v) for v in range(1, g.n + 1)),
-        is_path=_is_path(g),
-        is_path_complement=_is_path(comp),
-        is_disjoint_union_of_edges=all(g.degree(v) == 1 for v in range(1, g.n + 1)),
+        is_path_complement=_is_path(complement(g)),
         is_chordal=is_chordal(g),
-        isolated_vertices=g.isolated_vertices(),
     )
 
 

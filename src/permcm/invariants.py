@@ -24,32 +24,46 @@ class InvariantSet:
     induced_matching: int
 
 
-# each live graph's complete enumeration, dropped with the graph
-_MIS: weakref.WeakKeyDictionary[Graph, tuple[int, ...]] = weakref.WeakKeyDictionary()
+# each live graph's independence facts, dropped with the graph:
+# (sets, alpha, tau, unmixed, covers)
+_INDEPENDENCE: weakref.WeakKeyDictionary[Graph, tuple] = weakref.WeakKeyDictionary()
+
+
+def _independence(g: Graph) -> tuple[tuple[int, ...], int, int, bool, tuple[int, ...]]:
+    """The memo entry of g: its maximal independent sets and the
+    numbers read off them.
+
+    There can be 3^(n/3) sets (Moon-Moser), so the enumeration stops one
+    set past the ``independent_sets`` cap and raises.  A truncated
+    enumeration is not kept, and a kept entry is checked against the
+    cap again.
+    """
+    cap = get_cap("independent_sets")
+    entry = _INDEPENDENCE.get(g)
+    sets = entry[0] if entry is not None else maximal_cliques(complement(g), limit=cap + 1)
+    if len(sets) > cap:
+        check_cap("independent_sets", len(sets), "maximal independent set count (a lower bound)")
+    if entry is None:
+        if not sets:  # only for the empty graph
+            entry = (), 0, 0, True, ()
+        else:
+            sizes = {s.bit_count() for s in sets}
+            alpha = max(sizes)
+            # the sets increase as masks, so their complements decrease
+            covers = tuple(g.full_mask & ~s for s in reversed(sets))
+            entry = sets, alpha, g.n - alpha, len(sizes) == 1, covers
+        _INDEPENDENCE[g] = entry
+    return entry
 
 
 def maximal_independent_sets(g: Graph) -> tuple[int, ...]:
     """All inclusion-maximal independent sets (cliques of the complement)
     as vertex masks, in increasing order.
 
-    There can be 3^(n/3) of them (Moon-Moser), so the enumeration stops
-    one set past the ``independent_sets`` cap and raises.  This is the
-    one enumeration in the package: each graph's sets are kept while the
-    graph is alive, and a kept result is checked against the cap again.
+    This is the one enumeration in the package, kept with the numbers
+    of ``independence_invariants`` while the graph is alive.
     """
-    cap = get_cap("independent_sets")
-    sets = _MIS.get(g)
-    if sets is None:
-        sets = maximal_cliques(complement(g), limit=cap + 1)
-        if len(sets) <= cap:  # a truncated enumeration is not kept
-            _MIS[g] = sets
-    if len(sets) > cap:
-        check_cap("independent_sets", len(sets), "maximal independent set count (a lower bound)")
-    return sets
-
-
-# each live graph's numbers read off its sets, dropped with the graph
-_INDEPENDENCE: weakref.WeakKeyDictionary[Graph, tuple] = weakref.WeakKeyDictionary()
+    return _independence(g)[0]
 
 
 def independence_invariants(g: Graph) -> tuple[int, int, bool, tuple[int, ...]]:
@@ -59,24 +73,9 @@ def independence_invariants(g: Graph) -> tuple[int, int, bool, tuple[int, ...]]:
     Minimal vertex covers are exactly the complements of the maximal
     independent sets, so tau = n - alpha and unmixedness is the statement
     that all maximal independent sets share one cardinality.  This is
-    the one place that reads these numbers off the sets, once per live
-    graph; a kept result is checked against the cap again, as the sets
-    are.
+    the one place that reads these numbers off the sets.
     """
-    found = _INDEPENDENCE.get(g)
-    if found is not None and len(found[3]) <= get_cap("independent_sets"):
-        return found
-    sets = maximal_independent_sets(g)  # past the cap, this raises
-    if not sets:  # only for the empty graph
-        found = 0, 0, True, ()
-    else:
-        sizes = {s.bit_count() for s in sets}
-        alpha = max(sizes)
-        # the sets increase as masks, so their complements decrease
-        covers = tuple(g.full_mask & ~s for s in reversed(sets))
-        found = alpha, g.n - alpha, len(sizes) == 1, covers
-    _INDEPENDENCE[g] = found
-    return found
+    return _independence(g)[1:]
 
 
 def _max_compatible(compat: list[int], ceiling: int) -> int:

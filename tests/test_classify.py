@@ -9,7 +9,6 @@ from permcm import (
     NotPermutationGraphError,
     Permutation,
     SheddingCertificate,
-    bicm_and_hilbertian,
     classify,
     cm_by_clique_partition,
     complete_graph,
@@ -17,7 +16,6 @@ from permcm import (
     disjoint_edges,
     extract_shedding_order,
     gap_witness_check,
-    gorenstein_by_structure,
     graph_from_edges,
     graph_from_permutation,
     path_graph,
@@ -209,23 +207,29 @@ class TestSheddingExtraction:
         assert verify_shedding_certificate(g, tampered) is False
 
 
+def gorenstein_flags(g):
+    """(gorenstein, strictly nearly Gorenstein) of the graph's facts."""
+    facts = GraphFacts(g)
+    return facts.gorenstein, facts.nearly_gorenstein
+
+
 class TestGorenstein:
     def test_three_disjoint_edges(self):
-        assert gorenstein_by_structure(disjoint_edges(3)) == (True, False)
+        assert gorenstein_flags(disjoint_edges(3)) == (True, False)
 
     def test_k5(self):
-        assert gorenstein_by_structure(complete_graph(5)) == (False, True)
+        assert gorenstein_flags(complete_graph(5)) == (False, True)
 
     def test_p4_is_its_own_complement(self):
-        assert gorenstein_by_structure(path_graph(4)) == (False, True)
+        assert gorenstein_flags(path_graph(4)) == (False, True)
 
     def test_k2_gorenstein_not_nearly(self):
-        assert gorenstein_by_structure(complete_graph(2)) == (True, False)
+        assert gorenstein_flags(complete_graph(2)) == (True, False)
 
     def test_isolated_vertices_are_ignored(self):
-        assert gorenstein_by_structure(graph_from_edges(3, [(1, 2)])) == (True, False)
+        assert gorenstein_flags(graph_from_edges(3, [(1, 2)])) == (True, False)
         k3_and_a_point = graph_from_edges(4, [(1, 2), (1, 3), (2, 3)])
-        assert gorenstein_by_structure(k3_and_a_point) == (False, True)
+        assert gorenstein_flags(k3_and_a_point) == (False, True)
 
 
 class TestGapWitness:
@@ -255,20 +259,27 @@ class TestGapWitness:
             assert gap_witness_check(g) == subset_walk_gap_witness_check(g), g.edges()
 
 
+def bicm_flags(g):
+    """(bi-CM, Hilbertian, a-invariant) of the graph's facts."""
+    facts = GraphFacts(g)
+    a, hilbertian = facts.a_invariant
+    return facts.bicm, hilbertian, a
+
+
 class TestBicmHilbertian:
     def test_p4(self):
-        assert bicm_and_hilbertian(path_graph(4)) == (True, True, -1)
+        assert bicm_flags(path_graph(4)) == (True, True, -1)
 
     def test_2k2(self):
-        assert bicm_and_hilbertian(disjoint_edges(2)) == (False, False, 0)
+        assert bicm_flags(disjoint_edges(2)) == (False, False, 0)
 
     def test_complete(self):
         for n in range(2, 6):
-            assert bicm_and_hilbertian(complete_graph(n)) == (True, False, 0)
+            assert bicm_flags(complete_graph(n)) == (True, False, 0)
 
     def test_rejects_non_cm(self, remark_graph):
         with pytest.raises(ValueError):
-            bicm_and_hilbertian(remark_graph)
+            bicm_flags(remark_graph)
 
 
 class TestClassify:

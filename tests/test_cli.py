@@ -95,6 +95,25 @@ class TestClassifyCommand:
         code, out, err = run(capsys, "classify", "--perm", perm)
         assert code == 2 and out == "" and "bad permutation" in err
 
+    @pytest.mark.parametrize("perm", ["2,,1", "2,1,", ",2,1", "2, ,1"])
+    def test_empty_perm_entry_exits_2(self, capsys, perm):
+        code, out, err = run(capsys, "classify", "--perm", perm)
+        assert code == 2 and out == "" and "bad permutation" in err
+
+    @pytest.mark.parametrize("perm", ["2,1,3", "2 1 3", "2, 1, 3", " 2 ,1\t3 "])
+    def test_commas_and_whitespace_separate_perm_entries(self, capsys, perm):
+        code, out, _ = run(capsys, "classify", "--no-oracle", "--perm", perm)
+        assert code == 0 and json.loads(out)["edges"] == [[1, 2]]
+
+    def test_perm_and_graph_together_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "k2.json"
+        path.write_text('{"n": 2, "edges": [[1, 2]]}')
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--perm", "1,2", "--graph", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with" in captured.err
+
 
 class TestVerifyCommand:
     def test_vd_small(self, capsys):
@@ -260,6 +279,26 @@ class TestSurveyFastPaths:
 # reported by its check but never true, so the sweep checks nothing
 # positively through it.
 NEVER_FIRES: dict[str, set[str]] = {theorem: set() for theorem in cli._CHECKS}
+
+
+def test_unmixedness_sweeps_make_no_matching_search(monkeypatch):
+    # vd, cm and covs read unmixedness from independence_invariants, so
+    # none of them runs the matching branch and bound; ainv reads im
+    import permcm.invariants
+
+    calls = []
+    search = permcm.invariants.matching_invariants
+
+    def counted(g):
+        calls.append(g)
+        return search(g)
+
+    monkeypatch.setattr(permcm.invariants, "matching_invariants", counted)
+    for theorem in ("vd", "cm", "covs"):
+        run_verify(theorem, 6)
+    assert calls == []
+    run_verify("ainv", 6)
+    assert calls
 
 
 @pytest.mark.parametrize("theorem", sorted(cli._CHECKS))

@@ -6,6 +6,7 @@ import pytest
 
 from permcm import (
     Graph,
+    GraphFacts,
     Permutation,
     complement,
     complete_graph,
@@ -21,7 +22,7 @@ from permcm import (
     path_graph,
     recognize_structure,
 )
-from permcm.graphs import inversions, vertices_of
+from permcm.graphs import _is_path, inversions, vertices_of
 from bruteforce import all_graphs, brute_is_chordal
 
 
@@ -126,26 +127,27 @@ class TestBuiltGraphs:
 
 class TestRecognizers:
     def test_three_disjoint_edges(self):
-        flags = recognize_structure(disjoint_edges(3))
-        assert flags.is_disjoint_union_of_edges
-        assert not flags.is_complete and not flags.is_path
+        g = disjoint_edges(3)
+        assert GraphFacts(g).gorenstein
+        assert not recognize_structure(g).is_complete and not _is_path(g)
 
     def test_p4_both_path_flags(self):
-        flags = recognize_structure(path_graph(4))
-        assert flags.is_path and flags.is_path_complement
+        g = path_graph(4)
+        assert _is_path(g) and recognize_structure(g).is_path_complement
 
     def test_c5_nothing(self):
-        flags = recognize_structure(cycle_graph(5))
+        g = cycle_graph(5)
+        flags = recognize_structure(g)
         assert not flags.is_complete
-        assert not flags.is_path
+        assert not _is_path(g)
         assert not flags.is_path_complement
-        assert not flags.is_disjoint_union_of_edges
+        assert not GraphFacts(g).gorenstein
         assert not flags.is_chordal
-        assert flags.isolated_vertices == ()
+        assert g.isolated_vertices() == ()
 
     def test_isolated_reported(self):
         g = graph_from_edges(4, [(2, 3)])
-        assert recognize_structure(g).isolated_vertices == (1, 4)
+        assert g.isolated_vertices() == (1, 4)
 
     def test_chordal_matches_induced_cycle_oracle(self):
         for n in range(1, 6):

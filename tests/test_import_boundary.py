@@ -9,8 +9,9 @@ isolated vertices are removed is decided in ``permcm.classify`` alone;
 it keeps every function from taking the maximal independent sets as
 a parameter: ``permcm.invariants`` alone enumerates them; it keeps
 the sorted vertex tuples of those sets to the report ``classify``
-builds; and it keeps both sweeps from listing S_n: their classes come
-from substitution trees (``permcm.classes``).
+builds; it keeps both sweeps from listing S_n: their classes come
+from substitution trees (``permcm.classes``); and it keeps one memo
+keyed by live graphs, the independence facts of ``permcm.invariants``.
 """
 
 import ast
@@ -131,6 +132,21 @@ def _callers(name: str, mapped: bool = False) -> set[tuple[str, str]]:
                 if isinstance(target, ast.Name) and target.id == name:
                     found.add((path.stem, fn.name))
     return found
+
+
+def test_one_memo_keyed_by_live_graphs():
+    # a graph's independence facts have one owner: the one
+    # WeakKeyDictionary of permcm.invariants, whose entry holds the sets
+    # and the numbers read off them
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "WeakKeyDictionary":
+                    found.append(path.stem)
+    assert found == ["invariants"], found
 
 
 def test_only_classify_builds_report_tuples():

@@ -68,22 +68,24 @@ class TestMaximalIndependentSets:
 class TestIndependenceInvariants:
     def test_read_off_the_sets_once_per_graph(self, monkeypatch):
         # the classifier's facts, the numeric invariants, the partition
-        # test and the cover ideal all ask for the one kept tuple
-        from permcm import GraphFacts, classify, cover_ideal
+        # test and the cover ideal all read the one memo entry, so each
+        # graph's sets are enumerated once
+        from permcm import GraphFacts, classify, complement, cover_ideal
         import permcm.invariants
 
         calls = []
-        enumerate_sets = permcm.invariants.maximal_independent_sets
+        enumerate_cliques = permcm.invariants.maximal_cliques
 
-        def counted(g):
-            calls.append(g)
-            return enumerate_sets(g)
+        def counted(comp, limit=None):
+            calls.append(complement(comp))  # the graph whose sets these are
+            return enumerate_cliques(comp, limit=limit)
 
-        monkeypatch.setattr(permcm.invariants, "maximal_independent_sets", counted)
+        monkeypatch.setattr(permcm.invariants, "maximal_cliques", counted)
         g = graph_from_permutation(Permutation((2, 1, 4, 3, 6, 5)))  # 3K_2, unmixed
         facts = GraphFacts(g)
-        assert facts.cm and facts.independence == independence_invariants(g)
+        assert facts.cm
         assert facts.invariants == compute_invariants(g)
+        assert maximal_independent_sets(g) and independence_invariants(g)
         cover_ideal(g)
         assert calls == [g]
         # a report also reads the sets of the graphs its shedding walk
