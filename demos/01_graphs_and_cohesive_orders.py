@@ -15,11 +15,10 @@ from permcm import (
     cycle_graph,
     find_cohesive_order,
     graph_from_permutation,
-    maximal_chains,
     maximal_cliques,
     verify_cohesive_order,
 )
-from permcm.graphs import vertices_of
+from permcm.graphs import vbit, vertices_of
 
 # The running example: sigma = (2,4,5,1,3)
 sigma = Permutation((2, 4, 5, 1, 3))
@@ -32,13 +31,27 @@ print(f"identity order cohesive: {verify_cohesive_order(g, (1, 2, 3, 4, 5))}")
 
 # The search returns the lexicographically first witness.
 order = find_cohesive_order(g)
-print(f"found order: {order.order}")
+print(f"found order: {order}")
 
 # Under a cohesive order, the maximal chains of the comparability poset
-# are exactly the maximal cliques of the graph.  The clique search
-# returns vertex masks; listed as sorted vertex tuples they match.
-poset = comparability_poset(g, order)
-print(f"maximal chains : {maximal_chains(poset)}")
+# are exactly the maximal cliques of the graph.  The poset is its
+# up-sets: up[v] is the mask of the elements above v.  A maximal chain
+# climbs from a minimal element through covers to a maximal one.  The
+# clique search returns vertex masks; listed as sorted vertex tuples
+# they match.
+up = comparability_poset(g, order)
+
+
+def chains_from(v):
+    above = up[v]
+    covers = [w for w in vertices_of(above)
+              if not any(up[u] & vbit(w) for u in vertices_of(above))]
+    return [(v,) + c for w in covers for c in chains_from(w)] or [(v,)]
+
+
+minimal = [v for v in g.vertices() if not any(m & vbit(v) for m in up)]
+chains = tuple(sorted(c for v in minimal for c in chains_from(v)))
+print(f"maximal chains : {chains}")
 print(f"maximal cliques: {tuple(sorted(map(vertices_of, maximal_cliques(g))))}")
 
 # The 5-cycle admits no cohesive order: it is not a permutation graph.

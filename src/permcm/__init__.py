@@ -17,12 +17,8 @@ from .classify import (
     verify_shedding_certificate,
 )
 from .cohesive import (
-    ChainPartition,
-    CohesiveOrder,
-    Poset,
     comparability_poset,
     find_cohesive_order,
-    maximal_chains,
     maximal_clique_partitions,
     maximal_cliques,
     verify_cohesive_order,
@@ -48,7 +44,6 @@ from .graphs import (
     complement,
     complete_graph,
     cycle_graph,
-    delete_vertex,
     disjoint_edges,
     graph_from_edges,
     graph_from_json,

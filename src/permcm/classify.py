@@ -37,12 +37,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .caps import get_cap
 from .cohesive import (
-    ChainPartition,
-    CohesiveOrder,
     comparability_poset,
     find_cohesive_order,
     maximal_clique_partitions,
@@ -58,7 +56,6 @@ from .complexes import (
 from .graphs import (
     Graph,
     StructureFlags,
-    delete_vertex,
     induced_subgraph,
     mask_of,
     recognize_structure,
@@ -86,20 +83,21 @@ class ClaimFailureError(RuntimeError):
 
 
 def cm_by_clique_partition(
-    g: Graph, order: CohesiveOrder | None = None
-) -> tuple[bool, tuple[ChainPartition, ...]]:
+    g: Graph, order: Sequence[int] | None = None
+) -> tuple[bool, tuple[tuple[tuple[int, ...], ...], ...]]:
     """Cohen-Macaulay test: unmixed plus a unique partition of the
     vertex set into alpha(G) disjoint maximal cliques.
 
-    Returns the flag and the partitions found (at most 2; a second one
-    is already a counterexample certificate).
+    Returns the flag and the partitions found, as
+    ``maximal_clique_partitions`` lists them (at most 2; a second one is
+    already a counterexample certificate).
     """
     if order is None:
         order = find_cohesive_order(g)
     if order is None:
         raise NotPermutationGraphError("input admits no cohesive order")
     if g.n == 0:
-        return True, (ChainPartition(()),)
+        return True, ((),)
     alpha, _, unmixed, _ = independence_invariants(g)
     parts = maximal_clique_partitions(g, r=alpha, limit=2)
     return unmixed and len(parts) == 1, parts
@@ -153,7 +151,7 @@ def _strip(g: Graph) -> tuple[Graph, int]:
     alive = g.full_mask & ~mask_of(g.isolated_vertices())
     if alive == g.full_mask:  # nothing to strip, so no copy
         return g, alive
-    return induced_subgraph(g, vertices_of(alive))[0], alive
+    return induced_subgraph(g, alive), alive
 
 
 def _ranks(alive: int, vs: tuple[int, ...]) -> tuple[int, ...]:
@@ -166,7 +164,7 @@ def _peel(cur: Graph, j: int) -> Graph | None:
     """Delete the shedding vertex j: cur minus j (the labels above j move
     down by one); None unless each maximal independent set of cur minus
     j stays maximal in cur (the shedding property of j)."""
-    smaller, _ = delete_vertex(cur, j)
+    smaller = induced_subgraph(cur, cur.full_mask & ~vbit(j))
     below = vbit(j) - 1
     nbrs = cur.adj[j] & below | cur.adj[j] >> 1 & ~below  # in smaller's labels
     # a set maximal in smaller stays maximal in cur exactly when j, the
@@ -176,7 +174,7 @@ def _peel(cur: Graph, j: int) -> Graph | None:
     return smaller
 
 
-def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCertificate:
+def _shedding_walk(cur: Graph, alive: int, order: Sequence[int]) -> SheddingCertificate:
     """The walk of ``extract_shedding_order`` on ``cur``, the subgraph
     induced on ``alive``, recorded in the input's labels; ``order`` is a
     cohesive order of the input."""
@@ -186,7 +184,7 @@ def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCe
     while cur.edge_count() > 0:
         labels = vertices_of(alive)
         step_order = tuple(v for v in order if alive & vbit(v))
-        poset = comparability_poset(cur, _ranks(alive, step_order))
+        up = comparability_poset(cur, _ranks(alive, step_order))
         alpha, _, unmixed, _ = independence_invariants(cur)
         parts = maximal_clique_partitions(cur, r=alpha, limit=2)
         if not steps:  # the input's partition and unmixedness decide CM
@@ -198,13 +196,13 @@ def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCe
             )
         part = parts[0]
 
-        for t, block in enumerate(part.blocks, 1):
+        for t, block in enumerate(part, 1):
             # a block is a chain of the poset: its top j has no element
             # of the block above it, and the element i that j covers has one
             bmask = mask_of(block)
-            by_height = {(poset.up[v] & bmask).bit_count(): v for v in block}
+            by_height = {(up[v] & bmask).bit_count(): v for v in block}
             j, i = by_height[0], by_height.get(1)
-            if i is not None and poset.up[i] == vbit(j):
+            if i is not None and up[i] == vbit(j):
                 break
         else:
             raise ClaimFailureError("no block satisfies the upper-set condition")
@@ -220,7 +218,7 @@ def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCe
                 vertices=labels,
                 order=step_order,
                 partition=tuple(
-                    tuple(labels[c - 1] for c in block) for block in part.blocks
+                    tuple(labels[c - 1] for c in block) for block in part
                 ),
                 t=t,
                 shedding_vertex=labels[j - 1],
@@ -241,7 +239,7 @@ def _shedding_walk(cur: Graph, alive: int, order: tuple[int, ...]) -> SheddingCe
 
 
 def extract_shedding_order(
-    g: Graph, order: CohesiveOrder | None = None
+    g: Graph, order: Sequence[int] | None = None
 ) -> SheddingCertificate:
     """Constructive shedding order for a CM permutation graph, in its
     labels.
@@ -258,7 +256,7 @@ def extract_shedding_order(
         order = find_cohesive_order(g)
     if order is None:
         raise NotPermutationGraphError("input admits no cohesive order")
-    return _shedding_walk(*_strip(g), order.order)
+    return _shedding_walk(*_strip(g), order)
 
 
 def verify_shedding_certificate(g: Graph, cert: SheddingCertificate) -> bool:
@@ -277,7 +275,7 @@ def verify_shedding_certificate(g: Graph, cert: SheddingCertificate) -> bool:
         if step.vertices != labels or tuple(sorted(step.order)) != labels:
             return False
         try:
-            poset = comparability_poset(cur, _ranks(alive, step.order))
+            up = comparability_poset(cur, _ranks(alive, step.order))
         except ValueError:  # the step's order is not cohesive
             return False
 
@@ -300,7 +298,7 @@ def verify_shedding_certificate(g: Graph, cert: SheddingCertificate) -> bool:
         if step.shedding_vertex not in block or step.lower_cover not in block:
             return False
         i, j = _ranks(alive, (step.lower_cover, step.shedding_vertex))
-        if poset.up[i] != vbit(j):
+        if up[i] != vbit(j):
             return False
         cur = _peel(cur, j)
         if cur is None:
@@ -346,13 +344,13 @@ class GraphFacts:
     one graph's facts only and is meant to be dropped with the graph.
     """
 
-    def __init__(self, g: Graph, order: CohesiveOrder | None = None) -> None:
+    def __init__(self, g: Graph, order: Sequence[int] | None = None) -> None:
         self.g = g
         if order is not None:
             self.order = order
 
     @cached_property
-    def order(self) -> CohesiveOrder | None:
+    def order(self) -> Sequence[int] | None:
         return find_cohesive_order(self.g)
 
     @cached_property
@@ -370,7 +368,7 @@ class GraphFacts:
         return _strip(self.g)
 
     @cached_property
-    def cm_partitions(self) -> tuple[bool, tuple[ChainPartition, ...]]:
+    def cm_partitions(self) -> tuple[bool, tuple[tuple[tuple[int, ...], ...], ...]]:
         """``cm_by_clique_partition`` of the graph."""
         if self.order is None:
             raise NotPermutationGraphError("input admits no cohesive order")
@@ -432,7 +430,7 @@ class GraphFacts:
         None unless the graph is CM and has an edge."""
         if not (self.stripped[0].n and self.cm):
             return None
-        return _shedding_walk(*self.stripped, self.order.order)
+        return _shedding_walk(*self.stripped, self.order)
 
     @cached_property
     def gap_witness(self) -> bool | None:
@@ -519,7 +517,7 @@ def classify(g: Graph, with_oracle: bool = True) -> ClassificationReport:
         gorenstein, nearly = facts.gorenstein, facts.nearly_gorenstein
         bicm = facts.bicm
         witnesses = {
-            "clique_partitions": [[list(b) for b in p.blocks] for p in parts],
+            "clique_partitions": [[list(b) for b in p] for p in parts],
             "shedding": facts.shedding.to_dict() if facts.shedding else None,
             "gap_witness": facts.gap_witness,
         }
@@ -537,7 +535,7 @@ def classify(g: Graph, with_oracle: bool = True) -> ClassificationReport:
         n=g.n,
         edges=g.edges(),
         is_permutation=order is not None,
-        cohesive_order=order.order if order is not None else None,
+        cohesive_order=order,
         isolated_vertices=g.isolated_vertices(),
         invariants=_report_invariants(facts),
         unmixed=inv.unmixed,

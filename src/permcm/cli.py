@@ -37,7 +37,6 @@ from .classify import (
     extract_shedding_order,
     verify_shedding_certificate,
 )
-from .cohesive import CohesiveOrder
 from .complexes import (
     hilbert_data,
     hochster_betti_table,
@@ -313,7 +312,7 @@ def _facts(perm: tuple[int, ...]) -> GraphFacts:
     """Facts of the inversion graph of ``perm``.  Its labelling is
     cohesive by construction, so sweeps need not recognise their graphs."""
     g = graph_from_permutation(Permutation(perm))
-    return GraphFacts(g, order=CohesiveOrder(tuple(range(1, g.n + 1))))
+    return GraphFacts(g, order=tuple(range(1, g.n + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -25,38 +25,24 @@ with deterministic fewest-candidates column selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph, _components, complement, mask_of, vbit, vertices_of
 
 
-@dataclass(frozen=True)
-class CohesiveOrder:
-    """``order[k]`` is the vertex placed at position k+1."""
-
-    order: tuple[int, ...]
-
-
-def _as_order(order: CohesiveOrder | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(order, CohesiveOrder):
-        return order.order
-    return tuple(order)
-
-
-def verify_cohesive_order(g: Graph, order: CohesiveOrder | Sequence[int]) -> bool:
-    """Check both cohesive axioms under the given labelling.
+def verify_cohesive_order(g: Graph, order: Sequence[int]) -> bool:
+    """Check both cohesive axioms under the labelling ``order``, where
+    ``order[k]`` is the vertex placed at position k+1.
 
     Each vertex j is taken as the middle of the triples i < j < k, with
     the earlier and later vertices held as bitmasks, so the check costs
     O(n^2) mask operations.
     """
-    seq = _as_order(order)
-    if sorted(seq) != list(range(1, g.n + 1)):
+    if sorted(order) != list(range(1, g.n + 1)):
         raise ValueError("order must be a permutation of the vertices")
     adj = g.adj
     earlier, later = 0, g.full_mask
-    for j in seq:
+    for j in order:
         later &= ~vbit(j)
         nj = adj[j]
         later_nbrs = later & nj
@@ -217,9 +203,10 @@ def _lex_first(adj: Sequence[int], coadj: Sequence[int], s: int) -> list[int] | 
     return [v for seq in seqs for v in seq]
 
 
-def find_cohesive_order(g: Graph) -> CohesiveOrder | None:
+def find_cohesive_order(g: Graph) -> tuple[int, ...] | None:
     """The lexicographically first cohesive order; None means g is not a
-    permutation graph.
+    permutation graph.  The empty graph's order is ``()``, so test the
+    result with ``is None``.
 
     Every cohesive order keeps each strong module of g contiguous and
     orders it cohesively, so the lex-first order is assembled bottom-up
@@ -231,72 +218,27 @@ def find_cohesive_order(g: Graph) -> CohesiveOrder | None:
     orientations that fails to be linear also yields None.
     """
     if g.n == 0:
-        return CohesiveOrder(())
+        return ()
     seq = _lex_first(g.adj, complement(g).adj, g.full_mask)
     if seq is None or not verify_cohesive_order(g, seq):
         return None
-    return CohesiveOrder(tuple(seq))
+    return tuple(seq)
 
 
-@dataclass(frozen=True)
-class Poset:
-    """Strict order on 1..n given by up-set bitmasks."""
-
-    n: int
-    up: tuple[int, ...]      # up[v] = mask of elements strictly above v
-
-    def less(self, u: int, v: int) -> bool:
-        return bool(self.up[u] & vbit(v))
-
-    def covers(self, u: int, v: int) -> bool:
-        """True when v covers u (u below v with nothing in between)."""
-        return bool(_covers_up(self.up, u) & vbit(v))
-
-
-def _covers_up(up: Sequence[int], v: int) -> int:
-    """The elements that cover v: those above v and above nothing that
-    is above v."""
-    between = 0
-    for w in vertices_of(up[v]):
-        between |= up[w]
-    return up[v] & ~between
-
-
-def comparability_poset(g: Graph, order: CohesiveOrder | Sequence[int]) -> Poset:
+def comparability_poset(g: Graph, order: Sequence[int]) -> tuple[int, ...]:
     """Order v below w when v precedes w in the cohesive order and they
-    are adjacent.  Axiom (i) is exactly transitivity of this relation."""
-    seq = _as_order(order)
-    if not verify_cohesive_order(g, seq):
+    are adjacent.  Axiom (i) is exactly transitivity of this relation.
+
+    Returns the up-sets: ``up[v]`` is the mask of the elements strictly
+    above v (index 0 unused)."""
+    if not verify_cohesive_order(g, order):
         raise ValueError("order is not cohesive for this graph")
     up = [0] * (g.n + 1)
     later = 0
-    for v in reversed(seq):
+    for v in reversed(order):
         up[v] = g.adj[v] & later
         later |= vbit(v)
-    return Poset(g.n, tuple(up))
-
-
-def maximal_chains(p: Poset) -> tuple[tuple[int, ...], ...]:
-    """All maximal chains, each listed bottom to top."""
-    out: list[tuple[int, ...]] = []
-    covers = [_covers_up(p.up, v) for v in range(p.n + 1)]
-
-    def walk(chain: list[int], v: int) -> None:
-        chain.append(v)
-        if not p.up[v]:
-            out.append(tuple(chain))
-        else:
-            for w in vertices_of(covers[v]):
-                walk(chain, w)
-        chain.pop()
-
-    above = 0
-    for m in p.up:
-        above |= m
-    for v in range(1, p.n + 1):
-        if not above & vbit(v):  # a minimal element
-            walk([], v)
-    return tuple(sorted(out))
+    return tuple(up)
 
 
 def maximal_cliques(g: Graph, limit: int | None = None) -> tuple[int, ...]:
@@ -338,19 +280,14 @@ def maximal_cliques(g: Graph, limit: int | None = None) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-@dataclass(frozen=True)
-class ChainPartition:
-    """A partition of the vertex set into disjoint maximal cliques."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-
 def maximal_clique_partitions(
     g: Graph,
     r: int,
     limit: int | None = 2,
-) -> tuple[ChainPartition, ...]:
-    """Partitions of V(g) into exactly r pairwise disjoint maximal cliques.
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Partitions of V(g) into exactly r pairwise disjoint maximal
+    cliques, each a sorted tuple of sorted vertex tuples, in increasing
+    order.
 
     Exact cover over the maximal-clique list: repeatedly pick the
     uncovered vertex with the fewest usable cliques and branch on them in
@@ -393,4 +330,4 @@ def maximal_clique_partitions(
         return False
 
     search(g.full_mask, [])
-    return tuple(ChainPartition(b) for b in sorted(set(results)))
+    return tuple(sorted(set(results)))

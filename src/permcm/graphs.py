@@ -195,27 +195,21 @@ def complement(g: Graph) -> Graph:
     return _built(g.n, tuple(adj))
 
 
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on ``keep``, relabelled 1..|keep| in increasing
-    order, and the old-to-new vertex map."""
-    kept = sorted(set(keep))
-    for v in kept:
-        if not (1 <= v <= g.n):
-            raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    old_to_new = {v: i + 1 for i, v in enumerate(kept)}
+def induced_subgraph(g: Graph, keep: int) -> Graph:
+    """Subgraph induced on the vertex mask ``keep``, relabelled 1..k in
+    increasing order: kept vertex v becomes the number of kept vertices
+    up to v."""
+    if keep & ~g.full_mask:
+        raise ValueError(f"vertex mask {keep:#x} has bits outside 1..{g.n}")
+    kept = vertices_of(keep)
+    new_bit = [0] * (g.n + 1)
+    for i, v in enumerate(kept):
+        new_bit[v] = 1 << i
     adj = [0] * (len(kept) + 1)
-    for v in kept:
-        nv = old_to_new[v]
-        for u in vertices_of(g.adj[v]):
-            if u in old_to_new:
-                adj[nv] |= vbit(old_to_new[u])
-    return _built(len(kept), tuple(adj)), old_to_new
-
-
-def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
-    if not (1 <= v <= g.n):
-        raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    return induced_subgraph(g, (u for u in range(1, g.n + 1) if u != v))
+    for i, v in enumerate(kept, 1):
+        for u in vertices_of(g.adj[v] & keep):
+            adj[i] |= new_bit[u]
+    return _built(len(kept), tuple(adj))
 
 
 def _component(adj: Sequence[int], s: int) -> int:

@@ -21,7 +21,7 @@ from permcm import Graph, Permutation, graph_from_edges, graph_from_permutation
 from permcm.classes import Code, _inverse, _prime_forms, _reverse_complement
 from permcm.classify import GraphFacts, SheddingCertificate, extract_shedding_order
 from permcm.cli import _SURVEY_COLUMNS, _format_cell
-from permcm.cohesive import CohesiveOrder, maximal_cliques
+from permcm.cohesive import maximal_cliques
 from permcm.complexes import (
     HilbertData,
     _canonical,
@@ -30,7 +30,7 @@ from permcm.complexes import (
     _maximalize,
     _series_coef,
 )
-from permcm.graphs import _components, induced_subgraph, inversions, vbit, vertices_of
+from permcm.graphs import _components, induced_subgraph, inversions, mask_of, vbit, vertices_of
 from permcm.ideals import _first_ordering
 from permcm.invariants import independence_invariants, matching_invariants
 
@@ -234,6 +234,39 @@ def backtrack_cohesive_order(g: Graph) -> tuple[int, ...] | None:
         return False
 
     return tuple(seq) if extend() else None
+
+
+def maximal_chains(up: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """All maximal chains of the poset on 1..n with up-sets ``up``
+    (``up[v]`` the mask of the elements strictly above v, index 0
+    unused), each listed bottom to top, in increasing order.  Under a
+    cohesive order they are the maximal cliques, which is what the
+    shedding walk relies on when it reads a block as a chain."""
+    out: list[tuple[int, ...]] = []
+
+    def covers(v: int) -> int:
+        # the elements above v and above nothing that is above v
+        between = 0
+        for w in vertices_of(up[v]):
+            between |= up[w]
+        return up[v] & ~between
+
+    def walk(chain: list[int], v: int) -> None:
+        chain.append(v)
+        if not up[v]:
+            out.append(tuple(chain))
+        else:
+            for w in vertices_of(covers(v)):
+                walk(chain, w)
+        chain.pop()
+
+    above = 0
+    for m in up:
+        above |= m
+    for v in range(1, len(up)):
+        if not above & vbit(v):  # a minimal element
+            walk([], v)
+    return tuple(sorted(out))
 
 
 def fraction_rank(rows) -> int:
@@ -815,7 +848,7 @@ def labelled_sweep(per_graph, n: int) -> list[tuple[tuple, tuple[int, ...], dict
     out = []
     for p in permutations(range(1, n + 1)):
         g = graph_from_permutation(Permutation(p))
-        facts = GraphFacts(g, order=CohesiveOrder(tuple(range(1, n + 1))))
+        facts = GraphFacts(g, order=tuple(range(1, n + 1)))
         out.append((g.edges(), p, per_graph(facts)))
     out.sort(key=itemgetter(0))
     return out
@@ -937,7 +970,7 @@ def subset_walk_gap_witness_check(g: Graph) -> bool | None:
         if not _is_independent(g, combo):
             continue
         drop = set(combo).union(*(g.neighbors(v) for v in combo))
-        sub, _ = induced_subgraph(g, [v for v in g.vertices() if v not in drop])
+        sub = induced_subgraph(g, g.full_mask & ~mask_of(drop))
         if sub.n != 4 or any(sub.degree(v) != 1 for v in sub.vertices()):
             return False
     return True
@@ -952,9 +985,10 @@ def translated_shedding(g: Graph, order: tuple[int, ...]) -> SheddingCertificate
     kept = [v for v in g.vertices() if g.adj[v]]
     if not kept:
         return None
-    stripped, old_to_new = induced_subgraph(g, kept)
+    old_to_new = {v: i for i, v in enumerate(kept, 1)}
+    stripped = induced_subgraph(g, mask_of(kept))
     cert = extract_shedding_order(
-        stripped, CohesiveOrder(tuple(old_to_new[v] for v in order if v in old_to_new))
+        stripped, tuple(old_to_new[v] for v in order if v in old_to_new)
     )
 
     def back(vs):

@@ -22,6 +22,7 @@ from permcm import (
     verify_cohesive_order,
     verify_shedding_certificate,
 )
+from permcm.graphs import mask_of, vbit
 
 
 def enumerations(monkeypatch):
@@ -46,7 +47,7 @@ class TestCmByCliquePartition:
     def test_p4(self):
         cm, parts = cm_by_clique_partition(path_graph(4))
         assert cm and len(parts) == 1
-        assert parts[0].blocks == ((1, 2), (3, 4))
+        assert parts[0] == ((1, 2), (3, 4))
 
     def test_remark_graph(self, remark_graph):
         cm, parts = cm_by_clique_partition(remark_graph)
@@ -55,7 +56,7 @@ class TestCmByCliquePartition:
     def test_complete_graphs(self):
         for n in range(1, 6):
             cm, parts = cm_by_clique_partition(complete_graph(n))
-            assert cm and parts[0].blocks == (tuple(range(1, n + 1)),)
+            assert cm and parts[0] == (tuple(range(1, n + 1)),)
 
     def test_rejects_non_permutation_graph(self):
         with pytest.raises(NotPermutationGraphError):
@@ -117,9 +118,7 @@ class TestSheddingExtraction:
         g_stripped = disjoint_edges(2)
         for p in permutations(range(1, 5)):
             if verify_cohesive_order(g_stripped, p):
-                from permcm import CohesiveOrder
-
-                cert = extract_shedding_order(g_stripped, order=CohesiveOrder(p))
+                cert = extract_shedding_order(g_stripped, order=p)
                 assert verify_shedding_certificate(g_stripped, cert)
 
     def test_tampered_certificate_fails(self):
@@ -148,7 +147,7 @@ class TestSheddingExtraction:
         # maximal in g, that is, contains a neighbour of j; the walk
         # only peels vertices that have one
         from bruteforce import all_graphs, brute_maximal_independent_sets
-        from permcm import delete_vertex
+        from permcm import induced_subgraph
         from permcm.classify import _peel
 
         for n in range(1, 6):
@@ -156,7 +155,7 @@ class TestSheddingExtraction:
                 for j in g.vertices():
                     if not g.adj[j]:
                         continue
-                    smaller, _ = delete_vertex(g, j)
+                    smaller = induced_subgraph(g, g.full_mask & ~vbit(j))
                     sheds = all(
                         any(g.has_edge(j, v if v < j else v + 1) for v in s)
                         for s in brute_maximal_independent_sets(smaller)
@@ -378,7 +377,7 @@ class TestClaimNeverFails:
                     continue
                 from permcm import induced_subgraph
 
-                stripped, _ = induced_subgraph(g, kept)
+                stripped = induced_subgraph(g, mask_of(kept))
                 try:
                     cert = extract_shedding_order(stripped)
                 except ClaimFailureError as exc:  # pragma: no cover
@@ -417,7 +416,7 @@ class TestGraphFacts:
                 facts = GraphFacts(graph_from_permutation(Permutation(p)))
                 if not facts.cm:
                     continue
-                expected = translated_shedding(facts.g, facts.order.order)
+                expected = translated_shedding(facts.g, facts.order)
                 assert facts.shedding == expected, p
                 if expected is not None and facts.g.isolated_vertices():
                     with_isolated += 1
@@ -463,13 +462,12 @@ class TestGraphFacts:
         # recognition.
         from bruteforce import all_graphs, serial_permutation_classes
         from permcm.cli import _facts
-        from permcm.cohesive import CohesiveOrder
 
         graphs = [g for n in range(7) for g in all_graphs(n)]
         graphs += [_facts(members[0]).g for members in serial_permutation_classes(7)]
         flags = []
         for g in graphs:
-            order = CohesiveOrder(g.vertices())
+            order = g.vertices()
             flags.append(GraphFacts(g, order).cm)
             assert flags[-1] == cm_by_clique_partition(g, order)[0], g.edges()
         assert 0 < sum(flags) < len(flags)

@@ -14,7 +14,6 @@ from permcm import (
     find_cohesive_order,
     graph_from_edges,
     graph_from_permutation,
-    maximal_chains,
     maximal_clique_partitions,
     independence_invariants,
     maximal_cliques,
@@ -27,13 +26,9 @@ from bruteforce import (
     backtrack_cohesive_order,
     brute_maximal_cliques,
     brute_verify_cohesive_order,
+    maximal_chains,
     serial_permutation_classes,
 )
-
-
-def _witness(g):
-    found = find_cohesive_order(g)
-    return None if found is None else found.order
 
 
 def _scrambled_permutation_graph(n, rng):
@@ -79,7 +74,7 @@ class TestVerify:
             p = list(range(1, n + 1))
             rng.shuffle(p)
             assert verify_cohesive_order(g, p) == brute_verify_cohesive_order(g, p)
-            found = find_cohesive_order(g).order
+            found = find_cohesive_order(g)
             assert brute_verify_cohesive_order(g, found)
 
 
@@ -87,7 +82,7 @@ class TestFind:
     def test_complete_graphs_identity(self):
         for n in range(1, 6):
             order = find_cohesive_order(complete_graph(n))
-            assert order is not None and order.order == tuple(range(1, n + 1))
+            assert order == tuple(range(1, n + 1))
 
     def test_c5_has_none(self):
         assert find_cohesive_order(cycle_graph(5)) is None
@@ -129,7 +124,7 @@ class TestRecognitionOracle:
     def test_all_graphs_up_to_5(self):
         for n in range(6):
             for g in all_graphs(n):
-                assert _witness(g) == backtrack_cohesive_order(g)
+                assert find_cohesive_order(g) == backtrack_cohesive_order(g)
 
     def test_seeded_sample_n6(self):
         rng = random.Random(6)
@@ -137,14 +132,14 @@ class TestRecognitionOracle:
         for _ in range(600):
             bits = rng.getrandbits(len(pairs))
             g = graph_from_edges(6, [p for k, p in enumerate(pairs) if bits >> k & 1])
-            assert _witness(g) == backtrack_cohesive_order(g)
+            assert find_cohesive_order(g) == backtrack_cohesive_order(g)
 
     def test_relabelled_permutation_graphs(self):
         rng = random.Random(7)
         for n, count in ((7, 80), (8, 70), (9, 30), (10, 20)):
             for _ in range(count):
                 g = _scrambled_permutation_graph(n, rng)
-                found = _witness(g)
+                found = find_cohesive_order(g)
                 assert found is not None
                 assert found == backtrack_cohesive_order(g)
 
@@ -158,7 +153,7 @@ class TestRecognitionOracle:
                 (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
                 if rng.random() < density
             ])
-            found = _witness(g)
+            found = find_cohesive_order(g)
             assert found == backtrack_cohesive_order(g)
             rejected += found is None
         assert rejected >= 30
@@ -173,7 +168,7 @@ class TestLargeInputs:
         g = path_graph(n)
         found = find_cohesive_order(g)
         assert found is not None and verify_cohesive_order(g, found)
-        assert brute_verify_cohesive_order(g, found.order)
+        assert brute_verify_cohesive_order(g, found)
 
     def test_scrambled_permutation_graph_n100(self):
         g = _scrambled_permutation_graph(100, random.Random(100))
@@ -185,16 +180,18 @@ class TestLargeInputs:
 
 
 class TestPoset:
+    """The poset is its up-sets: ``up[v]`` is the mask of the elements
+    strictly above v."""
+
     def test_k3_chain(self):
-        p = comparability_poset(complete_graph(3), (1, 2, 3))
-        assert p.less(1, 2) and p.less(2, 3) and p.less(1, 3)
-        assert p.covers(1, 2) and p.covers(2, 3) and not p.covers(1, 3)
+        up = comparability_poset(complete_graph(3), (1, 2, 3))
+        assert up == (0, mask_of((2, 3)), vbit(3), 0)
+        assert maximal_chains(up) == ((1, 2, 3),)
 
     def test_two_disjoint_edges(self):
-        p = comparability_poset(disjoint_edges(2), (1, 2, 3, 4))
-        assert p.less(1, 2) and p.less(3, 4)
-        assert not p.less(1, 3) and not p.less(1, 4)
-        assert maximal_chains(p) == ((1, 2), (3, 4))
+        up = comparability_poset(disjoint_edges(2), (1, 2, 3, 4))
+        assert up == (0, vbit(2), 0, vbit(4), 0)
+        assert maximal_chains(up) == ((1, 2), (3, 4))
 
     def test_rejects_non_cohesive_order(self):
         with pytest.raises(ValueError):
@@ -203,33 +200,35 @@ class TestPoset:
     def test_transitive_and_irreflexive(self):
         for p in permutations(range(1, 6)):
             g = graph_from_permutation(Permutation(p))
-            poset = comparability_poset(g, tuple(range(1, 6)))
+            up = comparability_poset(g, tuple(range(1, 6)))
             for u in range(1, 6):
-                assert not poset.less(u, u)
-                for v in range(1, 6):
-                    if not poset.less(u, v):
-                        continue
-                    assert not poset.less(v, u)
-                    for w in range(1, 6):
-                        if poset.less(v, w):
-                            assert poset.less(u, w)
+                assert not up[u] & vbit(u)
+                for v in vertices_of(up[u]):
+                    assert not up[v] & vbit(u)
+                    assert not up[v] & ~up[u]  # above v is above u
 
     def test_covers_have_nothing_between(self):
+        # the steps of the maximal chains are exactly the pairs u < v
+        # with no element above u and below v
         for p in permutations(range(1, 7)):
             g = graph_from_permutation(Permutation(p))
-            poset = comparability_poset(g, tuple(range(1, 7)))
-            for u in range(1, 7):
-                for v in range(1, 7):
-                    between = any(poset.less(u, w) and poset.less(w, v) for w in range(1, 7))
-                    assert poset.covers(u, v) == (poset.less(u, v) and not between)
+            up = comparability_poset(g, tuple(range(1, 7)))
+            covers = {
+                (u, v)
+                for u in range(1, 7)
+                for v in vertices_of(up[u])
+                if not any(up[w] & vbit(v) for w in vertices_of(up[u]))
+            }
+            steps = {pair for c in maximal_chains(up) for pair in zip(c, c[1:])}
+            assert steps == covers, p
 
     def test_maximal_chains_equal_maximal_cliques(self):
         # for every cohesively ordered graph on up to 6 vertices
         for n in range(1, 7):
             for p in permutations(range(1, n + 1)):
                 g = graph_from_permutation(Permutation(p))
-                poset = comparability_poset(g, tuple(range(1, n + 1)))
-                chains = {mask_of(c) for c in maximal_chains(poset)}
+                up = comparability_poset(g, tuple(range(1, n + 1)))
+                chains = {mask_of(c) for c in maximal_chains(up)}
                 assert chains == set(maximal_cliques(g))
 
 
@@ -259,18 +258,18 @@ class TestMaximalCliques:
 class TestPartitions:
     def test_complete_graph_single_block(self):
         parts = maximal_clique_partitions(complete_graph(4), r=1)
-        assert len(parts) == 1 and parts[0].blocks == ((1, 2, 3, 4),)
+        assert parts == (((1, 2, 3, 4),),)
 
     def test_p4_unique(self):
         parts = maximal_clique_partitions(path_graph(4), r=2)
-        assert len(parts) == 1 and parts[0].blocks == ((1, 2), (3, 4))
+        assert parts == (((1, 2), (3, 4)),)
 
     def test_remark_graph_two(self, remark_graph):
         parts = maximal_clique_partitions(remark_graph, r=2)
-        assert [p.blocks for p in parts] == [
+        assert parts == (
             ((1, 2, 5), (3, 4)),
             ((1, 4, 5), (2, 3)),
-        ]
+        )
 
     def test_limit_early_exit(self):
         parts = maximal_clique_partitions(remark := cycle_graph(4), r=2, limit=1)
@@ -283,9 +282,9 @@ class TestPartitions:
                 g = graph_from_permutation(Permutation(p))
                 cliques = set(map(vertices_of, maximal_cliques(g)))
                 for part in maximal_clique_partitions(g, r=2, limit=None):
-                    assert all(b in cliques for b in part.blocks)
+                    assert all(b in cliques for b in part)
                     covered = 0
-                    for b in part.blocks:
+                    for b in part:
                         bmask = sum(vbit(v) for v in b)
                         assert not covered & bmask
                         covered |= bmask
@@ -296,17 +295,17 @@ class TestPartitions:
         # finds depends on the order it tries the cliques in: that of
         # their sorted vertex lists, not of their masks
         g = graph_from_permutation(Permutation((5, 6, 3, 4, 1, 2)))
-        assert [p.blocks for p in maximal_clique_partitions(g, r=2)] == [
+        assert maximal_clique_partitions(g, r=2) == (
             ((1, 3, 5), (2, 4, 6)),
             ((1, 3, 6), (2, 4, 5)),
-        ]
+        )
         # SHA-256 over the limited search at r = alpha on every S_7
         # class, recorded while the clique search returned vertex tuples
         h = hashlib.sha256()
         for members in serial_permutation_classes(7):
             g = graph_from_permutation(Permutation(members[0]))
             parts = maximal_clique_partitions(g, r=independence_invariants(g)[0])
-            h.update(json.dumps([p.blocks for p in parts]).encode() + b"\n")
+            h.update(json.dumps(parts).encode() + b"\n")
         assert h.hexdigest() == (
             "e7577d13b94ce8a83e2aaf1b566aeb375570354834d460e905d02b0bad893e0c"
         )
@@ -342,8 +341,5 @@ class TestPartitions:
             for p in permutations(range(1, n + 1)):
                 g = graph_from_permutation(Permutation(p))
                 for r in range(1, n + 1):
-                    mine = {
-                        pt.blocks
-                        for pt in maximal_clique_partitions(g, r=r, limit=None)
-                    }
+                    mine = set(maximal_clique_partitions(g, r=r, limit=None))
                     assert mine == brute(g, r)

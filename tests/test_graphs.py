@@ -11,7 +11,6 @@ from permcm import (
     complement,
     complete_graph,
     cycle_graph,
-    delete_vertex,
     disjoint_edges,
     graph_from_edges,
     graph_from_json,
@@ -22,7 +21,7 @@ from permcm import (
     path_graph,
     recognize_structure,
 )
-from permcm.graphs import _is_path, inversions, vertices_of
+from permcm.graphs import _is_path, inversions, mask_of, vbit
 from bruteforce import all_graphs, brute_is_chordal
 
 
@@ -86,18 +85,22 @@ class TestComplement:
 
 class TestSubgraphs:
     def test_induced_k5(self):
-        sub, _ = induced_subgraph(complete_graph(5), {1, 2, 3})
+        sub = induced_subgraph(complete_graph(5), mask_of((1, 2, 3)))
         assert sub.edges() == ((1, 2), (1, 3), (2, 3))
 
     def test_delete_vertex_2k2(self):
-        sub, mapping = delete_vertex(disjoint_edges(2), 1)
+        # the vertices above the deleted one move down by one
+        g = disjoint_edges(2)
+        sub = induced_subgraph(g, g.full_mask & ~vbit(1))
         assert sub.n == 3 and sub.edges() == ((2, 3),)
         assert sub.isolated_vertices() == (1,)
-        assert mapping == {2: 1, 3: 2, 4: 3}
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            induced_subgraph(path_graph(3), {4})
+        g = path_graph(3)
+        for keep in (vbit(4), g.full_mask | vbit(9), -1, -vbit(2)):
+            with pytest.raises(ValueError):
+                induced_subgraph(g, keep)
+        assert induced_subgraph(g, 0).n == 0
 
 
 class TestBuiltGraphs:
@@ -113,10 +116,8 @@ class TestBuiltGraphs:
         for n in range(6):
             for g in all_graphs(n):
                 self.valid(complement(g))
-                for v in g.vertices():
-                    self.valid(delete_vertex(g, v)[0])
                 for keep in range(1 << n):
-                    self.valid(induced_subgraph(g, vertices_of(keep))[0])
+                    self.valid(induced_subgraph(g, keep))
 
     def test_inversion_graphs_match_the_inversion_list(self):
         for n in range(8):

@@ -10,8 +10,9 @@ it keeps every function from taking the maximal independent sets as
 a parameter: ``permcm.invariants`` alone enumerates them; it keeps
 the sorted vertex tuples of those sets to the report ``classify``
 builds; it keeps both sweeps from listing S_n: their classes come
-from substitution trees (``permcm.classes``); and it keeps one memo
-keyed by live graphs, the independence facts of ``permcm.invariants``.
+from substitution trees (``permcm.classes``); it keeps one memo keyed
+by live graphs, the independence facts of ``permcm.invariants``; and it
+keeps every one-field dataclass to a type that checks its value.
 """
 
 import ast
@@ -155,3 +156,23 @@ def test_only_classify_builds_report_tuples():
     assert _callers("vertices_of", mapped=True) == {("classify", "_as_tuples")}
     assert _callers("_as_tuples") == {("classify", "_report_invariants")}
     assert _callers("_report_invariants") == {("classify", "classify")}
+
+
+def test_one_field_dataclasses_validate():
+    # a type that wraps one value must check it, as Permutation does;
+    # a wrapper that checks nothing is the plain value under another name
+    one_field, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(deco) for deco in node.decorator_list)):
+                continue
+            fields = [st for st in node.body if isinstance(st, ast.AnnAssign)]
+            if len(fields) != 1:
+                continue
+            one_field.append(node.name)
+            if not any(isinstance(st, ast.FunctionDef) and st.name == "__post_init__"
+                       for st in node.body):
+                found.append(f"{path.name}:{node.name}")
+    assert "Permutation" in one_field  # the scan sees the one that checks
+    assert not found, f"one-field dataclasses without __post_init__: {found}"
