@@ -41,6 +41,7 @@ from typing import Iterable, Sequence
 
 from .caps import get_cap
 from .cohesive import (
+    _check_order,
     comparability_poset,
     find_cohesive_order,
     maximal_clique_partitions,
@@ -91,10 +92,15 @@ def cm_by_clique_partition(
     Returns the flag and the partitions found, as
     ``maximal_clique_partitions`` lists them (at most 2; a second one is
     already a counterexample certificate).
+
+    ``order``, when given, must list the vertices 1..n once each
+    (``ValueError`` otherwise) and is trusted to be cohesive: it stands
+    for the recognition that shows ``g`` is a permutation graph, and
+    nothing else reads it.
     """
-    if order is None:
-        order = find_cohesive_order(g)
-    if order is None:
+    if order is not None:
+        _check_order(g, order)
+    elif find_cohesive_order(g) is None:
         raise NotPermutationGraphError("input admits no cohesive order")
     if g.n == 0:
         return True, ((),)
@@ -340,13 +346,16 @@ class GraphFacts:
 
     A cohesive order already known (a sweep's inversion labelling) can
     be passed in; otherwise it is recognised on first use, and it is
-    None for a graph that is not a permutation graph.  An instance holds
-    one graph's facts only and is meant to be dropped with the graph.
+    None for a graph that is not a permutation graph.  A given order
+    must list the vertices 1..n once each (``ValueError`` otherwise),
+    and is trusted to be cohesive.  An instance holds one graph's facts
+    only and is meant to be dropped with the graph.
     """
 
     def __init__(self, g: Graph, order: Sequence[int] | None = None) -> None:
         self.g = g
         if order is not None:
+            _check_order(g, order)
             self.order = order
 
     @cached_property

@@ -501,20 +501,28 @@ def _survey_class(n: int, record: Record) -> list[tuple]:
     return _survey_entries(class_members(code, n), _survey_row(_facts(rep)))
 
 
-def survey_rows(n: int, jobs: int = 1) -> list[dict]:
-    """One row per permutation of S_n, in order of its inversion graph's
-    edge tuple (``_pair_table``): ``edges`` from the permutation, every
-    other column from its isomorphism class.
+def survey_rows(n: int, jobs: int = 1) -> list[tuple[str, dict]]:
+    """One ``(edges cell, row)`` pair per permutation of S_n, in order of
+    its inversion graph's edge tuple (``_pair_table``): the cell from the
+    permutation, and ``row`` every other column, from its isomorphism
+    class.
 
     Every column but ``edges`` is an isomorphism invariant, so
     ``_map_classes`` computes the row of each class once, at its
-    representative, and gives it to every member.
+    representative, and all members of a class share that one dict.
     """
     _check_sweep_args(n, jobs)
     check_cap("survey", n, "survey")
     entries = [e for part in _map_classes(partial(_survey_class, n), n, jobs) for e in part]
     entries.sort(key=itemgetter(0))
-    return [{"edges": edges, **row} for _, edges, row in entries]
+    # each pair replaces its entry in place, so the entry and its key
+    # are freed as the pair is made: no second list of n! tuples is
+    # held, and the cyclic collector, which counts allocations net of
+    # frees, does not run over these tuples (a tuple holding a dict is
+    # never untracked) while they are made
+    for i, (_, edges, row) in enumerate(entries):
+        entries[i] = edges, row
+    return entries
 
 
 def _format_cell(value) -> str:
@@ -525,25 +533,28 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def render_survey(rows: list[dict], fmt: str) -> str:
+def render_survey(rows: Sequence[tuple[str, dict]], fmt: str) -> str:
+    """The text of ``survey_rows``' pairs as CSV or as a JSON list of
+    objects, each the ``edges`` cell with its row."""
     if fmt == "csv":
         # no cell holds a comma, a quote or a line break, so no cell is
-        # quoted; the members of a class share every cell but ``edges``,
-        # and those are formatted once, with the line's end (a bool and
-        # the int it equals share a cache slot, and both format alike)
+        # quoted; the members of a class share their row, and its cells
+        # are formatted once, with the line's end (a bool and the int it
+        # equals share a cache slot, and both format alike)
         shared = itemgetter(*_SURVEY_COLUMNS[1:])
         formatted: dict[tuple, str] = {}
         pieces = [",".join(_SURVEY_COLUMNS), "\n"]
-        for row in rows:
+        for edges, row in rows:
             cells = shared(row)
             tail = formatted.get(cells)
             if tail is None:
                 tail = formatted[cells] = "," + ",".join(map(_format_cell, cells)) + "\n"
-            pieces.append(row["edges"])
+            pieces.append(edges)
             pieces.append(tail)
         return "".join(pieces)
     if fmt == "json":
-        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        return json.dumps([{"edges": edges, **row} for edges, row in rows],
+                          indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 

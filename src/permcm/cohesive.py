@@ -30,6 +30,13 @@ from typing import Sequence
 from .graphs import Graph, _components, complement, mask_of, vbit, vertices_of
 
 
+def _check_order(g: Graph, order: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless ``order`` lists the vertices 1..n of
+    ``g`` once each."""
+    if len(order) != g.n or not set(order).issuperset(range(1, g.n + 1)):
+        raise ValueError("order must be a permutation of the vertices")
+
+
 def verify_cohesive_order(g: Graph, order: Sequence[int]) -> bool:
     """Check both cohesive axioms under the labelling ``order``, where
     ``order[k]`` is the vertex placed at position k+1.
@@ -38,8 +45,7 @@ def verify_cohesive_order(g: Graph, order: Sequence[int]) -> bool:
     the earlier and later vertices held as bitmasks, so the check costs
     O(n^2) mask operations.
     """
-    if sorted(order) != list(range(1, g.n + 1)):
-        raise ValueError("order must be a permutation of the vertices")
+    _check_order(g, order)
     adj = g.adj
     earlier, later = 0, g.full_mask
     for j in order:

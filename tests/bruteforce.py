@@ -903,14 +903,14 @@ def inversion_edges_cell(p: tuple[int, ...]) -> str:
     return ";".join(f"{u}-{v}" for u, v in inversions(p))
 
 
-def csv_writer_survey(rows: list[dict]) -> str:
-    """``render_survey(rows, "csv")`` through ``csv.writer``, one row at
-    a time and one cell at a time."""
+def csv_writer_survey(rows: list[tuple[str, dict]]) -> str:
+    """``render_survey(rows, "csv")`` of ``(edges cell, row)`` pairs
+    through ``csv.writer``, one row at a time and one cell at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_SURVEY_COLUMNS)
-    for row in rows:
-        writer.writerow([_format_cell(row[c]) for c in _SURVEY_COLUMNS])
+    for edges, row in rows:
+        writer.writerow([edges] + [_format_cell(row[c]) for c in _SURVEY_COLUMNS[1:]])
     return buf.getvalue()
 
 

@@ -180,7 +180,8 @@ class TestPooledSweep:
         for name in ("_sum_records", "_prime_records"):
             monkeypatch.setattr(permcm.classes, name, recorded(getattr(permcm.classes, name)))
         sweeps = [
-            lambda: cli.survey_rows(5, jobs=2) == labelled_survey_rows(5, cli._survey_row),
+            lambda: [{"edges": e, **row} for e, row in cli.survey_rows(5, jobs=2)]
+            == labelled_survey_rows(5, cli._survey_row),
             lambda: cli.run_verify("cm", 5, jobs=2).to_dict() == _oracle_verify("cm", 5),
         ]
         for sweep in sweeps:
@@ -210,7 +211,8 @@ class TestClassSweepAgainstLabelledSweep:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_survey_rows(self, jobs):
         for n in range(6):
-            assert cli.survey_rows(n, jobs=jobs) == labelled_survey_rows(n, cli._survey_row)
+            rows = [{"edges": e, **row} for e, row in cli.survey_rows(n, jobs=jobs)]
+            assert rows == labelled_survey_rows(n, cli._survey_row)
 
 
 def _edge_count_check(f):

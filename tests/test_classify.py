@@ -62,6 +62,16 @@ class TestCmByCliquePartition:
         with pytest.raises(NotPermutationGraphError):
             cm_by_clique_partition(cycle_graph(5))
 
+    def test_rejects_an_order_that_is_not_a_permutation_of_the_vertices(self):
+        # a given order is trusted to be cohesive, but it must at least
+        # list the vertices 1..n once each
+        for g, order in [(cycle_graph(5), (9,)), (path_graph(4), ()),
+                         (path_graph(4), (1, 2, 3, 3)), (path_graph(4), (0, 1, 2, 3))]:
+            with pytest.raises(ValueError, match="must be a permutation"):
+                cm_by_clique_partition(g, order)
+            with pytest.raises(ValueError, match="must be a permutation"):
+                GraphFacts(g, order=order).cm
+
 
 class TestSheddingExtraction:
     def test_2k2_peels_an_endpoint_per_edge(self):
@@ -457,8 +467,9 @@ class TestGraphFacts:
     def test_cm_gate_matches_the_partition_test(self):
         # the partition search runs on unmixed graphs only: every labelled
         # graph with n <= 6 and every S_7 class gets the flag of the full
-        # test.  Both read the order only for its presence, so one given
-        # to every graph checks the gate on each of them without
+        # test.  Both trust a given order to be cohesive and check only
+        # that it lists the vertices, so the identity order given to
+        # every graph checks the gate on each of them without
         # recognition.
         from bruteforce import all_graphs, serial_permutation_classes
         from permcm.cli import _facts

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from itertools import permutations
+from math import factorial
 
 from permcm import cli
+from permcm.classes import class_records
 from permcm.cli import main, render_survey, run_verify, survey_rows
 from permcm.graphs import graph_from_permutation, inversions
 from bruteforce import _edge_key, csv_writer_survey, inversion_edges_cell
@@ -177,7 +179,7 @@ class TestVerifyCommand:
 class TestSurveyCommand:
     def test_rows_n1(self):
         rows = survey_rows(1)
-        assert len(rows) == 1 and rows[0]["edges"] == ""
+        assert len(rows) == 1 and rows[0][0] == ""
 
     def test_distinct_graph_count_n3(self):
         # sigma <-> inversion set is a bijection, so S_3 gives 6 rows
@@ -242,12 +244,45 @@ class TestSurveyFastPaths:
         values = [None, True, 1, False, 0, -1, -12, 7, 1, True, None, 0, False]
         rows = []
         for i, value in enumerate(values):
-            row = dict.fromkeys(cli._SURVEY_COLUMNS, 0)
-            row.update(edges="1-2;2-3" if i % 2 else "", a_invariant=value,
-                       hilbertian=values[-1 - i], cm=value)
-            rows.append(row)
+            row = dict.fromkeys(cli._SURVEY_COLUMNS[1:], 0)
+            row.update(a_invariant=value, hilbertian=values[-1 - i], cm=value)
+            rows.append(("1-2;2-3" if i % 2 else "", row))
         rows += rows[::-1]
         assert render_survey(rows, "csv") == csv_writer_survey(rows)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_members_of_a_class_share_one_row(self, jobs):
+        # one row dict per class, not one per permutation
+        for n in range(7):
+            rows = survey_rows(n, jobs=jobs)
+            assert len(rows) == factorial(n)
+            assert len({id(row) for _, row in rows}) == len(class_records(n))
+
+    def test_pool_runs_inside_survey_rows(self, capsys, monkeypatch):
+        # the benchmark's pool utilization divides the pool's CPU by the
+        # wall time of survey_rows, so the pool must run inside it and
+        # its rows come back whole, not as a lazy iterable
+        running, calls, returned = [], [], []
+        map_classes, rows_of = cli._map_classes, cli.survey_rows
+
+        def mapped(*args):
+            calls.append(bool(running))
+            return map_classes(*args)
+
+        def rows_while_running(*args, **kwargs):
+            running.append(True)
+            try:
+                rows = rows_of(*args, **kwargs)
+            finally:
+                running.clear()
+            returned.append(rows)
+            return rows
+
+        monkeypatch.setattr(cli, "_map_classes", mapped)
+        monkeypatch.setattr(cli, "survey_rows", rows_while_running)
+        assert run(capsys, "survey", "--n", "5", "--jobs", "2")[0] == 0
+        assert calls == [True]
+        assert [type(rows) for rows in returned] == [list]
 
     def test_partitions_searched_for_unmixed_classes_only(self, monkeypatch):
         # CM is unmixed and a unique partition, so the survey searches

@@ -202,11 +202,16 @@ GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden
 
 # (PERMCM_CAPS, argv, SHA-256 of stdout) of pooled sweeps, which must
 # print what they print serially, checked before both sweeps mapped
-# their classes through one pool: the benchmark's survey, and a verify
-# whose 776 classes split unevenly over the pool's slices, 27 of them
-# expanded for their edge keys
+# their classes through one pool: the benchmark's survey, the serial
+# survey pins of n = 6 in both formats, and a verify whose 776 classes
+# split unevenly over the pool's slices, 27 of them expanded for their
+# edge keys
+_SERIAL = {argv: digest for argv, _, digest in PINNED}
 PINNED_POOLED = [
     ("", ("survey", "--n", "8", "--jobs", "2"), GOLDEN["survey"]),
+    ("", ("survey", "--n", "6", "--jobs", "2"), _SERIAL[("survey", "--n", "6")]),
+    ("", ("survey", "--n", "6", "--format", "json", "--jobs", "2"),
+     _SERIAL[("survey", "--n", "6", "--format", "json")]),
     (SWEEP_CAPS, ("verify", "bicm", "--n", "7", "--jobs", "2"),
      {argv: digest for _, argv, digest in PINNED_SWEEPS}[("verify", "bicm", "--n", "7")]),
 ]
