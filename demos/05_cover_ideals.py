@@ -16,7 +16,6 @@ from permcm import (
     is_linear_quotients_order,
     linear_quotients_order,
     path_graph,
-    power_has_linear_quotients,
     vertex_splittable_test,
 )
 
@@ -42,9 +41,3 @@ Jc = cover_ideal(chorded)
 print(f"\nchorded C_5 covers: {Jc.generator_sets()}")
 print(f"linear quotients: {linear_quotients_order(Jc)}")
 print(f"splittable: {vertex_splittable_test(Jc)}")
-
-# Data-gathering hook for powers of the cover ideal (no assertion made:
-# the behaviour of higher powers is an open experimental question).
-for k in (1, 2, 3):
-    found, count = power_has_linear_quotients(J, k)
-    print(f"J(P_4)^{k}: {count} generators, linear quotients found: {found}")

@@ -59,7 +59,6 @@ from .ideals import (
     cover_ideal,
     is_linear_quotients_order,
     linear_quotients_order,
-    power_has_linear_quotients,
     vertex_splittable_test,
 )
 from .invariants import (

@@ -256,12 +256,16 @@ def extract_shedding_order(
     i has upper set exactly {j}, verify the shedding property of j
     directly, delete j, and repeat until the graph is edgeless.  The
     first step rejects a graph that is not CM (not unmixed, or without a
-    unique partition).
+    unique partition).  ``order``, when given, must list the vertices
+    1..n once each, and the walk checks that it is cohesive on the
+    vertices that are not isolated (``ValueError`` otherwise).
     """
-    if order is None:
+    if order is not None:
+        _check_order(g, order)
+    else:
         order = find_cohesive_order(g)
-    if order is None:
-        raise NotPermutationGraphError("input admits no cohesive order")
+        if order is None:
+            raise NotPermutationGraphError("input admits no cohesive order")
     return _shedding_walk(*_strip(g), order)
 
 

@@ -57,7 +57,6 @@ from .graphs import (
 from .ideals import (
     cover_ideal,
     linear_quotients_order,
-    power_has_linear_quotients,
     vertex_splittable_test,
 )
 from .invariants import independence_invariants
@@ -635,13 +634,6 @@ def _cmd_ideal(args) -> int:
         "linear_quotients_order": linear_quotients_order(ideal),
         "vertex_splittable": vertex_splittable_test(ideal),
     }
-    if args.power:
-        found, count = power_has_linear_quotients(ideal, args.power)
-        payload["power"] = {
-            "k": args.power,
-            "generators": count,
-            "linear_quotients": found,
-        }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -692,8 +684,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideal", help="cover ideal: generators, linear quotients, splitting")
     add_graph_args(p)
-    p.add_argument("--power", type=int, default=0,
-                   help="also search a linear-quotients order for the k-th power")
     p.set_defaults(func=_cmd_ideal)
     return parser
 

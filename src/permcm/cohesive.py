@@ -27,13 +27,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, _components, complement, mask_of, vbit, vertices_of
+from .graphs import Graph, _components, _is_int, complement, mask_of, vbit, vertices_of
 
 
 def _check_order(g: Graph, order: Sequence[int]) -> None:
     """Raise ``ValueError`` unless ``order`` lists the vertices 1..n of
-    ``g`` once each."""
-    if len(order) != g.n or not set(order).issuperset(range(1, g.n + 1)):
+    ``g`` once each, as plain ints."""
+    if (len(order) != g.n or not all(map(_is_int, order))
+            or not set(order).issuperset(range(1, g.n + 1))):
         raise ValueError("order must be a permutation of the vertices")
 
 
@@ -250,9 +251,8 @@ def comparability_poset(g: Graph, order: Sequence[int]) -> tuple[int, ...]:
 def maximal_cliques(g: Graph, limit: int | None = None) -> tuple[int, ...]:
     """All inclusion-maximal cliques as vertex masks, in increasing
     order (Bron-Kerbosch with pivoting), or only the first ``limit``
-    found when a limit is given."""
-    if g.n == 0:
-        return ()
+    found when a limit is given.  The 0-vertex graph has one, the empty
+    clique."""
     found: list[int] = []
     adj = g.adj
 

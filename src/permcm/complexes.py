@@ -199,8 +199,7 @@ def complex_from_json(data: dict) -> SimplicialComplex:
 
 def independence_complex(g: Graph) -> SimplicialComplex:
     """Faces are the independent sets; facets the maximal ones."""
-    facets = maximal_independent_sets(g) or (0,)  # n = 0: the complex {{}}
-    return SimplicialComplex((1 << g.n) - 1, facets)
+    return SimplicialComplex((1 << g.n) - 1, maximal_independent_sets(g))
 
 
 # -- canonical forms and the homology cache --------------------------------

@@ -20,7 +20,6 @@ searches are exact, and here they are capped by generator count:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .caps import check_cap
@@ -173,68 +172,3 @@ def vertex_splittable_test(ideal: MonomialIdeal) -> dict | None:
 
     return build(ideal.gens)
 
-
-# -- powers experiment hook ----------------------------------------------------
-#
-# General (non-squarefree) monomials appear only here, as exponent
-# tuples.  The CLI exposes this as a data-gathering command for the
-# behaviour of powers of cover ideals; nothing in the package asserts
-# anything about the outcome.
-
-def _power_gens(ideal: MonomialIdeal, k: int) -> list[tuple[int, ...]]:
-    """Minimal generators of the k-th power as exponent tuples, in
-    lexicographic order, at most the ``linear_quotients`` cap of them.
-
-    Lex order is compatible with addition, so with the generators sorted
-    a product only grows when one of its factors is swapped for a later
-    generator.  A heap therefore pops the products (k-element multisets
-    of generator indices, each reached from one parent) in lex order.
-    Every proper divisor of a product comes before it, so the kept list
-    only ever grows by minimal generators, and the walk stops as soon as
-    the list passes the cap instead of building every product first."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
-    vecs = sorted(tuple(g >> i & 1 for i in range(ideal.n)) for g in ideal.gens)
-    if not vecs:
-        return []
-    heap = [(tuple(k * x for x in vecs[0]), (0,) * k)]
-    minimal: list[tuple[int, ...]] = []
-    while heap:
-        e, idx = heappop(heap)
-        # the parent of a multiset lowers its first nonzero index, so its
-        # children raise that index or the one before it, keeping the order
-        first = next((p for p, i in enumerate(idx) if i), k)
-        for p in (first - 1, first):
-            if 0 <= p < k and idx[p] + 1 < len(vecs) and (p == k - 1 or idx[p] < idx[p + 1]):
-                old, new = vecs[idx[p]], vecs[idx[p] + 1]
-                child = tuple(a - b + c for a, b, c in zip(e, old, new))
-                heappush(heap, (child, idx[:p] + (idx[p] + 1,) + idx[p + 1:]))
-        # a repeated product is rejected here too: it divides itself
-        if not any(all(a <= b for a, b in zip(f, e)) for f in minimal):
-            minimal.append(e)
-            check_cap("linear_quotients", len(minimal), "generator count (a lower bound)")
-    return minimal
-
-
-def power_has_linear_quotients(ideal: MonomialIdeal, k: int) -> tuple[bool, int]:
-    """Search a linear-quotients order for the k-th power.
-
-    Returns (found, generator count).  Exponent-tuple analogue of the
-    squarefree search: the colon by the new generator is computed with
-    componentwise differences, and failed prefix sets are memoised the
-    same way.
-    """
-    gens = _power_gens(ideal, k)
-
-    def diff(p: tuple[int, ...], u: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(max(a - b, 0) for a, b in zip(p, u))
-
-    def step_ok(placed: list[tuple[int, ...]], new: tuple[int, ...]) -> bool:
-        diffs = [diff(p, new) for p in placed]
-        singles = [d for d in diffs if sum(d) == 1]
-        return all(
-            any(all(s[i] <= dd[i] for i in range(len(dd))) for s in singles)
-            for dd in diffs
-        )
-
-    return _first_ordering(gens, step_ok) is not None, len(gens)

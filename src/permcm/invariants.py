@@ -44,14 +44,11 @@ def _independence(g: Graph) -> tuple[tuple[int, ...], int, int, bool, tuple[int,
     if len(sets) > cap:
         check_cap("independent_sets", len(sets), "maximal independent set count (a lower bound)")
     if entry is None:
-        if not sets:  # only for the empty graph
-            entry = (), 0, 0, True, ()
-        else:
-            sizes = {s.bit_count() for s in sets}
-            alpha = max(sizes)
-            # the sets increase as masks, so their complements decrease
-            covers = tuple(g.full_mask & ~s for s in reversed(sets))
-            entry = sets, alpha, g.n - alpha, len(sizes) == 1, covers
+        sizes = {s.bit_count() for s in sets}
+        alpha = max(sizes)
+        # the sets increase as masks, so their complements decrease
+        covers = tuple(g.full_mask & ~s for s in reversed(sets))
+        entry = sets, alpha, g.n - alpha, len(sizes) == 1, covers
         _INDEPENDENCE[g] = entry
     return entry
 

@@ -64,12 +64,10 @@ def brute_maximal_cliques(g: Graph) -> set[tuple[int, ...]]:
     verts = g.vertices()
     cliques = {
         frozenset(s)
-        for r in range(1, g.n + 1)
+        for r in range(g.n + 1)
         for s in combinations(verts, r)
         if all(g.has_edge(u, v) for u, v in combinations(s, 2))
     }
-    if g.n == 0:
-        return set()
     out = set()
     for s in cliques:
         if not any(s < t for t in cliques):
@@ -724,22 +722,6 @@ def check_split_tree(gens: set[tuple[int, ...]], tree: dict) -> bool:
         return False
     return check_split_tree(with_x, tree["factor"]) and check_split_tree(
         without, tree["rest"]
-    )
-
-
-def brute_power_gens(gens: tuple[int, ...], n: int, k: int) -> list[tuple[int, ...]]:
-    """Minimal generators of the k-th power of the squarefree ideal with
-    these generator masks, as sorted exponent tuples: every product of k
-    generators, then a divisibility filter."""
-    from itertools import combinations_with_replacement
-
-    products = {
-        tuple(sum(g >> i & 1 for g in pick) for i in range(n))
-        for pick in combinations_with_replacement(gens, k)
-    }
-    return sorted(
-        e for e in products
-        if not any(f != e and all(a <= b for a, b in zip(f, e)) for f in products)
     )
 
 

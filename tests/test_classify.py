@@ -72,6 +72,16 @@ class TestCmByCliquePartition:
             with pytest.raises(ValueError, match="must be a permutation"):
                 GraphFacts(g, order=order).cm
 
+    @pytest.mark.parametrize("order", [(True, 2), (1.0, 2.0)], ids=["bool", "float"])
+    def test_rejects_an_order_whose_entries_are_not_ints(self, order):
+        # True == 1 and 1.0 == 1, so a set test alone lets both through
+        g = complete_graph(2)
+        for check in (cm_by_clique_partition, verify_cohesive_order, extract_shedding_order):
+            with pytest.raises(ValueError, match="must be a permutation"):
+                check(g, order)
+        with pytest.raises(ValueError, match="must be a permutation"):
+            GraphFacts(g, order=order)
+
 
 class TestSheddingExtraction:
     def test_2k2_peels_an_endpoint_per_edge(self):
@@ -121,6 +131,12 @@ class TestSheddingExtraction:
         for g in (remark_graph, cycle_graph(4), path_graph(3)):
             with pytest.raises(ValueError, match="only for Cohen-Macaulay inputs"):
                 extract_shedding_order(g)
+
+    def test_rejects_an_order_that_is_not_a_permutation_of_the_vertices(self):
+        # K_2 has no vertex 3, and a cohesive_order of (1, 2) would hide it
+        for order in [(1, 2, 3), (1,), (1, 1), (0, 1)]:
+            with pytest.raises(ValueError, match="must be a permutation"):
+                extract_shedding_order(complete_graph(2), order)
 
     def test_certificate_independent_of_chosen_order(self):
         # any cohesive order yields a certificate that re-verifies

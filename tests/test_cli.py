@@ -484,28 +484,36 @@ class TestIdealCommand:
         assert payload["linear_quotients_order"] is not None
         assert payload["vertex_splittable"] is not None
 
-    def test_power_hook(self, capsys):
-        code, out, _ = run(capsys, "ideal", "--perm", "3,2,1", "--power", "2")
+    def test_power_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ideal", "--perm", "3,2,1", "--power", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --power 2" in capsys.readouterr().err
+
+    def test_zero_vertex_graph_has_the_unit_ideal(self, capsys, tmp_path):
+        # like every edgeless graph: the empty set is its one maximal
+        # independent set, so the empty cover generates (1)
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 0, "edges": []}))
+        code, out, _ = run(capsys, "ideal", "--graph", str(path))
         assert code == 0
         payload = json.loads(out)
-        assert payload["power"]["k"] == 2
-        assert payload["power"]["linear_quotients"] is True
+        assert payload["generators"] == [[]]
+        assert payload["linear_quotients_order"] == [[]]
+        assert payload["vertex_splittable"] == {"base": [[]]}
 
-    def test_power_over_cap_fails_fast(self, capsys):
-        # the 16-generator cover ideal of 4K_2: its 6th power has 2,401
-        # minimal generators, and the filter stops at the 21st
-        code, _, err = run(capsys, "ideal", "--perm", "2,1,4,3,6,5,8,7", "--power", "6")
-        assert code == 2
-        assert "generator count (a lower bound) size 21 exceeds the 'linear_quotients' cap 20" in err
 
-    def test_ninth_power_stops_at_the_cap(self, capsys):
-        # 10,000 minimal generators among C(24, 9) = 1.3 million products;
-        # the products come in lex order and the walk stops at the 21st
-        start = time.perf_counter()
-        code, _, err = run(capsys, "ideal", "--perm", "2,1,4,3,6,5,8,7", "--power", "9")
-        assert code == 2
-        assert "generator count (a lower bound) size 21 exceeds the 'linear_quotients' cap 20" in err
-        assert time.perf_counter() - start < 2.0
+def test_readme_command_lines_parse():
+    # every documented invocation must still be accepted by the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    lines = [words for words in lines if words and words[0] == "permcm"]
+    assert len(lines) >= 7
+    parser = cli._build_parser()
+    for words in lines:
+        args = parser.parse_args(words[1:])
+        assert args.command == words[1]
 
 
 class TestDeterminism:

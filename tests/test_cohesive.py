@@ -248,7 +248,7 @@ class TestMaximalCliques:
         )
 
     def test_matches_brute_force(self):
-        for n in range(1, 6):
+        for n in range(6):
             for g in all_graphs(n):
                 cliques = maximal_cliques(g)
                 assert list(cliques) == sorted(set(cliques))

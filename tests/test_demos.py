@@ -20,7 +20,7 @@ STDOUT_DIGESTS = {
     "02_algebraic_oracles.py": "cf0e07f19964515facbe6c178912acb61c008e380833117604f6f2b835632f58",
     "03_classification_tour.py": "f1662e85ddbbacc9aff09c6ef18fa1f77373c95951057d03ca60b65b6e57bde4",
     "04_shedding_certificates.py": "4854ff0ce9c7a63092b45bc2c295cf8df087de2921e92c05a139fea513d5c3eb",
-    "05_cover_ideals.py": "7c611aca981613f8b17ffd3016dd252532e7a2dad38d2a6ab9479e9441f6bd83",
+    "05_cover_ideals.py": "5a0616366578445633578cfc722bb145de1613cf0101b10044854f891a58d66b",
     "06_exhaustive_verification.py": "bd72023ad1260dec826ea2713e1b69662fb9a3b1e1ff476cf6a467fe3ebefc72",
 }
 

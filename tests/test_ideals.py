@@ -15,7 +15,6 @@ from permcm import (
     is_linear_quotients_order,
     linear_quotients_order,
     path_graph,
-    power_has_linear_quotients,
     vertex_splittable_test,
 )
 from permcm.graphs import vertices_of
@@ -57,7 +56,8 @@ class TestCoverIdeal:
     def test_edgeless_is_unit(self):
         from permcm import graph_from_edges
 
-        assert cover_ideal(graph_from_edges(3, [])).is_unit
+        for n in range(4):  # n = 0 too: the empty set is its one maximal clique
+            assert cover_ideal(graph_from_edges(n, [])).is_unit
 
     def test_generator_degrees_vs_unmixedness(self):
         # all generators have size tau exactly when the graph is unmixed
@@ -164,28 +164,3 @@ class TestVertexSplittable:
                 ideal = cover_ideal(g)
                 if vertex_splittable_test(ideal) is not None:
                     assert linear_quotients_order(ideal) is not None
-
-
-class TestPowers:
-    def test_square_of_triangle_cover_ideal(self):
-        ideal = cover_ideal(complete_graph(3))
-        found, count = power_has_linear_quotients(ideal, 2)
-        assert found and count == 6
-
-    def test_power_gens_match_every_product(self):
-        from permcm.ideals import _power_gens
-
-        from bruteforce import brute_power_gens
-
-        for n in range(1, 6):
-            for p in permutations(range(1, n + 1)):
-                ideal = cover_ideal(graph_from_permutation(Permutation(p)))
-                for k in (1, 2, 3):
-                    expected = brute_power_gens(ideal.gens, ideal.n, k)
-                    if len(expected) <= 20:
-                        assert _power_gens(ideal, k) == expected
-
-    def test_power_one_matches_base(self):
-        ideal = cover_ideal(path_graph(4))
-        found, count = power_has_linear_quotients(ideal, 1)
-        assert found and count == 3

@@ -103,27 +103,28 @@ PINNED = [
      "b076f3e9678c04528bf5fe3c6aff6676ec09899f3448dfd3d3e25f4d39dec4dd"),
     (("classify", "--perm", "2,4,1,6,3,8,5,10,7,12,9,14,11,16,13,15"), 0,
      "4706f4d55e77351cfcb1ce1374ed6af87a2f565b934a3b2c6da1788956815468"),
-    # cover ideals and their squares, on the same permutations
-    (("ideal", "--perm", "2,1,3", "--power", "2"), 0,
-     "3109329bc2e226d8b7ade8124b4da60600cb0a4c34027b9e7b580fbd244dc39d"),
-    (("ideal", "--perm", "1,4,3,2,5", "--power", "2"), 0,
-     "515664cbb71897c9a19315055fafa7f52b7de2b1f41aeda396869675f88f57b5"),
-    (("ideal", "--perm", "1,3,2,4", "--power", "2"), 0,
-     "af3a923e70f33fedba6ba3eefd03a6ebe51d0fda3c217de3bfdf75b977b4c961"),
-    (("ideal", "--perm", "1,2,3", "--power", "2"), 0,
-     "79db8e521d5b55328106809c1478bb4c1603a894f5ef966a03b6bf7cdd0a1563"),
-    (("ideal", "--perm", "3,1,2,4,6,5", "--power", "2"), 0,
-     "b2d9010be7d71905ffe605f5ae213ed24f7e14bc8694063bcc3fb1d3b20169e8"),
-    (("ideal", "--perm", "2,1,4,3,5,6", "--power", "2"), 0,
-     "a62ee182c5082de045cc799f4f4b468dfec78c82fd59aa4701f39413cb770045"),
-    (("ideal", "--perm", "1,5,4,3,2,6,7", "--power", "2"), 0,
-     "6af1c70151ccf8b41a88f2ecf15847d5621e22aabe47ee87ab9c0f9b870e8f81"),
-    (("ideal", "--perm", "2,1,3,5,4", "--power", "2"), 0,
-     "38a017f2dc3c8a1c937004ca02d3c61669ac31ec421961e2f15f45925ffb0295"),
-    (("ideal", "--perm", "2,1,3,6,5,4", "--power", "2"), 0,
-     "7074fb1ffdc2ea99ca9fe97a62df34dc9355801e710ef860f92894afe4857b3c"),
-    (("ideal", "--perm", "3,4,1,2,5", "--power", "2"), 0,
-     "55219fc89db92b74d83ebc445693c4c3f7faac483360797e35d33b5353348cdf"),
+    # cover ideals on the same permutations, recorded while `ideal` still
+    # took `--power`: the stdout of `ideal --perm X` without it
+    (("ideal", "--perm", "2,1,3"), 0,
+     "dc33a5121504a991f50685d3c63ebc8be54c91151b8edddb0edf645a7fa134a3"),
+    (("ideal", "--perm", "1,4,3,2,5"), 0,
+     "d37c437057ab835a579cb4b5e0be515ff95542d6da1ab07863c5a097a4c59e7c"),
+    (("ideal", "--perm", "1,3,2,4"), 0,
+     "11a40f11b54bb2731d1ae07d9f32110cd1ed506ccd28a005913148c82a7d8e7b"),
+    (("ideal", "--perm", "1,2,3"), 0,
+     "de6a1703779bf7914a7a58f8a4fe3c2f11cc7e3f12f1711eb5b9f760d1dee406"),
+    (("ideal", "--perm", "3,1,2,4,6,5"), 0,
+     "131dcc76f5542cf6d0c63889f97ba4633a9a2a515e56765512871bcf5c0311a6"),
+    (("ideal", "--perm", "2,1,4,3,5,6"), 0,
+     "91e1af68f2470921ef8c31362d2e858113d4b71cf28d9872021fb298d6e51730"),
+    (("ideal", "--perm", "1,5,4,3,2,6,7"), 0,
+     "01bb5ffb35b66c9da7e5481431870ae5b1a2233286e9c87bf64f897d30977c32"),
+    (("ideal", "--perm", "2,1,3,5,4"), 0,
+     "522b50b5149e46f1a757f46222b1fe7700bd037c040fbdec037ca191f0f496e6"),
+    (("ideal", "--perm", "2,1,3,6,5,4"), 0,
+     "cccd873e8fbd3b4c1af9344cae3c452bda0a64d9305854f9ee1814f0b6a2368e"),
+    (("ideal", "--perm", "3,4,1,2,5"), 0,
+     "0d87a21caed13972e1aa1a9d0ea04b7b6dbcdc4b5effe00d3f1bc3608221a9dd"),
 ]
 
 
