@@ -102,8 +102,6 @@ def cm_by_clique_partition(
         _check_order(g, order)
     elif find_cohesive_order(g) is None:
         raise NotPermutationGraphError("input admits no cohesive order")
-    if g.n == 0:
-        return True, ((),)
     alpha, _, unmixed, _ = independence_invariants(g)
     parts = maximal_clique_partitions(g, r=alpha, limit=2)
     return unmixed and len(parts) == 1, parts
@@ -190,15 +188,14 @@ def _shedding_walk(cur: Graph, alive: int, order: Sequence[int]) -> SheddingCert
     while cur.edge_count() > 0:
         labels = vertices_of(alive)
         step_order = tuple(v for v in order if alive & vbit(v))
-        up = comparability_poset(cur, _ranks(alive, step_order))
-        alpha, _, unmixed, _ = independence_invariants(cur)
-        parts = maximal_clique_partitions(cur, r=alpha, limit=2)
-        if not steps:  # the input's partition and unmixedness decide CM
-            if len(parts) != 1 or not unmixed:
-                raise ValueError("shedding orders exist only for Cohen-Macaulay inputs")
+        ranks = _ranks(alive, step_order)
+        up = comparability_poset(cur, ranks)
+        cm, parts = cm_by_clique_partition(cur, ranks)
+        if not (cm or steps):  # the input's CM test
+            raise ValueError("shedding orders exist only for Cohen-Macaulay inputs")
         if len(parts) != 1:
             raise ClaimFailureError(
-                f"partition into {alpha} maximal cliques not unique mid-extraction"
+                "partition into alpha maximal cliques not unique mid-extraction"
             )
         part = parts[0]
 

@@ -363,11 +363,6 @@ def _map_classes(fn: Callable[[Record], object], n: int, jobs: int) -> list:
     return out
 
 
-def _edge_key(p: tuple[int, ...]) -> bytes:
-    pairs, keys, _ = _pair_table(len(p))
-    return b"".join(compress(keys, _inverted(p, pairs)))
-
-
 def _check_class(check: Callable[[GraphFacts], dict | None], record: Record) -> tuple:
     """``record`` and the result of ``check`` on its representative."""
     return record, check(_facts(record[2]))
@@ -384,57 +379,44 @@ def _discrepancy(perm: tuple[int, ...], res: dict) -> dict:
     }
 
 
-def _holds(res: dict | None) -> set[str]:
-    return {name for name, value in res["predicates"].items() if value} if res else set()
-
-
 def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
     """Sweep all of S_n for one theorem/oracle pair.
 
     Each isomorphism class (``class_records``) is checked once, at its
-    representative, through ``_map_classes``, and its
-    result weighted by the class size: every check is an isomorphism
-    invariant.  A class whose representative fails is expanded and
-    re-checked member by member, with labels, and those results replace
-    its weighted one.  Results are tallied in the order of a labelled
-    sweep, by edge key (``_pair_table``), so ``counts`` lists predicates
-    in the order such a sweep first meets them and discrepancies come
-    sorted.  Only the classes that decide that order get a key, the
-    least over their members: the edgeless graph's class
-    (``class_records`` puts it first), of one member with the least key,
-    and each class whose result holds a predicate the edgeless graph's
-    does not.  The rest only add to counts already listed.  The parent
-    builds no record: each comes back with its result.
+    representative, through ``_map_classes``, and its result weighted
+    by the class size: every check is an isomorphism invariant.  A class
+    whose representative fails is expanded and re-checked member by
+    member, with labels, and those results replace its weighted one.
+    ``counts`` keeps the order in which the class records first hold
+    each predicate; ``verify`` prints it sorted.  Discrepancies are
+    sorted by their edges.  The parent builds no record: each comes
+    back with its result.
     """
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem!r}")
     _check_sweep_args(n, jobs)
     check_cap(theorem, n, "sweep")
     check = _CHECKS[theorem]
-    results = _map_classes(partial(_check_class, check), n, jobs)
-    base = _holds(results[0][1])
-    keyed, rest = [], []  # (key, weight, permutation, result), and without the key
-    for i, ((code, size, rep), res) in enumerate(results):
-        if res is not None and not res["ok"]:
-            keyed += [(_edge_key(p), 1, p, check(_facts(p))) for p in class_members(code, n)]
-        elif i == 0 or _holds(res) - base:
-            keyed.append((min(map(_edge_key, class_members(code, n))), size, rep, res))
-        else:
-            rest.append((None, size, rep, res))
-    keyed.sort(key=itemgetter(0))
     counts: dict[str, int] = {}
     discrepancies = []
     checked = skipped = 0
-    for _, weight, perm, res in keyed + rest:
-        if res is None:
-            skipped += weight
-            continue
-        checked += weight
-        for name, value in res["predicates"].items():
-            if value:
-                counts[name] = counts.get(name, 0) + weight
-        if not res["ok"]:
-            discrepancies.append(_discrepancy(perm, res))
+    for (code, size, rep), result in _map_classes(partial(_check_class, check), n, jobs):
+        if result is not None and not result["ok"]:
+            tally = [(1, p, check(_facts(p))) for p in class_members(code, n)]
+        else:
+            tally = [(size, rep, result)]
+        for weight, perm, res in tally:
+            if res is None:
+                skipped += weight
+                continue
+            checked += weight
+            for name, value in res["predicates"].items():
+                if value:
+                    counts[name] = counts.get(name, 0) + weight
+            if not res["ok"]:
+                discrepancies.append(_discrepancy(perm, res))
+    # an inversion set fixes its permutation: no two records tie
+    discrepancies.sort(key=itemgetter("edges"))
     return SweepResult(
         theorem=theorem,
         n=n,

@@ -301,8 +301,8 @@ def maximal_clique_partitions(
     ``limit`` partitions are produced (None enumerates all); the default
     of 2 is what uniqueness testing needs.
     """
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    if r < 0:
+        raise ValueError("r must be nonnegative")
     # branch in the order of the cliques' sorted vertex lists: it fixes
     # which partitions a limited search finds
     cliques = sorted(maximal_cliques(g), key=vertices_of)

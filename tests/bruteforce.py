@@ -875,7 +875,7 @@ def labelled_survey_rows(n: int, row) -> list[dict]:
 
 
 def _edge_key(edges: list[tuple[int, int]]) -> bytes:
-    """``edges`` flattened to bytes, two a pair: the sweep's edge key as
+    """``edges`` flattened to bytes, two a pair: the survey's edge key as
     built from ``inversions`` before the pair table."""
     return bytes(chain.from_iterable(edges))
 

@@ -13,6 +13,7 @@ from itertools import permutations
 import pytest
 
 from permcm import Permutation, graph_from_permutation
+from permcm.graphs import inversions
 from permcm import cli
 import permcm.classes
 from permcm.classes import _symmetries, class_members, class_records, simple_orbits
@@ -145,9 +146,8 @@ class TestGeneratedClasses:
         assert not any(_brute_is_simple(p) for p in permutations(range(1, 4)))
 
     def test_verify_builds_no_member_list(self, monkeypatch):
-        # besides the edgeless graph's class, of one member, only the
-        # classes whose result holds a predicate the edgeless graph's
-        # does not are expanded, for their least edge key
+        # a passing sweep expands no class: only a failing class is
+        # re-checked member by member
         expanded = []
 
         def members(code, n):
@@ -155,11 +155,9 @@ class TestGeneratedClasses:
             return class_members(code, n)
 
         monkeypatch.setattr(cli, "class_members", members)
-        edgeless = class_records(6)[0][0]
-        assert cli.run_verify("cm", 6).to_dict() == _oracle_verify("cm", 6)
-        assert expanded == [edgeless]
-        assert cli.run_verify("gap", 6).to_dict() == _oracle_verify("gap", 6)
-        assert len(expanded) > 2
+        for theorem in sorted(cli._CHECKS):
+            assert cli.run_verify(theorem, 6).to_dict() == _oracle_verify(theorem, 6)
+        assert expanded == []
 
 
 class TestPooledSweep:
@@ -220,15 +218,18 @@ def _edge_count_check(f):
     return {"ok": True, "predicates": {f"edges={f.g.edge_count()}": True}, "detail": None}
 
 
-def test_counts_list_predicates_as_the_labelled_sweep_meets_them(monkeypatch):
-    # every class but the edgeless one holds a new predicate, so every
-    # class gets its least edge key
+def test_counts_list_predicates_in_record_order(monkeypatch):
+    # every class holds one predicate, its edge count: counts lists them
+    # as the class records' representatives first hold them, and the
+    # document equals the labelled sweep's
     monkeypatch.setitem(cli._CHECKS, "cm", _edge_count_check)
     for n in range(7):
-        expected = labelled_verify("cm", n, _edge_count_check)
         result = cli.run_verify("cm", n)
-        assert result.to_dict() == expected
-        assert list(result.counts) == list(expected["counts"])
+        assert result.to_dict() == labelled_verify("cm", n, _edge_count_check)
+        first_met = {}
+        for _, _, rep in class_records(n):
+            first_met.setdefault(f"edges={len(inversions(rep))}", None)
+        assert list(result.counts) == list(first_met)
 
 
 def _cm_failing_on_p4(f):
@@ -237,6 +238,16 @@ def _cm_failing_on_p4(f):
     res = cli._check_cm(f)
     degrees = sorted(f.g.degree(v) for v in f.g.vertices() if f.g.degree(v))
     if degrees == [1, 1, 2, 2] and f.g.edge_count() == 3:
+        res = dict(res, ok=False, detail="patched failure")
+    return res
+
+
+def _cm_failing_on_p4_or_k3(f):
+    """``_cm_failing_on_p4``, failing also on every graph that is a
+    triangle plus isolated vertices: two classes per n >= 4, whose
+    members interleave in edge order."""
+    res = _cm_failing_on_p4(f)
+    if sorted(f.g.degree(v) for v in f.g.vertices() if f.g.degree(v)) == [2, 2, 2]:
         res = dict(res, ok=False, detail="patched failure")
     return res
 
@@ -251,6 +262,18 @@ class TestFailingClass:
             assert len(expected["discrepancies"]) > 1
             assert result.to_dict() == expected
             assert list(result.counts) == list(expected["counts"])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_discrepancies_of_two_classes_merge_in_edge_order(self, monkeypatch, jobs):
+        monkeypatch.setitem(cli._CHECKS, "cm", _cm_failing_on_p4_or_k3)
+        for n in (4, 5, 6):
+            result = cli.run_verify("cm", n, jobs=jobs)
+            expected = labelled_verify("cm", n, _cm_failing_on_p4_or_k3)
+            perms = {tuple(d["perm"]) for d in expected["discrepancies"]}
+            # both classes fail, and their records alternate in the sweep
+            classes = [canonical_code(p) for p in sorted(perms, key=inversions)]
+            assert sum(a != b for a, b in zip(classes, classes[1:])) > 1
+            assert result.to_dict() == expected
 
     def test_records_replay(self, monkeypatch):
         monkeypatch.setitem(cli._CHECKS, "cm", _cm_failing_on_p4)

@@ -127,8 +127,11 @@ class TestSheddingExtraction:
             assert verify_shedding_certificate(g, cert)
 
     def test_requires_cm(self, remark_graph):
-        # C_4 is unmixed with two partitions; P_3 is not unmixed
-        for g in (remark_graph, cycle_graph(4), path_graph(3)):
+        # C_4 is unmixed with two partitions; P_3 is not unmixed; P_6,
+        # labelled as the inversion graph of 2,4,1,6,3,5, is not unmixed
+        # but has exactly one partition into alpha maximal cliques
+        p6 = graph_from_permutation(Permutation((2, 4, 1, 6, 3, 5)))
+        for g in (remark_graph, cycle_graph(4), path_graph(3), p6):
             with pytest.raises(ValueError, match="only for Cohen-Macaulay inputs"):
                 extract_shedding_order(g)
 

@@ -271,6 +271,14 @@ class TestPartitions:
             ((1, 4, 5), (2, 3)),
         )
 
+    def test_zero_blocks_cover_only_the_empty_vertex_set(self):
+        # the 0-vertex graph has alpha = 0 and one partition, the empty
+        # one; no graph with a vertex splits into zero cliques
+        assert maximal_clique_partitions(graph_from_edges(0, []), r=0) == ((),)
+        assert maximal_clique_partitions(path_graph(3), r=0) == ()
+        with pytest.raises(ValueError, match="r must be nonnegative"):
+            maximal_clique_partitions(path_graph(3), r=-1)
+
     def test_limit_early_exit(self):
         parts = maximal_clique_partitions(remark := cycle_graph(4), r=2, limit=1)
         assert len(parts) == 1

@@ -158,6 +158,12 @@ def test_only_classify_builds_report_tuples():
     assert _callers("_report_invariants") == {("classify", "classify")}
 
 
+def test_only_the_survey_keys_members_by_their_edges():
+    # the survey's CSV is printed in edge order; verify prints its
+    # counts sorted and sorts only its discrepancies, by their edges
+    assert _callers("_pair_table") == {("cli", "_survey_entries")}
+
+
 def test_one_field_dataclasses_validate():
     # a type that wraps one value must check it, as Permutation does;
     # a wrapper that checks nothing is the plain value under another name

@@ -205,8 +205,7 @@ GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden
 # print what they print serially, checked before both sweeps mapped
 # their classes through one pool: the benchmark's survey, the serial
 # survey pins of n = 6 in both formats, and a verify whose 776 classes
-# split unevenly over the pool's slices, 27 of them expanded for their
-# edge keys
+# split unevenly over the pool's slices
 _SERIAL = {argv: digest for argv, _, digest in PINNED}
 PINNED_POOLED = [
     ("", ("survey", "--n", "8", "--jobs", "2"), GOLDEN["survey"]),

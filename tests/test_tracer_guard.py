@@ -63,7 +63,7 @@ def test_sweeps_reach_every_expected_function():
 def test_verify_sweeps_alone_reach_every_expected_function():
     # the ten verify sweeps on their own, so the survey cannot make a
     # call the sweeps stopped making: a sweep checks one member per
-    # class, and expands only the classes it needs an edge key of
+    # class, and expands only a class whose member fails
     code = (
         "import contextlib, io\n"
         "import tracer\n"
