@@ -27,9 +27,6 @@ from .complexes import (
     BettiTable,
     HilbertData,
     SimplicialComplex,
-    complex_from_json,
-    complex_to_json,
-    euler_characteristic,
     hilbert_data,
     hochster_betti_table,
     independence_complex,

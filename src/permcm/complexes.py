@@ -38,14 +38,16 @@ entry of the subset minus one folding vertex, or marks its induced
 complex a cone, which has no reduced homology.  A folded set splits
 into the components of that complement, its complex is the join of
 theirs, and the homology of a component is memoised by its 1-skeleton
-relabelled to the low bits, which fixes a flag complex.  Hochster
-tallies the vertex subsets by size and folded set and takes each folded
-set's homology once.  Reisner reads every face and its link off the
-meet table, since the link of a face of a flag complex is the induced
-complex on the common neighbours of its vertices; a complex that is not
-flag, or has more used vertices than the ``hochster`` cap, takes each
-face's link from the facets that contain it instead, and reads its
-homology off the global homology memo.
+relabelled to the low bits, which fixes a flag complex.  Hochster is
+one tally for every complex: it counts the vertex subsets by size and
+folded set and takes each folded set's homology once; on a complex that
+is not flag nothing folds, and a subset stands for the used vertices in
+it.  Reisner reads every face and its link off the meet table, since
+the link of a face of a flag complex is the induced complex on the
+common neighbours of its vertices; a complex that is not flag, or has
+more used vertices than the ``hochster`` cap, takes each face's link
+from the facets that contain it instead, and reads its homology off the
+global homology memo.
 
 Conventions: the void complex (no faces at all) and the complex {{}}
 whose only face is the empty set are distinct values; the latter has
@@ -69,7 +71,7 @@ from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
 
 from .caps import check_cap, get_cap
-from .graphs import Graph, _component, _is_int, mask_of, vbit, vertices_of
+from .graphs import Graph, _component, mask_of, vbit, vertices_of
 from .invariants import maximal_independent_sets
 
 
@@ -153,48 +155,11 @@ class SimplicialComplex:
         ambient = self.vertices & ~f if len(drop) == 1 else self.vertices
         return SimplicialComplex(ambient, _maximalize(kept))
 
-    @property
-    def is_simplex(self) -> bool:
-        return len(self.facets) <= 1
-
     @cached_property
     def _flag(self) -> "_FlagTables | None":
         """The subset tables of the complex when it is flag, else None;
         built on first use and shared by Hochster and Reisner."""
         return _flag_tables(_canonical(self.facets))
-
-
-def complex_to_json(c: SimplicialComplex) -> dict:
-    return {
-        "vertices": list(vertices_of(c.vertices)),
-        "facets": [list(f) for f in c.facet_sets()],
-    }
-
-
-def _vertex_list(entry, what: str) -> list[int]:
-    """``entry`` as a list of distinct vertices, or ValueError naming it."""
-    if not isinstance(entry, list):
-        raise ValueError(f"{what} {entry!r} is not a list of vertices")
-    for v in entry:
-        if not _is_int(v) or v < 1:
-            raise ValueError(f"vertex {v!r} of {what} {entry!r} is not a positive integer")
-    if len(set(entry)) != len(entry):
-        raise ValueError(f"{what} {entry!r} repeats a vertex")
-    return entry
-
-
-def complex_from_json(data: dict) -> SimplicialComplex:
-    if not isinstance(data, Mapping):
-        raise ValueError(f"complex JSON {data!r} is not an object")
-    if "vertices" not in data or "facets" not in data:
-        raise ValueError('complex JSON needs "vertices" and "facets"')
-    faces = data["facets"]
-    if not isinstance(faces, list):
-        raise ValueError(f'"facets" {faces!r} is not a list of faces')
-    return SimplicialComplex.from_faces(
-        _vertex_list(data["vertices"], '"vertices"'),
-        [_vertex_list(f, "face") for f in faces],
-    )
 
 
 def independence_complex(g: Graph) -> SimplicialComplex:
@@ -209,8 +174,6 @@ def _canonical(facets: Sequence[int]) -> tuple[int, ...]:
     supp = 0
     for m in facets:
         supp |= m
-    if supp == 0:
-        return tuple(sorted(facets))
     remap: dict[int, int] = {}
     nb = 0
     s = supp
@@ -333,14 +296,6 @@ def reduced_homology_ranks(c: SimplicialComplex) -> dict[int, int]:
     in dimension -1.
     """
     return dict(_homology_of_key(_canonical(c.facets)))
-
-
-def euler_characteristic(c: SimplicialComplex) -> int:
-    """Reduced Euler characteristic, alternating face-count sum."""
-    chi = 0
-    for f in c.faces():
-        chi += -1 if f.bit_count() % 2 == 0 else 1
-    return chi
 
 
 # -- flag complexes: the subset tables --------------------------------------
@@ -568,13 +523,16 @@ def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     the induced subcomplexes on the j-element vertex subsets W, in
     dimension j - i - 1.  The W = empty term lands at (0, 0).
 
-    When the complex is flag, its fold table cuts each W down to a
-    smaller set with the same homology (Engstrom, *Independence
-    complexes of claw-free graphs*, Eur. J. Combin. 2008), or marks it a
-    cone, which has no reduced homology.  The sum tallies the W by size
-    and folded set, walking W down from the full set as the unfolded sum
-    did, so the entries come out in the same order, and takes each
-    folded set's homology once (``_FlagTables.homology``)."""
+    One sum serves every complex: it tallies the W by size and folded
+    set, walking W down from the full set, so the entries come out in
+    the order in which a sum over the W themselves first meets them, and
+    takes each folded set's homology once.  When the complex is flag,
+    its fold table cuts each W down to a smaller set with the same
+    homology (Engstrom, *Independence complexes of claw-free graphs*,
+    Eur. J. Combin. 2008), or marks it a cone, which has no reduced
+    homology (``_FlagTables.homology``).  On any other complex nothing
+    folds: W folds to the used vertices in it, and the homology of the
+    complex induced there is read off the memo on canonical forms."""
     if c.is_void:
         raise ValueError("Betti table of the zero ring is not defined")
     n = c.vertices.bit_count()
@@ -582,27 +540,24 @@ def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     # the table only depends on the complex up to relabelling: the used
     # vertices become the low bits, the ambient-only ones the rest
     tables = c._flag
-    entries: dict[tuple[int, int], int] = {}
-    full = (1 << n) - 1
-
     if tables is None:
         key = _canonical(c.facets)
-        for w in range(full, -1, -1):
-            j = w.bit_count()
-            for d, r in _homology_of_key(_canonical(_maximalize(m & w for m in key))).items():
-                entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + r
-        return BettiTable(n, entries)
+        fold = range(1 << max(m.bit_length() for m in key))  # fold[u] == u
 
-    fold = tables.fold
+        def homology(r: int) -> dict[int, int]:
+            return _homology_of_key(_canonical(_maximalize(m & r for m in key)))
+    else:
+        fold, homology = tables.fold, tables.homology
     used = len(fold) - 1
     tally: dict[tuple[int, int], int] = {}  # (|W|, folded W) -> count
-    for w in range(full, -1, -1):
+    for w in range((1 << n) - 1, -1, -1):
         r = fold[w & used]
         if r >= 0:
             t = (w.bit_count(), r)
             tally[t] = tally.get(t, 0) + 1
+    entries: dict[tuple[int, int], int] = {}
     for (j, r), times in tally.items():
-        for d, rank in tables.homology(r).items():
+        for d, rank in homology(r).items():
             entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + times * rank
     return BettiTable(n, entries)
 

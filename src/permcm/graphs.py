@@ -76,11 +76,15 @@ class Graph:
     adj: tuple[int, ...]  # length n+1, index 0 unused
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if len(self.adj) != self.n + 1:
-            raise ValueError("adjacency table has wrong length")
+        if not _is_int(self.n) or self.n < 0:
+            raise ValueError(f"vertex count {self.n!r} is not a nonnegative integer")
         adj = self.adj
+        if not isinstance(adj, tuple) or len(adj) != self.n + 1:
+            raise ValueError("adjacency table is not a tuple of length n + 1")
+        if not all(map(_is_int, adj)):
+            raise ValueError(f"adjacency table {adj!r} holds a non-integer mask")
+        if adj[0]:
+            raise ValueError("adjacency entry 0 is unused and must be 0")
         full = self.full_mask
         for v in range(1, self.n + 1):
             nbrs = adj[v]
@@ -105,9 +109,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & vbit(v))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return vertices_of(self.adj[v])
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -237,17 +238,13 @@ def _components(adj: Sequence[int], s: int) -> list[int]:
     return out
 
 
-def is_connected(g: Graph) -> bool:
-    return len(_components(g.adj, g.full_mask)) <= 1
-
-
 def _is_path(g: Graph) -> bool:
     # P_1 is a single vertex; otherwise two endpoints of degree 1,
     # interior of degree 2, connected.
     if g.n <= 1:
         return g.n == 1
     degs = sorted(g.degree(v) for v in range(1, g.n + 1))
-    return degs == [1, 1] + [2] * (g.n - 2) and is_connected(g)
+    return degs == [1, 1] + [2] * (g.n - 2) and len(_components(g.adj, g.full_mask)) == 1
 
 
 def is_chordal(g: Graph) -> bool:

@@ -63,14 +63,6 @@ class MonomialIdeal:
     def generator_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(vertices_of(m) for m in self.gens))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
-    @property
-    def is_unit(self) -> bool:
-        return self.gens == (0,)
-
 
 def cover_ideal(g: Graph) -> MonomialIdeal:
     """Generators are the minimal vertex covers of the graph, the

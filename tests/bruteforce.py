@@ -951,7 +951,7 @@ def subset_walk_gap_witness_check(g: Graph) -> bool | None:
     for combo in combinations(range(1, g.n + 1), alpha - 2):
         if not _is_independent(g, combo):
             continue
-        drop = set(combo).union(*(g.neighbors(v) for v in combo))
+        drop = set(combo).union(*(vertices_of(g.adj[v]) for v in combo))
         sub = induced_subgraph(g, g.full_mask & ~mask_of(drop))
         if sub.n != 4 or any(sub.degree(v) != 1 for v in sub.vertices()):
             return False

@@ -17,7 +17,6 @@ from permcm import (
     complete_graph,
     cycle_graph,
     disjoint_edges,
-    euler_characteristic,
     graph_from_edges,
     graph_from_permutation,
     hilbert_data,
@@ -76,7 +75,7 @@ class TestConstruction:
     def test_edgeless_full_simplex(self):
         c = independence_complex(graph_from_edges(4, []))
         assert c.facet_sets() == ((1, 2, 3, 4),)
-        assert c.is_simplex
+        assert len(c.facets) == 1
 
     def test_void_and_irrelevant_are_distinct(self):
         void = SimplicialComplex.from_faces({1, 2}, [])
@@ -87,43 +86,6 @@ class TestConstruction:
     def test_facets_antichain(self):
         c = SimplicialComplex.from_faces({1, 2, 3}, [(1, 2), (1,), (3,)])
         assert c.facet_sets() == ((1, 2), (3,))
-
-
-class TestJsonWireFormat:
-    def test_round_trip(self):
-        from permcm import complex_from_json, complex_to_json
-
-        c = independence_complex(disjoint_edges(2))
-        data = complex_to_json(c)
-        assert data["facets"] == [[1, 3], [1, 4], [2, 3], [2, 4]]
-        assert complex_from_json(data) == c
-
-    def test_rejects_missing_keys(self):
-        from permcm import complex_from_json
-
-        with pytest.raises(ValueError):
-            complex_from_json({"facets": []})
-
-    @pytest.mark.parametrize("data,named", [
-        ({"vertices": [True, 2], "facets": [[2]]}, "True"),
-        ({"vertices": [1, 2], "facets": [[False]]}, "False"),
-        ({"vertices": 3, "facets": [[1]]}, "3"),
-        ({"vertices": [1, 1, 2], "facets": [[1]]}, "[1, 1, 2]"),
-        ({"vertices": [1, 2], "facets": [[1, 2, 1]]}, "[1, 2, 1]"),
-        ({"vertices": [1.0], "facets": [[1.0]]}, "1.0"),
-        ({"vertices": [1, 2], "facets": [[2.0]]}, "2.0"),
-        ({"vertices": [0, 1], "facets": [[1]]}, "0"),
-        ({"vertices": [1], "facets": 5}, "5"),
-        ({"vertices": [1], "facets": "1"}, "'1'"),
-        ({"vertices": [1], "facets": [1]}, "1"),
-        ("vertices facets", "'vertices facets'"),
-    ])
-    def test_rejects_malformed_entries(self, data, named):
-        from permcm import complex_from_json
-
-        with pytest.raises(ValueError) as exc:
-            complex_from_json(data)
-        assert named in str(exc.value)
 
 
 class TestLinkDeletion:
@@ -199,10 +161,12 @@ class TestHomology:
         assert reduced_homology_ranks(c) == {2: 1}
 
     def test_euler_characteristic_vs_homology(self):
+        # the reduced Euler characteristic two ways: from the ranks, and
+        # as the alternating face count f_{s-1} over faces of s vertices
         for c in sweep_complexes(5):
             ranks = reduced_homology_ranks(c)
             alt = sum((-1) ** d * r for d, r in ranks.items())
-            assert euler_characteristic(c) == alt
+            assert sum((-1) ** (s + 1) * fs for s, fs in enumerate(hilbert_data(c).f)) == alt
 
 
 class TestExactRank:
@@ -405,6 +369,29 @@ class TestHochster:
         entries = hochster_betti_table(c).entries
         assert len(calls) <= 33
         monkeypatch.setattr(complexes, "_homology_of_key", original)
+        assert entries == unfolded_betti_table(c)
+
+    def test_a_complex_that_is_not_flag_takes_each_restricted_set_once(self, monkeypatch):
+        # S^2 plus 10 ambient-only vertices is not flag, so nothing folds,
+        # but the 2^14 subsets W restrict to 16 sets of used vertices:
+        # each (|W|, W & used) pair pays _maximalize once (the walk over
+        # W made 2^14 calls)
+        import importlib
+
+        complexes = importlib.import_module("permcm.complexes")
+        original = complexes._maximalize
+        sphere = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+        c = SimplicialComplex.from_faces(range(1, 15), sphere)
+        calls = []
+
+        def counted(masks):
+            calls.append(None)
+            return original(masks)
+
+        monkeypatch.setattr(complexes, "_maximalize", counted)
+        entries = hochster_betti_table(c).entries
+        assert len(calls) <= 2**4 * 11
+        monkeypatch.setattr(complexes, "_maximalize", original)
         assert entries == unfolded_betti_table(c)
 
 

@@ -179,6 +179,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             Graph(2, (0, 2, 0))
 
+    def test_boolean_vertex_count_rejected(self):
+        # True == 1, and classify would print "n": true
+        with pytest.raises(ValueError):
+            Graph(True, (0, 0))
+
+    def test_adjacency_list_rejected(self):
+        # a list is no key of the memos that later hash the graph
+        with pytest.raises(ValueError):
+            Graph(2, [0, 2, 1])
+
+    @pytest.mark.parametrize("n,adj", [(2, (0, 2, True)), (1, (0, 1.0)), (1, (0, "0"))])
+    def test_non_integer_mask_rejected(self, n, adj):
+        with pytest.raises(ValueError):
+            Graph(n, adj)
+
+    def test_unused_entry_must_be_zero(self):
+        # otherwise the same graph would have two unequal tables
+        with pytest.raises(ValueError):
+            Graph(2, (5, 2, 1))
+        assert Graph(2, (0, 2, 1)) == path_graph(2)
+
 
 class TestJson:
     def test_round_trip(self):

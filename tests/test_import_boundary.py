@@ -11,11 +11,13 @@ a parameter: ``permcm.invariants`` alone enumerates them; it keeps
 the sorted vertex tuples of those sets to the report ``classify``
 builds; it keeps both sweeps from listing S_n: their classes come
 from substitution trees (``permcm.classes``); it keeps one memo keyed
-by live graphs, the independence facts of ``permcm.invariants``; and it
-keeps every one-field dataclass to a type that checks its value.
+by live graphs, the independence facts of ``permcm.invariants``; it
+keeps every one-field dataclass to a type that checks its value; and it
+keeps every private helper of the package read somewhere in it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -182,3 +184,36 @@ def test_one_field_dataclasses_validate():
                 found.append(f"{path.name}:{node.name}")
     assert "Permutation" in one_field  # the scan sees the one that checks
     assert not found, f"one-field dataclasses without __post_init__: {found}"
+
+
+def _names_read(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree``: as a variable, an
+    attribute or an imported name."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+    return found
+
+
+def test_every_private_helper_is_read():
+    # a private function, class or method that nothing in the package
+    # reads outside its own body is dead code: only a test could call it
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    read = sum((_names_read(tree) for tree in trees), Counter())
+    defs = []
+    for path, tree in zip(sorted(SRC.glob("*.py")), trees):
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                        and d.name.startswith("_") and not d.name.endswith("__")):
+                    defs.append((path.name, d))
+    dead = [f"{name}:{d.name}" for name, d in defs
+            if read[d.name] <= _names_read(d)[d.name]]
+    assert len(defs) > 20  # the scan sees the helpers
+    assert not dead, f"private helpers nothing reads: {dead}"
