@@ -178,10 +178,17 @@ def _peel(cur: Graph, j: int) -> Graph | None:
     return smaller
 
 
-def _shedding_walk(cur: Graph, alive: int, order: Sequence[int]) -> SheddingCertificate:
+def _shedding_walk(
+    cur: Graph,
+    alive: int,
+    order: Sequence[int],
+    first: tuple[bool, tuple[tuple[tuple[int, ...], ...], ...]] | None = None,
+) -> SheddingCertificate:
     """The walk of ``extract_shedding_order`` on ``cur``, the subgraph
     induced on ``alive``, recorded in the input's labels; ``order`` is a
-    cohesive order of the input."""
+    cohesive order of the input.  ``first``, when given, is
+    ``cm_by_clique_partition`` of ``cur`` itself, already known, and
+    stands for the first step's."""
     order = tuple(v for v in order if alive & vbit(v))
     steps: list[ShedStep] = []
 
@@ -190,7 +197,8 @@ def _shedding_walk(cur: Graph, alive: int, order: Sequence[int]) -> SheddingCert
         step_order = tuple(v for v in order if alive & vbit(v))
         ranks = _ranks(alive, step_order)
         up = comparability_poset(cur, ranks)
-        cm, parts = cm_by_clique_partition(cur, ranks)
+        cm, parts = first or cm_by_clique_partition(cur, ranks)
+        first = None
         if not (cm or steps):  # the input's CM test
             raise ValueError("shedding orders exist only for Cohen-Macaulay inputs")
         if len(parts) != 1:
@@ -438,9 +446,12 @@ class GraphFacts:
     def shedding(self) -> SheddingCertificate | None:
         """``extract_shedding_order`` of the graph and its cohesive order;
         None unless the graph is CM and has an edge."""
-        if not (self.stripped[0].n and self.cm):
+        h, alive = self.stripped
+        if not (h.n and self.cm):
             return None
-        return _shedding_walk(*self.stripped, self.order)
+        # with nothing stripped, the walk's first CM test is the graph's own
+        first = self.cm_partitions if h is self.g else None
+        return _shedding_walk(h, alive, self.order, first)
 
     @cached_property
     def gap_witness(self) -> bool | None:

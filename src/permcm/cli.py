@@ -340,23 +340,51 @@ def _class_slice(fn: Callable[[Record], object], n: int, start: int, step: int) 
     return [fn(record) for record in class_records(n)[start::step]]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (``taskset``, a cpuset), else all of the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_classes(fn: Callable[[Record], object], n: int, jobs: int) -> list:
     """``fn`` of each class record of S_n (``class_records``), in record
     order: the one pool of both sweeps.
 
-    With more than one job, a process pool of at most one worker per job
-    and CPU maps four strided slices of the records per worker, and
-    their results are interleaved back into record order.  The pool is
-    forked before any record exists (a forked pool starts all its
-    workers at the first submit), so each worker builds the records
-    itself and none holds a copy of the parent's.
+    With ``workers`` = min(jobs, usable CPUs) above one, the records are
+    cut into 4 * ``workers`` strided slices.  This process maps every
+    ``workers``-th slice itself, and a process pool of ``workers`` - 1
+    forked workers maps the others, one task per slice; the results are
+    interleaved back into record order.  The pool's slices are submitted
+    before this process maps its own (a forked pool starts all its
+    workers at the first submit), so the workers are forked before any
+    record exists: each builds the records itself and none holds a copy
+    of this process's.
     """
-    if jobs == 1:
+    workers = min(jobs, _usable_cpus())
+    if workers == 1:
         return _class_slice(fn, n, 0, 1)
-    workers = min(jobs, os.cpu_count() or 1)
     step = 4 * workers
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_class_slice, repeat(fn), repeat(n), range(step), repeat(step)))
+    pooled = [k for k in range(step) if k % workers]
+    parts: list = [None] * step
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        mapped = pool.map(_class_slice, repeat(fn), repeat(n), pooled, repeat(step))
+        # a thread of this process reads the pool's results and takes the
+        # GIL for each pipe read; while this process maps, each take waits
+        # up to one switch interval, and a worker whose result fills the
+        # pipe waits with it, so the interval is cut meanwhile
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(interval / 10)
+        try:
+            parts[::workers] = [_class_slice(fn, n, k, step) for k in range(0, step, workers)]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # the slices not started yet
+            raise
+        finally:
+            sys.setswitchinterval(interval)
+        for k, part in zip(pooled, mapped):
+            parts[k] = part
     out = [None] * sum(map(len, parts))
     for start, part in enumerate(parts):
         out[start::step] = part
@@ -389,8 +417,8 @@ def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
     member, with labels, and those results replace its weighted one.
     ``counts`` keeps the order in which the class records first hold
     each predicate; ``verify`` prints it sorted.  Discrepancies are
-    sorted by their edges.  The parent builds no record: each comes
-    back with its result.
+    sorted by their edges.  No record list is read here: each record
+    comes back from ``_map_classes`` with its result.
     """
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem!r}")
@@ -534,9 +562,34 @@ def render_survey(rows: Sequence[tuple[str, dict]], fmt: str) -> str:
             pieces.append(tail)
         return "".join(pieces)
     if fmt == "json":
-        return json.dumps([{"edges": edges, **row} for edges, row in rows],
-                          indent=2, sort_keys=True) + "\n"
+        # the text of json.dumps([{"edges": edges, **row}, ...], indent=2,
+        # sort_keys=True), with no member's dict built: each shared row's
+        # lines before and after its "edges" line are formatted once
+        # (every cell is a scalar), and a member adds only its edges;
+        # rows are told apart by id, as ``rows`` keeps each one alive
+        around: dict[int, tuple[str, str]] = {}
+        pieces = ["["]
+        for edges, row in rows:
+            texts = around.get(id(row))
+            if texts is None:
+                texts = around[id(row)] = _json_around_edges(row)
+            pieces += (",\n", texts[0], json.dumps(edges), texts[1])
+        if len(pieces) == 1:
+            return "[]\n"
+        pieces[1] = "\n"
+        pieces.append("\n]\n")
+        return "".join(pieces)
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _json_around_edges(row: dict) -> tuple[str, str]:
+    """The text of a survey member's JSON object before its ``edges``
+    value and after it, at the indent of a list item."""
+    keys = sorted(row)
+    lines = [f"    {json.dumps(k)}: {json.dumps(row[k])}" for k in keys]
+    cut = sum(k < "edges" for k in keys)
+    return ("  {\n" + "".join(line + ",\n" for line in lines[:cut]) + '    "edges": ',
+            "".join(",\n" + line for line in lines[cut:]) + "\n  }")
 
 
 # -- input parsing --------------------------------------------------------------
@@ -620,6 +673,10 @@ def _cmd_ideal(args) -> int:
     return 0
 
 
+_JOBS_HELP = ("processes that map the classes, this one included "
+              "(at most one per usable CPU)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permcm",
@@ -645,7 +702,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive theorem-vs-oracle sweep over S_n")
     p.add_argument("theorem", choices=sorted(_CHECKS))
     p.add_argument("--n", type=int, required=True, help="sweep all permutations of S_n")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
@@ -657,7 +714,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("shed", help="constructive shedding-order certificate (CM inputs)")

@@ -6,7 +6,6 @@ scan of S_n, and every class-sweep document against the labelled sweep
 of ``bruteforce.py``, which checks all n! graphs one by one.
 """
 
-import os
 from functools import lru_cache
 from itertools import permutations
 
@@ -98,7 +97,7 @@ class TestChunkedClasses:
         # empty or not, the records come in order, and expanded they
         # are the classes of the serial scan, in the same order
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _recording_pool([]))
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
         records = class_records(n)
         for jobs in (1, 2, 3, 8):
             assert cli._map_classes(_same, n, jobs) == records
@@ -163,18 +162,31 @@ class TestGeneratedClasses:
 class TestPooledSweep:
     def test_pool_is_forked_before_anything_is_canonicalised(self, monkeypatch):
         # with a recording pool that maps in process and no level of
-        # records built yet: for both sweeps the pool comes first, and
-        # every record is built inside a mapped call, as in a worker
+        # records built yet: for both sweeps the pool comes first, its
+        # slices are submitted before the parent maps its own, and every
+        # record is built inside a mapped call, as in a worker
         events = []
+
+        def in_pool():
+            pool_events = [e for e in events if e in ("mapping", "mapped")]
+            return pool_events[-1:] == ["mapping"]
 
         def recorded(build):
             def wrapper(*args):
-                pool_events = [e for e in events if e in ("mapping", "mapped")]
-                events.append("build" if pool_events[-1:] == ["mapping"] else "build in parent")
+                events.append("build" if in_pool() else "build in parent")
                 return build(*args)
             return wrapper
 
+        class_slice = cli._class_slice
+
+        def sliced(*args):
+            if not in_pool():
+                events.append("parent slice")
+            return class_slice(*args)
+
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _recording_pool(events))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(cli, "_class_slice", sliced)
         for name in ("_sum_records", "_prime_records"):
             monkeypatch.setattr(permcm.classes, name, recorded(getattr(permcm.classes, name)))
         sweeps = [
@@ -189,7 +201,11 @@ class TestPooledSweep:
             assert events[0] == "pool"
             assert "build" in events
             assert "build in parent" not in events
-            assert events.count("mapping") == 4 * min(2, os.cpu_count() or 1)
+            # two processes: the pool's one worker maps 4 slices, the parent 4
+            assert events.count("mapping") == 4 * (2 - 1)
+            assert events.count("parent slice") == 4
+            assert events.index("parent slice") > max(
+                i for i, e in enumerate(events) if e == "mapped")
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,11 @@ from permcm.classes import class_records
 from permcm.cli import main, render_survey, run_verify, survey_rows
 from permcm.graphs import graph_from_permutation, inversions
 from bruteforce import _edge_key, csv_writer_survey, inversion_edges_cell
+
+
+def _json_oracle(rows) -> str:
+    """The JSON survey as one ``json.dumps`` of every member's dict."""
+    return json.dumps([{"edges": e, **row} for e, row in rows], indent=2, sort_keys=True) + "\n"
 
 
 def run(capsys, *argv):
@@ -248,6 +254,15 @@ class TestSurveyFastPaths:
             rows.append(("1-2;2-3" if i % 2 else "", row))
         rows += rows[::-1]
         assert render_survey(rows, "csv") == csv_writer_survey(rows)
+        # JSON tells a bool from the int it equals, and None from both
+        assert render_survey(rows, "json") == _json_oracle(rows)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("n", range(7))
+    def test_json_renderer_matches_json_dumps(self, n, jobs):
+        # each shared row is formatted once around its members' edges
+        rows = survey_rows(n, jobs=jobs)
+        assert render_survey(rows, "json") == _json_oracle(rows)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_members_of_a_class_share_one_row(self, jobs):
@@ -561,8 +576,84 @@ class TestDeterminism:
                 return [fn(*args) for args in calls]
 
         monkeypatch.setattr(permcm.cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(permcm.cli, "_usable_cpus", lambda: 3)
         # the pool is forked before the records exist, so its size is
-        # bounded by the CPUs alone, and it maps four slices per worker
+        # bounded by the CPUs alone: the parent is one of the three
+        # processes, and each maps four slices
         assert run_verify("vd", 5, jobs=10_000).to_dict() == run_verify("vd", 5).to_dict()
-        assert workers == [min(10_000, os.cpu_count() or 1)]
+        assert workers == [min(10_000, 3) - 1]
         assert tasks == [4 * workers[0]]
+
+    def test_pool_width_reads_the_cpu_affinity(self, monkeypatch):
+        # under taskset -c 0 the host may have 8 CPUs, but this process
+        # runs on one: a second process would share it, so none is forked
+        import permcm.cli
+
+        def no_pool(max_workers):
+            raise AssertionError(f"pool of {max_workers} forked on one CPU")
+
+        serial = run_verify("vd", 5).to_dict()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(permcm.cli, "ProcessPoolExecutor", no_pool)
+        assert permcm.cli._usable_cpus() == 1
+        assert run_verify("vd", 5, jobs=2).to_dict() == serial
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        # where the platform has no affinity call, the host's count
+        # stands, and an unknown count is one CPU
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert cli._usable_cpus() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
+
+    def test_jobs_2_forks_one_worker(self, monkeypatch):
+        # the parent maps its own share of the classes, so --jobs 2 runs
+        # two processes: it starts exactly one
+        import multiprocessing.process
+
+        if cli._usable_cpus() < 2:
+            pytest.skip("needs two usable CPUs")
+        expected = [survey_rows(5), run_verify("cm", 5).to_dict()]
+        start = multiprocessing.process.BaseProcess.start
+        started = []
+
+        def counted(self):
+            started.append(self)
+            return start(self)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+        for sweep, serial in zip([lambda: survey_rows(5, jobs=2),
+                                  lambda: run_verify("cm", 5, jobs=2).to_dict()], expected):
+            started.clear()
+            assert sweep() == serial
+            assert len(started) == 1
+
+    def test_failing_parent_share_cancels_the_waiting_slices(self, monkeypatch):
+        # the parent's own slices fail at once while the one worker is
+        # still on its first slice: the error propagates, and the slices
+        # not handed to the worker yet are cancelled, not run
+        from concurrent.futures import ProcessPoolExecutor
+
+        futures = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="parent share"):
+            cli._map_classes(partial(_fail_in_parent, os.getpid()), 5, 2)
+        assert len(futures) == 4
+        assert any(f.cancelled() for f in futures)
+
+
+def _fail_in_parent(parent: int, record):
+    """``record`` after a pause in a worker; an error in ``parent``."""
+    if os.getpid() == parent:
+        raise RuntimeError("parent share failed")
+    time.sleep(0.1)
+    return record

@@ -12,8 +12,10 @@ the sorted vertex tuples of those sets to the report ``classify``
 builds; it keeps both sweeps from listing S_n: their classes come
 from substitution trees (``permcm.classes``); it keeps one memo keyed
 by live graphs, the independence facts of ``permcm.invariants``; it
-keeps every one-field dataclass to a type that checks its value; and it
-keeps every private helper of the package read somewhere in it.
+keeps one process pool, in ``permcm.cli``, and one reader of the CPU
+count; it keeps every one-field dataclass to a type that checks its
+value; and it keeps every private helper of the package read somewhere
+in it.
 """
 
 import ast
@@ -150,6 +152,34 @@ def test_one_memo_keyed_by_live_graphs():
                 if name == "WeakKeyDictionary":
                     found.append(path.stem)
     assert found == ["invariants"], found
+
+
+def _sites(match) -> list[tuple[str, str | None]]:
+    """(module, top-level definition or None) of each node of the
+    package source that ``match`` accepts, in source order."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(top, "name", None)
+            found += [(path.stem, name) for node in ast.walk(top) if match(node)]
+    return found
+
+
+def _named(node: ast.AST, names: set[str]) -> bool:
+    """Whether ``node`` reads or imports one of ``names``."""
+    return (isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.alias) and node.name in names)
+
+
+def test_one_pool_and_one_cpu_count():
+    # both sweeps share the one pool of _map_classes, and its width is
+    # read from the CPUs this process may use, in one place
+    pools = _sites(lambda node: isinstance(node, ast.Call)
+                   and _named(node.func, {"ProcessPoolExecutor"}))
+    assert pools == [("cli", "_map_classes")]
+    cpus = _sites(lambda node: _named(node, {"cpu_count", "sched_getaffinity"}))
+    assert cpus and set(cpus) == {("cli", "_usable_cpus")}
 
 
 def test_only_classify_builds_report_tuples():
