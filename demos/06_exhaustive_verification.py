@@ -8,6 +8,8 @@ The full-size sweeps live in the acceptance suite and behind
 ``permcm verify``.
 """
 
+import sys
+
 from permcm.cli import render_survey, run_verify, survey_rows
 
 for theorem in ("vd", "cm", "goren", "nearly", "ainv", "bicm", "covs", "shed", "gap"):
@@ -19,4 +21,5 @@ for theorem in ("vd", "cm", "goren", "nearly", "ainv", "bicm", "covs", "shed", "
     )
 
 print("\nsurvey of the 24 graphs from S_4:")
-print(render_survey(survey_rows(4), "csv"))
+render_survey(survey_rows(4), "csv", sys.stdout.write)
+print()

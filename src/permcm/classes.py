@@ -184,7 +184,8 @@ def _prime_records(levels: list[list[Record]], m: int) -> list[Record]:
     return list(found.values())
 
 
-# the classes of S_m by size m, each level built once per process
+# the classes of S_m by size m, each level built once and kept until
+# a sweep has mapped its classes (``drop_levels``)
 _LEVELS: list[list[Record]] = [[((), 1, ())], [((), 1, (1,))]]
 
 
@@ -211,8 +212,8 @@ def _arrangements(items: tuple) -> list[tuple]:
 def _expand(code: Code) -> tuple[tuple[int, ...], ...]:
     """The members of the class with this code, on at least one point,
     expanded from its tree.  Only the children's members are kept
-    (``_expand_child``): a sweep expands each class at most once, and
-    its children recur from class to class."""
+    (``_expand_child``, until ``drop_levels``): a sweep expands each
+    class at most once, and its children recur from class to class."""
     if not code:
         return ((1,),)
     if code[0] == 2:
@@ -232,3 +233,11 @@ def class_members(code: Code, n: int) -> tuple[tuple[int, ...], ...]:
     tree (``n`` tells the empty permutation from a single point, which
     share the code ``()``)."""
     return _expand(code) if n else ((),)
+
+
+def drop_levels() -> None:
+    """Free what the class sweeps build and keep: every level above one
+    point (the next ``class_records`` builds them again) and the
+    children's members (``_expand_child``)."""
+    del _LEVELS[2:]
+    _expand_child.cache_clear()

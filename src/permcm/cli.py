@@ -23,12 +23,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import combinations, compress, repeat
+from itertools import combinations, repeat
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 from .caps import check_cap, env_overrides
-from .classes import Record, _inverse, class_members, class_records
+from .classes import Record, _inverse, class_members, class_records, drop_levels
 from .classify import (
     ClaimFailureError,
     GraphFacts,
@@ -315,29 +315,31 @@ def _facts(perm: tuple[int, ...]) -> GraphFacts:
 
 
 @lru_cache(maxsize=None)
-def _pair_table(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[bytes, ...], tuple[str, ...]]:
+def _pair_table(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[str | None, ...]]:
     """The vertex pairs u < v on 1..n in increasing order, as 0-based
-    indices, each with its two key bytes and its ``u-v`` survey cell.
+    indices, and the ``u-v`` survey cell of each pair by its key byte.
 
-    A member's edge key is the join of the key bytes of its edges: keys
-    order as the edge lists do, and sort far faster (every label is
-    below 256).
+    The key byte of a pair is its index here plus 1, so a member's edge
+    bytes (``_edge_bytes``) order as its edge list does and none is 0
+    (there are at most 255 pairs: every survey size is capped far below
+    n = 23).  Index 0 of the cells is unused.
     """
     pairs = tuple(combinations(range(n), 2))
-    return (pairs, tuple(bytes((u + 1, v + 1)) for u, v in pairs),
-            tuple(f"{u + 1}-{v + 1}" for u, v in pairs))
+    return pairs, (None,) + tuple(f"{u + 1}-{v + 1}" for u, v in pairs)
 
 
-def _inverted(p: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> list[bool]:
-    """For each of ``pairs``, whether its values appear out of order in
-    ``p``: whether it is an edge of the inversion graph."""
+def _edge_bytes(p: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> bytes:
+    """The key bytes of the edges of the inversion graph of ``p``: of
+    each of ``pairs`` whose values appear out of order in ``p``."""
     pos = _inverse(p)
-    return [pos[v] < pos[u] for u, v in pairs]
+    return bytes([i for i, (u, v) in enumerate(pairs, 1) if pos[v] < pos[u]])
 
 
-def _class_slice(fn: Callable[[Record], object], n: int, start: int, step: int) -> list:
-    """``fn`` of every ``step``-th class record of S_n from ``start``."""
-    return [fn(record) for record in class_records(n)[start::step]]
+def _class_slice(fn: Callable[[int, Record], object], n: int, start: int, step: int) -> list:
+    """``fn(position, record)`` of every ``step``-th class record of S_n
+    from ``start``, each with its position among the records."""
+    records = class_records(n)
+    return [fn(k, records[k]) for k in range(start, len(records), step)]
 
 
 def _usable_cpus() -> int:
@@ -348,9 +350,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_classes(fn: Callable[[Record], object], n: int, jobs: int) -> list:
-    """``fn`` of each class record of S_n (``class_records``), in record
-    order: the one pool of both sweeps.
+def _map_classes(fn: Callable[[int, Record], object], n: int, jobs: int) -> list:
+    """``fn(position, record)`` of each class record of S_n
+    (``class_records``), in record order: the one pool of both sweeps.
 
     With ``workers`` = min(jobs, usable CPUs) above one, the records are
     cut into 4 * ``workers`` strided slices.  This process maps every
@@ -360,11 +362,15 @@ def _map_classes(fn: Callable[[Record], object], n: int, jobs: int) -> list:
     before this process maps its own (a forked pool starts all its
     workers at the first submit), so the workers are forked before any
     record exists: each builds the records itself and none holds a copy
-    of this process's.
+    of this process's.  Once this process has mapped its share, it drops
+    the levels (``drop_levels``): a later sweep builds them again.
     """
     workers = min(jobs, _usable_cpus())
     if workers == 1:
-        return _class_slice(fn, n, 0, 1)
+        try:
+            return _class_slice(fn, n, 0, 1)
+        finally:
+            drop_levels()
     step = 4 * workers
     pooled = [k for k in range(step) if k % workers]
     parts: list = [None] * step
@@ -383,6 +389,7 @@ def _map_classes(fn: Callable[[Record], object], n: int, jobs: int) -> list:
             raise
         finally:
             sys.setswitchinterval(interval)
+            drop_levels()
         for k, part in zip(pooled, mapped):
             parts[k] = part
     out = [None] * sum(map(len, parts))
@@ -391,8 +398,10 @@ def _map_classes(fn: Callable[[Record], object], n: int, jobs: int) -> list:
     return out
 
 
-def _check_class(check: Callable[[GraphFacts], dict | None], record: Record) -> tuple:
-    """``record`` and the result of ``check`` on its representative."""
+def _check_class(check: Callable[[GraphFacts], dict | None], position: int,
+                 record: Record) -> tuple:
+    """``record`` and the result of ``check`` on its representative (a
+    result carries its record, so ``position`` is not read)."""
     return record, check(_facts(record[2]))
 
 
@@ -466,72 +475,60 @@ _SURVEY_COLUMNS = [
 ]
 
 
-def _survey_row(f: GraphFacts) -> dict:
-    """Every column but ``edges``: those are facts of the class."""
+def _survey_row(f: GraphFacts) -> tuple:
+    """Every column but ``edges``, in column order: those are facts of
+    the class."""
     inv = f.invariants
     cm = f.cm
     if cm:
         a, hilbertian = f.a_invariant
     else:
         hd = hilbert_data(f.complex)
-        a = hd.a
-        hilbertian = hd.hilbertian
-    return {
-        "alpha": inv.alpha,
-        "tau": inv.tau,
-        "matching": inv.matching,
-        "induced_matching": inv.induced_matching,
-        "unmixed": inv.unmixed,
-        "cm": cm,
-        "gorenstein": f.gorenstein,
-        "nearly_gorenstein": f.nearly_gorenstein,
-        "bicm": f.bicm,
-        "hilbertian": hilbertian,
-        "a_invariant": a,
-        "reg": inv.induced_matching,
-    }
+        a, hilbertian = hd.a, hd.hilbertian
+    return (inv.alpha, inv.tau, inv.matching, inv.induced_matching, inv.unmixed, cm,
+            f.gorenstein, f.nearly_gorenstein, f.bicm, hilbertian, a, inv.induced_matching)
 
 
-def _survey_entries(members: Sequence[tuple[int, ...]], row: dict) -> list[tuple]:
-    """(key, edges cell, row) for each member of a class: every member
-    shares the row of the least one."""
-    pairs, keys, cells = _pair_table(len(members[0]))
-    out = []
-    for p in members:
-        edges = _inverted(p, pairs)
-        out.append((b"".join(compress(keys, edges)), ";".join(compress(cells, edges)), row))
-    return out
-
-
-def _survey_class(n: int, record: Record) -> list[tuple]:
-    """``_survey_entries`` of the members of one class of S_n, expanded
-    from its tree, with the row of its representative."""
+def _survey_class(n: int, position: int, record: Record) -> tuple[tuple, list[bytes]]:
+    """The row of one class of S_n, from its representative, and the key
+    of each of its members, expanded from its tree: the member's edge
+    bytes, a zero byte, then ``position``, the class's place in record
+    order, in as few big-endian bytes as it needs."""
     code, _, rep = record
-    return _survey_entries(class_members(code, n), _survey_row(_facts(rep)))
+    pairs = _pair_table(n)[0]
+    tag = b"\0" + position.to_bytes((position.bit_length() + 7) // 8, "big")
+    return (_survey_row(_facts(rep)),
+            [_edge_bytes(p, pairs) + tag for p in class_members(code, n)])
 
 
-def survey_rows(n: int, jobs: int = 1) -> list[tuple[str, dict]]:
-    """One ``(edges cell, row)`` pair per permutation of S_n, in order of
-    its inversion graph's edge tuple (``_pair_table``): the cell from the
-    permutation, and ``row`` every other column, from its isomorphism
-    class.
+class Survey(NamedTuple):
+    """``survey_rows`` of S_n: ``rows`` holds the row of each class, in
+    record order, and ``keys`` the key of each permutation, sorted."""
+
+    n: int
+    rows: list[tuple]
+    keys: list[bytes]
+
+
+def survey_rows(n: int, jobs: int = 1) -> Survey:
+    """The survey of S_n: one row per isomorphism class, and one key per
+    permutation, in order of its inversion graph's edge tuple.
 
     Every column but ``edges`` is an isomorphism invariant, so
     ``_map_classes`` computes the row of each class once, at its
-    representative, and all members of a class share that one dict.
+    representative, with its members' keys (``_survey_class``).  No byte
+    of a key before its zero byte is 0, so the keys sort as the edge
+    tuples do, whatever follows.  A member is held as its key alone:
+    ``render_survey`` reads its ``edges`` cell and its class's row off it.
     """
     _check_sweep_args(n, jobs)
     check_cap("survey", n, "survey")
-    entries = [e for part in _map_classes(partial(_survey_class, n), n, jobs) for e in part]
-    entries.sort(key=itemgetter(0))
-    # each pair replaces its entry in place, so the entry and its key
-    # are freed as the pair is made: no second list of n! tuples is
-    # held, and the cyclic collector, which counts allocations net of
-    # frees, does not run over these tuples (a tuple holding a dict is
-    # never untracked) while they are made
-    for i, (_, edges, row) in enumerate(entries):
-        entries[i] = edges, row
-    return entries
+    rows, keys = [], []
+    for row, members in _map_classes(partial(_survey_class, n), n, jobs):
+        rows.append(row)
+        keys += members
+    keys.sort()
+    return Survey(n, rows, keys)
 
 
 def _format_cell(value) -> str:
@@ -542,54 +539,55 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def render_survey(rows: Sequence[tuple[str, dict]], fmt: str) -> str:
-    """The text of ``survey_rows``' pairs as CSV or as a JSON list of
-    objects, each the ``edges`` cell with its row."""
+# members per chunk of the rendered text
+_CHUNK = 4096
+
+
+def render_survey(survey: Survey, fmt: str, write: Callable[[str], object]) -> None:
+    """Pass ``write`` the text of a survey as CSV or as a JSON list of
+    objects, each the ``edges`` cell of a permutation with its class's
+    row, in chunks of at most ``_CHUNK`` members, each as it is made.
+
+    The text around the cells of a class's members is built once per
+    class, and a member adds only its ``edges`` cell, read off its key,
+    so nothing made for a member outlives its chunk, and no string holds
+    the whole text.
+    """
     if fmt == "csv":
         # no cell holds a comma, a quote or a line break, so no cell is
-        # quoted; the members of a class share their row, and its cells
-        # are formatted once, with the line's end (a bool and the int it
-        # equals share a cache slot, and both format alike)
-        shared = itemgetter(*_SURVEY_COLUMNS[1:])
-        formatted: dict[tuple, str] = {}
-        pieces = [",".join(_SURVEY_COLUMNS), "\n"]
-        for edges, row in rows:
-            cells = shared(row)
-            tail = formatted.get(cells)
-            if tail is None:
-                tail = formatted[cells] = "," + ",".join(map(_format_cell, cells)) + "\n"
-            pieces.append(edges)
-            pieces.append(tail)
-        return "".join(pieces)
-    if fmt == "json":
+        # quoted
+        head, sep, end = ",".join(_SURVEY_COLUMNS) + "\n", "", ""
+        around = [("", "," + ",".join(map(_format_cell, row)) + "\n") for row in survey.rows]
+    elif fmt == "json":
         # the text of json.dumps([{"edges": edges, **row}, ...], indent=2,
-        # sort_keys=True), with no member's dict built: each shared row's
-        # lines before and after its "edges" line are formatted once
-        # (every cell is a scalar), and a member adds only its edges;
-        # rows are told apart by id, as ``rows`` keeps each one alive
-        around: dict[int, tuple[str, str]] = {}
-        pieces = ["["]
-        for edges, row in rows:
-            texts = around.get(id(row))
-            if texts is None:
-                texts = around[id(row)] = _json_around_edges(row)
-            pieces += (",\n", texts[0], json.dumps(edges), texts[1])
-        if len(pieces) == 1:
-            return "[]\n"
-        pieces[1] = "\n"
-        pieces.append("\n]\n")
-        return "".join(pieces)
-    raise ValueError(f"unknown format {fmt!r}")
+        # sort_keys=True), with no member's dict built
+        head, sep, end = "[", ",", ("\n]\n" if survey.keys else "]\n")
+        around = [_json_around_edges(row) for row in survey.rows]
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    cells = _pair_table(survey.n)[1]
+    keys = survey.keys
+    write(head)
+    for start in range(0, len(keys), _CHUNK):
+        pieces = []
+        for key in keys[start:start + _CHUNK]:
+            edges, _, tag = key.partition(b"\0")
+            front, back = around[int.from_bytes(tag, "big")]
+            pieces.append(front + ";".join([cells[b] for b in edges]) + back)
+        write((sep if start else "") + sep.join(pieces))
+    write(end)
 
 
-def _json_around_edges(row: dict) -> tuple[str, str]:
+def _json_around_edges(row: tuple) -> tuple[str, str]:
     """The text of a survey member's JSON object before its ``edges``
-    value and after it, at the indent of a list item."""
-    keys = sorted(row)
-    lines = [f"    {json.dumps(k)}: {json.dumps(row[k])}" for k in keys]
-    cut = sum(k < "edges" for k in keys)
-    return ("  {\n" + "".join(line + ",\n" for line in lines[:cut]) + '    "edges": ',
-            "".join(",\n" + line for line in lines[cut:]) + "\n  }")
+    cell and after it, from the line break after the list's comma.  A
+    cell holds only digits, ``-`` and ``;``, which JSON writes as they
+    are, so the quotes around it are part of this text."""
+    items = sorted(zip(_SURVEY_COLUMNS[1:], row))
+    lines = [f"    {json.dumps(k)}: {json.dumps(v)}" for k, v in items]
+    cut = sum(k < "edges" for k, _ in items)
+    return ("\n  {\n" + "".join(line + ",\n" for line in lines[:cut]) + '    "edges": "',
+            '"' + "".join(",\n" + line for line in lines[cut:]) + "\n  }")
 
 
 # -- input parsing --------------------------------------------------------------
@@ -633,14 +631,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    rows = survey_rows(args.n, jobs=args.jobs)
-    text = render_survey(rows, args.format)
+    survey = survey_rows(args.n, jobs=args.jobs)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {len(rows)} rows to {args.out}")
+            render_survey(survey, args.format, fh.write)
+        print(f"wrote {len(survey.keys)} rows to {args.out}")
     else:
-        sys.stdout.write(text)
+        render_survey(survey, args.format, sys.stdout.write)
     return 0
 
 

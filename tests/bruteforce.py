@@ -12,7 +12,7 @@ import io
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from math import factorial
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -867,17 +867,27 @@ def labelled_verify(theorem: str, n: int, check) -> dict:
 
 def labelled_survey_rows(n: int, row) -> list[dict]:
     """The rows of ``survey --n <n>``, one graph per permutation, with
-    ``row`` giving every column but ``edges``."""
+    ``row`` giving every column but ``edges``, in column order."""
     return [
-        {"edges": ";".join(f"{u}-{v}" for u, v in edges), **cells}
+        {"edges": ";".join(f"{u}-{v}" for u, v in edges), **dict(zip(_SURVEY_COLUMNS[1:], cells))}
         for edges, _, cells in labelled_sweep(row, n)
     ]
 
 
-def _edge_key(edges: list[tuple[int, int]]) -> bytes:
-    """``edges`` flattened to bytes, two a pair: the survey's edge key as
-    built from ``inversions`` before the pair table."""
-    return bytes(chain.from_iterable(edges))
+def survey_members(survey) -> list[dict]:
+    """One dict per key of a ``survey_rows`` result, in key order: the
+    ``edges`` cell and the columns of its class's row.  Each key is read
+    here on its own terms: the 1-based indices of its edges among the
+    pairs u < v of 1..n in increasing order, a zero byte, and the index
+    of its row, big-endian."""
+    pairs = list(combinations(range(1, survey.n + 1), 2))
+    out = []
+    for key in survey.keys:
+        cut = key.index(0)
+        row = survey.rows[int.from_bytes(key[cut + 1:], "big")]
+        out.append({"edges": ";".join("%d-%d" % pairs[b - 1] for b in key[:cut]),
+                    **dict(zip(_SURVEY_COLUMNS[1:], row))})
+    return out
 
 
 def inversion_edges_cell(p: tuple[int, ...]) -> str:
@@ -885,14 +895,14 @@ def inversion_edges_cell(p: tuple[int, ...]) -> str:
     return ";".join(f"{u}-{v}" for u, v in inversions(p))
 
 
-def csv_writer_survey(rows: list[tuple[str, dict]]) -> str:
-    """``render_survey(rows, "csv")`` of ``(edges cell, row)`` pairs
-    through ``csv.writer``, one row at a time and one cell at a time."""
+def csv_writer_survey(members: list[dict]) -> str:
+    """The survey CSV of ``survey_members``' dicts through
+    ``csv.writer``, one row at a time and one cell at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_SURVEY_COLUMNS)
-    for edges, row in rows:
-        writer.writerow([edges] + [_format_cell(row[c]) for c in _SURVEY_COLUMNS[1:]])
+    for member in members:
+        writer.writerow([member["edges"]] + [_format_cell(member[c]) for c in _SURVEY_COLUMNS[1:]])
     return buf.getvalue()
 
 

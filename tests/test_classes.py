@@ -22,6 +22,7 @@ from bruteforce import (
     labelled_survey_rows,
     labelled_verify,
     serial_permutation_classes,
+    survey_members,
 )
 
 # isomorphism classes of the inversion graphs of S_n, n = 0..7
@@ -85,8 +86,8 @@ def _recording_pool(events: list):
     return RecordingPool
 
 
-def _same(record):
-    return record
+def _same(position, record):
+    return position, record
 
 
 class TestChunkedClasses:
@@ -94,13 +95,14 @@ class TestChunkedClasses:
     def test_chunks_assemble_the_serial_classes(self, monkeypatch, n):
         # the pool of the sweeps maps strided slices of the records and
         # interleaves their results back: at every pool width, slices
-        # empty or not, the records come in order, and expanded they
-        # are the classes of the serial scan, in the same order
+        # empty or not, the records come in order, each with its
+        # position, and expanded they are the classes of the serial
+        # scan, in the same order
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _recording_pool([]))
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
         records = class_records(n)
         for jobs in (1, 2, 3, 8):
-            assert cli._map_classes(_same, n, jobs) == records
+            assert cli._map_classes(_same, n, jobs) == list(enumerate(records))
         classes = sorted(sorted(class_members(code, n)) for code, _, _ in records)
         assert classes == serial_permutation_classes(n)
 
@@ -190,7 +192,7 @@ class TestPooledSweep:
         for name in ("_sum_records", "_prime_records"):
             monkeypatch.setattr(permcm.classes, name, recorded(getattr(permcm.classes, name)))
         sweeps = [
-            lambda: [{"edges": e, **row} for e, row in cli.survey_rows(5, jobs=2)]
+            lambda: survey_members(cli.survey_rows(5, jobs=2))
             == labelled_survey_rows(5, cli._survey_row),
             lambda: cli.run_verify("cm", 5, jobs=2).to_dict() == _oracle_verify("cm", 5),
         ]
@@ -225,8 +227,8 @@ class TestClassSweepAgainstLabelledSweep:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_survey_rows(self, jobs):
         for n in range(6):
-            rows = [{"edges": e, **row} for e, row in cli.survey_rows(n, jobs=jobs)]
-            assert rows == labelled_survey_rows(n, cli._survey_row)
+            members = survey_members(cli.survey_rows(n, jobs=jobs))
+            assert members == labelled_survey_rows(n, cli._survey_row)
 
 
 def _edge_count_check(f):

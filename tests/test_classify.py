@@ -460,7 +460,7 @@ class TestGraphFacts:
         assert run_verify("vd", 5).checked == 120
         assert len(calls) == 33
         calls.clear()
-        assert len(survey_rows(5)) == 120
+        assert len(survey_rows(5).keys) == 120
         assert len(calls) == 33
         calls.clear()
         # the labelled sweep checks each of the 120 graphs once

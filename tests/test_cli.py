@@ -15,12 +15,23 @@ from permcm import cli
 from permcm.classes import class_records
 from permcm.cli import main, render_survey, run_verify, survey_rows
 from permcm.graphs import graph_from_permutation, inversions
-from bruteforce import _edge_key, csv_writer_survey, inversion_edges_cell
+from bruteforce import csv_writer_survey, inversion_edges_cell, survey_members
 
 
-def _json_oracle(rows) -> str:
+def _json_oracle(survey) -> str:
     """The JSON survey as one ``json.dumps`` of every member's dict."""
-    return json.dumps([{"edges": e, **row} for e, row in rows], indent=2, sort_keys=True) + "\n"
+    return json.dumps(survey_members(survey), indent=2, sort_keys=True) + "\n"
+
+
+def _chunks(survey, fmt: str) -> list[str]:
+    """What ``render_survey`` writes, one string a call."""
+    chunks = []
+    render_survey(survey, fmt, chunks.append)
+    return chunks
+
+
+def _rendered(survey, fmt: str) -> str:
+    return "".join(_chunks(survey, fmt))
 
 
 def run(capsys, *argv):
@@ -184,12 +195,12 @@ class TestVerifyCommand:
 
 class TestSurveyCommand:
     def test_rows_n1(self):
-        rows = survey_rows(1)
-        assert len(rows) == 1 and rows[0][0] == ""
+        survey = survey_rows(1)
+        assert len(survey.keys) == 1 and survey_members(survey)[0]["edges"] == ""
 
     def test_distinct_graph_count_n3(self):
         # sigma <-> inversion set is a bijection, so S_3 gives 6 rows
-        assert len(survey_rows(3)) == 6
+        assert len(survey_rows(3).keys) == 6
 
     def test_csv_deterministic(self, capsys, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -199,9 +210,16 @@ class TestSurveyCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_parallel_matches_serial(self):
-        assert render_survey(survey_rows(4), "csv") == render_survey(
-            survey_rows(4, jobs=2), "csv"
-        )
+        assert _rendered(survey_rows(4), "csv") == _rendered(survey_rows(4, jobs=2), "csv")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        # the file takes the rendered chunks as they are made, as stdout does
+        out = tmp_path / "survey.txt"
+        _, stdout, _ = run(capsys, "survey", "--n", "7", "--format", fmt)
+        code, message, _ = run(capsys, "survey", "--n", "7", "--format", fmt, "--out", str(out))
+        assert code == 0 and message == f"wrote 5040 rows to {out}\n"
+        assert out.read_text(encoding="utf-8") == stdout
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "survey", "--n", "2", "--format", "json")
@@ -231,51 +249,102 @@ class TestSurveyCommand:
 
 class TestSurveyFastPaths:
     def test_pair_table_selects_the_inversions(self):
-        # every permutation of S_n, n <= 7, as one class: its entries
-        # carry the key and the cell built from its sorted inversions
+        # every permutation of S_n, n <= 7: its edge bytes name its
+        # sorted inversions through the pair table, none is 0, and with
+        # any tag after a zero byte the keys sort as the inversion lists
         for n in range(8):
+            pairs, cells = cli._pair_table(n)
             members = list(permutations(range(1, n + 1)))
-            expected = [(_edge_key(inversions(p)), inversion_edges_cell(p)) for p in members]
-            row = {}
-            assert cli._survey_entries(members, row) == [e + (row,) for e in expected]
+            edges = [cli._edge_bytes(p, pairs) for p in members]
+            assert [";".join(cells[b] for b in e) for e in edges] == list(
+                map(inversion_edges_cell, members))
+            assert all(0 not in e for e in edges)
+            keys = [e + b"\0" + (len(members) - i).to_bytes(2, "big") for i, e in enumerate(edges)]
+            by_key = sorted(range(len(members)), key=keys.__getitem__)
+            assert by_key == sorted(range(len(members)), key=lambda i: inversions(members[i]))
 
     @pytest.mark.parametrize("n", range(7))
     def test_renderer_matches_csv_writer(self, n):
-        rows = survey_rows(n)
-        assert render_survey(rows, "csv") == csv_writer_survey(rows)
+        survey = survey_rows(n)
+        assert _rendered(survey, "csv") == csv_writer_survey(survey_members(survey))
 
     def test_renderer_on_mixed_cells(self):
-        # True == 1 and False == 0 share a cache slot; both format alike
+        # each class's row is formatted on its own: True and 1, False
+        # and 0 format alike in CSV, while JSON tells a bool from the
+        # int it equals, and None from both; the tags take no byte
+        # (position 0), one or two
         values = [None, True, 1, False, 0, -1, -12, 7, 1, True, None, 0, False]
         rows = []
         for i, value in enumerate(values):
             row = dict.fromkeys(cli._SURVEY_COLUMNS[1:], 0)
             row.update(a_invariant=value, hilbertian=values[-1 - i], cm=value)
-            rows.append(("1-2;2-3" if i % 2 else "", row))
-        rows += rows[::-1]
-        assert render_survey(rows, "csv") == csv_writer_survey(rows)
-        # JSON tells a bool from the int it equals, and None from both
-        assert render_survey(rows, "json") == _json_oracle(rows)
+            rows.append(tuple(row[c] for c in cli._SURVEY_COLUMNS[1:]))
+        rows += rows[::-1] * 20
+        edges = [b"", b"\x01\x03", b"\x02"]
+        keys = sorted(edges[i % 3] + b"\0" + i.to_bytes((i.bit_length() + 7) // 8, "big")
+                      for i in range(len(rows)))
+        survey = cli.Survey(3, rows, keys)
+        assert _rendered(survey, "csv") == csv_writer_survey(survey_members(survey))
+        assert _rendered(survey, "json") == _json_oracle(survey)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("n", range(7))
     def test_json_renderer_matches_json_dumps(self, n, jobs):
-        # each shared row is formatted once around its members' edges
-        rows = survey_rows(n, jobs=jobs)
-        assert render_survey(rows, "json") == _json_oracle(rows)
+        # each class's text is formatted once around its members' edges
+        survey = survey_rows(n, jobs=jobs)
+        assert _rendered(survey, "json") == _json_oracle(survey)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_render_comes_in_chunks(self, fmt):
+        # the text is written chunk by chunk, never as one document:
+        # the head, one chunk per _CHUNK members, and the end
+        survey = survey_rows(7)
+        chunks = _chunks(survey, fmt)
+        assert len(chunks) == 2 + -(-len(survey.keys) // cli._CHUNK) == 4
+        members = survey_members(survey)
+        assert "".join(chunks) == (csv_writer_survey(members) if fmt == "csv"
+                                   else _json_oracle(survey))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_members_of_a_class_share_one_row(self, jobs):
-        # one row dict per class, not one per permutation
+        # one row tuple per class, in column order, and each key tags
+        # the row of its class; every class has a member
         for n in range(7):
-            rows = survey_rows(n, jobs=jobs)
-            assert len(rows) == factorial(n)
-            assert len({id(row) for _, row in rows}) == len(class_records(n))
+            survey = survey_rows(n, jobs=jobs)
+            assert len(survey.keys) == factorial(n)
+            assert len(survey.rows) == len(class_records(n))
+            assert {type(row) for row in survey.rows} == {tuple}
+            assert {len(row) for row in survey.rows} == {len(cli._SURVEY_COLUMNS) - 1}
+            tags = {int.from_bytes(key.partition(b"\0")[2], "big") for key in survey.keys}
+            assert tags == set(range(len(survey.rows)))
+            assert survey.keys == sorted(survey.keys)
+
+    def test_survey_retains_under_100_bytes_per_permutation(self):
+        # a permutation is held as one bytes key, and the class levels
+        # and the children's members are dropped once the map ends;
+        # a member that kept a tuple and its edges cell besides its key
+        # took 228 bytes at n = 7
+        import gc
+        import tracemalloc
+
+        survey_rows(7)  # the pair table and the simple orbits stay per process
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            survey = survey_rows(7)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(survey.keys) == 5040
+        assert retained <= 100 * 5040, retained
 
     def test_pool_runs_inside_survey_rows(self, capsys, monkeypatch):
         # the benchmark's pool utilization divides the pool's CPU by the
         # wall time of survey_rows, so the pool must run inside it and
-        # its rows come back whole, not as a lazy iterable
+        # its result come back built: rows and sorted keys, not a lazy
+        # iterable
         running, calls, returned = [], [], []
         map_classes, rows_of = cli._map_classes, cli.survey_rows
 
@@ -286,17 +355,19 @@ class TestSurveyFastPaths:
         def rows_while_running(*args, **kwargs):
             running.append(True)
             try:
-                rows = rows_of(*args, **kwargs)
+                survey = rows_of(*args, **kwargs)
             finally:
                 running.clear()
-            returned.append(rows)
-            return rows
+            returned.append(survey)
+            return survey
 
         monkeypatch.setattr(cli, "_map_classes", mapped)
         monkeypatch.setattr(cli, "survey_rows", rows_while_running)
         assert run(capsys, "survey", "--n", "5", "--jobs", "2")[0] == 0
         assert calls == [True]
-        assert [type(rows) for rows in returned] == [list]
+        assert [(type(s), type(s.rows), type(s.keys)) for s in returned] == [
+            (cli.Survey, list, list)]
+        assert len(returned[0].keys) == 120 and returned[0].keys == sorted(returned[0].keys)
 
     def test_partitions_searched_for_unmixed_classes_only(self, monkeypatch):
         # CM is unmixed and a unique partition, so the survey searches
@@ -651,7 +722,7 @@ class TestDeterminism:
         assert any(f.cancelled() for f in futures)
 
 
-def _fail_in_parent(parent: int, record):
+def _fail_in_parent(parent: int, position: int, record):
     """``record`` after a pause in a worker; an error in ``parent``."""
     if os.getpid() == parent:
         raise RuntimeError("parent share failed")

@@ -192,8 +192,11 @@ def test_only_classify_builds_report_tuples():
 
 def test_only_the_survey_keys_members_by_their_edges():
     # the survey's CSV is printed in edge order; verify prints its
-    # counts sorted and sorts only its discrepancies, by their edges
-    assert _callers("_pair_table") == {("cli", "_survey_entries")}
+    # counts sorted and sorts only its discrepancies, by their edges; a
+    # member's key is made where its class is mapped and read where the
+    # text is rendered
+    assert _callers("_pair_table") == {("cli", "_survey_class"), ("cli", "render_survey")}
+    assert _callers("_edge_bytes") == {("cli", "_survey_class")}
 
 
 def test_one_field_dataclasses_validate():

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from permcm import Permutation, classify, cover_ideal, graph_from_permutation, vertex_splittable_test
+import permcm.classes
 from permcm.cli import main
 from bruteforce import all_graphs, serial_permutation_classes
 
@@ -50,6 +51,20 @@ PINNED = [
      "9592d5e0276cbd1cf416fa7eb5128868362e1143eed8fda3e7b57613c91acaae"),
     (("survey", "--n", "6", "--format", "json"), 0,
      "6feaade5bcb393a027535e047b1eeed73983df944e0cef5ddabf8c21a45ab563"),
+    # the smallest surveys, recorded while each member was held as a
+    # tuple of its key, its edges cell and its class's row dict
+    (("survey", "--n", "0"), 0,
+     "b55cc7ebb5e39824866410427d33389a4b4c218bafde7338819e8e25344e40ed"),
+    (("survey", "--n", "1"), 0,
+     "3acd779000cca3d6788c905a4bc2e7d52c54ca40ce9f3c604d901be5cfef5359"),
+    (("survey", "--n", "2"), 0,
+     "120b9a670661b04b3f76fab16e699ff924de379492c7ae88c34c8390e7e01974"),
+    (("survey", "--n", "0", "--format", "json"), 0,
+     "0ad8ba28426c3e38e27de019a0a177feacd366fd20323532651f49e5f0960a68"),
+    (("survey", "--n", "1", "--format", "json"), 0,
+     "3336705a003c58c05da7104e21c3622dddb70955c9aa4a951f72f75a62a46db7"),
+    (("survey", "--n", "2", "--format", "json"), 0,
+     "a5698c2d9bfed479c3e106a670d2a214164a16d391970308d6a13baf0a35bcab"),
     # permutations whose inversion graphs have isolated vertices
     (("shed", "--perm", "2,1,3"), 0,
      "552bae4e157f1cdbf867ba0296f65e2332097ba86582659260f47439b080084c"),
@@ -214,6 +229,10 @@ PINNED_POOLED = [
      _SERIAL[("survey", "--n", "6", "--format", "json")]),
     (SWEEP_CAPS, ("verify", "bicm", "--n", "7", "--jobs", "2"),
      {argv: digest for _, argv, digest in PINNED_SWEEPS}[("verify", "bicm", "--n", "7")]),
+    # the benchmark's survey as JSON, recorded while each member was
+    # held as a tuple of its key, its edges cell and its class's row dict
+    ("", ("survey", "--n", "8", "--format", "json", "--jobs", "2"),
+     "d2adf6a82cc3b8c195172486f9a1933d41c0bfab1810da681cee7a6d25a8b927"),
 ]
 
 
@@ -226,6 +245,23 @@ def test_pooled_stdout_digest(monkeypatch, caps, argv, digest):
         got = main(list(argv))
     assert got == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweeps_in_one_process_drop_their_levels(jobs):
+    # a survey, a verify and a survey again in one process: each sweep
+    # builds the class levels it maps and drops them once its map ends,
+    # so each prints its pinned bytes and leaves the levels of 0 and 1
+    # points alone, and no expanded children
+    for argv in [("survey", "--n", "6"), ("verify", "cm", "--n", "6"),
+                 ("survey", "--n", "6", "--format", "json")]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            got = main([*argv, "--jobs", jobs])
+        assert got == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == _SERIAL[argv]
+        assert len(permcm.classes._LEVELS) == 2
+        assert permcm.classes._expand_child.cache_info().currsize == 0
 
 
 def test_n7_sweep_pins_are_the_benchmark_golden_digests():
