@@ -184,21 +184,18 @@ def _prime_records(levels: list[list[Record]], m: int) -> list[Record]:
     return list(found.values())
 
 
-# the classes of S_m by size m, each level built once and kept until
-# a sweep has mapped its classes (``drop_levels``)
-_LEVELS: list[list[Record]] = [[((), 1, ())], [((), 1, (1,))]]
-
-
+@lru_cache(maxsize=1)
 def class_records(n: int) -> list[Record]:
     """(code, size, representative) for each class of S_n, built from
     the substitution trees, bottom-up over the sizes 1..n: sum nodes,
     then skew sums, then prime nodes.  The sizes add up to n!, and the
-    edgeless graph's class, of the identity alone, comes first."""
-    while len(_LEVELS) <= n:
-        m = len(_LEVELS)
-        _LEVELS.append(_sum_records(_LEVELS, m, 0) + _sum_records(_LEVELS, m, 1)
-                       + _prime_records(_LEVELS, m))
-    return _LEVELS[n]
+    edgeless graph's class, of the identity alone, comes first.  Only
+    the last S_n asked is kept, until ``drop_levels``."""
+    levels = [[((), 1, ())], [((), 1, (1,))]]
+    for m in range(2, n + 1):
+        levels.append(_sum_records(levels, m, 0) + _sum_records(levels, m, 1)
+                      + _prime_records(levels, m))
+    return levels[n]
 
 
 def _arrangements(items: tuple) -> list[tuple]:
@@ -236,8 +233,8 @@ def class_members(code: Code, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def drop_levels() -> None:
-    """Free what the class sweeps build and keep: every level above one
-    point (the next ``class_records`` builds them again) and the
-    children's members (``_expand_child``)."""
-    del _LEVELS[2:]
+    """Free what the class sweeps build and keep: the records of S_n
+    (the next ``class_records`` builds them again) and the children's
+    members (``_expand_child``)."""
+    class_records.cache_clear()
     _expand_child.cache_clear()

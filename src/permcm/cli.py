@@ -354,16 +354,16 @@ def _map_classes(fn: Callable[[int, Record], object], n: int, jobs: int) -> list
     """``fn(position, record)`` of each class record of S_n
     (``class_records``), in record order: the one pool of both sweeps.
 
-    With ``workers`` = min(jobs, usable CPUs) above one, the records are
-    cut into 4 * ``workers`` strided slices.  This process maps every
-    ``workers``-th slice itself, and a process pool of ``workers`` - 1
-    forked workers maps the others, one task per slice; the results are
+    With ``workers`` = min(jobs, usable CPUs) above one, this process
+    maps every ``workers``-th record itself, and a process pool of
+    ``workers`` - 1 forked workers maps the others, in strided slices of
+    step 4 * ``workers``, four tasks per worker; the results are
     interleaved back into record order.  The pool's slices are submitted
     before this process maps its own (a forked pool starts all its
     workers at the first submit), so the workers are forked before any
     record exists: each builds the records itself and none holds a copy
     of this process's.  Once this process has mapped its share, it drops
-    the levels (``drop_levels``): a later sweep builds them again.
+    the records (``drop_levels``): a later sweep builds them again.
     """
     workers = min(jobs, _usable_cpus())
     if workers == 1:
@@ -373,7 +373,6 @@ def _map_classes(fn: Callable[[int, Record], object], n: int, jobs: int) -> list
             drop_levels()
     step = 4 * workers
     pooled = [k for k in range(step) if k % workers]
-    parts: list = [None] * step
     with ProcessPoolExecutor(max_workers=workers - 1) as pool:
         mapped = pool.map(_class_slice, repeat(fn), repeat(n), pooled, repeat(step))
         # a thread of this process reads the pool's results and takes the
@@ -383,26 +382,32 @@ def _map_classes(fn: Callable[[int, Record], object], n: int, jobs: int) -> list
         interval = sys.getswitchinterval()
         sys.setswitchinterval(interval / 10)
         try:
-            parts[::workers] = [_class_slice(fn, n, k, step) for k in range(0, step, workers)]
+            own = _class_slice(fn, n, 0, workers)
         except BaseException:
             pool.shutdown(cancel_futures=True)  # the slices not started yet
             raise
         finally:
             sys.setswitchinterval(interval)
             drop_levels()
-        for k, part in zip(pooled, mapped):
-            parts[k] = part
-    out = [None] * sum(map(len, parts))
-    for start, part in enumerate(parts):
+        parts = list(mapped)
+    out = [None] * (len(own) + sum(map(len, parts)))
+    out[::workers] = own
+    for start, part in zip(pooled, parts):
         out[start::step] = part
     return out
 
 
-def _check_class(check: Callable[[GraphFacts], dict | None], position: int,
-                 record: Record) -> tuple:
-    """``record`` and the result of ``check`` on its representative (a
-    result carries its record, so ``position`` is not read)."""
-    return record, check(_facts(record[2]))
+def _check_class(check: Callable[[GraphFacts], dict | None], n: int, position: int,
+                 record: Record) -> list[tuple]:
+    """The weighted tally of one class of S_n: ``(size, representative,
+    result)`` of ``check``, or, when the representative fails, ``(1,
+    member, result)`` of each member, with its labels (``position`` is
+    not read)."""
+    code, size, rep = record
+    result = check(_facts(rep))
+    if result is not None and not result["ok"]:
+        return [(1, p, check(_facts(p))) for p in class_members(code, n)]
+    return [(size, rep, result)]
 
 
 def _discrepancy(perm: tuple[int, ...], res: dict) -> dict:
@@ -422,26 +427,20 @@ def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
     Each isomorphism class (``class_records``) is checked once, at its
     representative, through ``_map_classes``, and its result weighted
     by the class size: every check is an isomorphism invariant.  A class
-    whose representative fails is expanded and re-checked member by
-    member, with labels, and those results replace its weighted one.
-    ``counts`` keeps the order in which the class records first hold
-    each predicate; ``verify`` prints it sorted.  Discrepancies are
-    sorted by their edges.  No record list is read here: each record
-    comes back from ``_map_classes`` with its result.
+    whose representative fails is checked member by member, with labels,
+    where it is mapped (``_check_class``), so here the tallies are only
+    summed.  ``counts`` keeps the order in which the class records first
+    hold each predicate; ``verify`` prints it sorted.  Discrepancies are
+    sorted by their edges.
     """
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem!r}")
     _check_sweep_args(n, jobs)
     check_cap(theorem, n, "sweep")
-    check = _CHECKS[theorem]
     counts: dict[str, int] = {}
     discrepancies = []
     checked = skipped = 0
-    for (code, size, rep), result in _map_classes(partial(_check_class, check), n, jobs):
-        if result is not None and not result["ok"]:
-            tally = [(1, p, check(_facts(p))) for p in class_members(code, n)]
-        else:
-            tally = [(size, rep, result)]
+    for tally in _map_classes(partial(_check_class, _CHECKS[theorem], n), n, jobs):
         for weight, perm, res in tally:
             if res is None:
                 skipped += weight
@@ -578,16 +577,14 @@ def render_survey(survey: Survey, fmt: str, write: Callable[[str], object]) -> N
     write(end)
 
 
-def _json_around_edges(row: tuple) -> tuple[str, str]:
+def _json_around_edges(row: tuple) -> list[str]:
     """The text of a survey member's JSON object before its ``edges``
-    cell and after it, from the line break after the list's comma.  A
-    cell holds only digits, ``-`` and ``;``, which JSON writes as they
-    are, so the quotes around it are part of this text."""
-    items = sorted(zip(_SURVEY_COLUMNS[1:], row))
-    lines = [f"    {json.dumps(k)}: {json.dumps(v)}" for k, v in items]
-    cut = sum(k < "edges" for k, _ in items)
-    return ("\n  {\n" + "".join(line + ",\n" for line in lines[:cut]) + '    "edges": "',
-            '"' + "".join(",\n" + line for line in lines[cut:]) + "\n  }")
+    cell and after it, from the line break after the list's comma: the
+    object dumped with the stand-in cell ``"\\0"``, indented as a list
+    item and cut at its escape.  A cell holds only digits, ``-`` and
+    ``;``, which JSON writes as they are, so its quotes are in this text."""
+    text = json.dumps(dict(zip(_SURVEY_COLUMNS, ("\0",) + row)), indent=2, sort_keys=True)
+    return ("\n" + text).replace("\n", "\n  ").split("\\u0000")
 
 
 # -- input parsing --------------------------------------------------------------

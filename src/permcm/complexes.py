@@ -65,7 +65,7 @@ complexes of induced subgraphs repeat massively across a sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
@@ -289,6 +289,11 @@ def _homology_of_key(key: tuple[int, ...]) -> dict[int, int]:
     return ranks
 
 
+def _induced_homology(key: tuple[int, ...], r: int) -> dict[int, int]:
+    """Reduced homology of the complex ``key`` induced on the set ``r``."""
+    return _homology_of_key(_canonical(_maximalize(m & r for m in key)))
+
+
 def reduced_homology_ranks(c: SimplicialComplex) -> dict[int, int]:
     """Ranks of reduced homology over Q, {dimension: rank}, zeros omitted.
 
@@ -381,7 +386,7 @@ class _FlagTables:
         shape = (r.bit_count(), edges)
         ranks = _SKELETON_CACHE.get(shape)
         if ranks is None:
-            ranks = _homology_of_key(_canonical(_maximalize(m & r for m in self.key)))
+            ranks = _induced_homology(self.key, r)
             _SKELETON_CACHE[shape] = ranks
         return ranks
 
@@ -543,9 +548,7 @@ def hochster_betti_table(c: SimplicialComplex) -> BettiTable:
     if tables is None:
         key = _canonical(c.facets)
         fold = range(1 << max(m.bit_length() for m in key))  # fold[u] == u
-
-        def homology(r: int) -> dict[int, int]:
-            return _homology_of_key(_canonical(_maximalize(m & r for m in key)))
+        homology = partial(_induced_homology, key)
     else:
         fold, homology = tables.fold, tables.homology
     used = len(fold) - 1

@@ -320,7 +320,7 @@ class TestSurveyFastPaths:
             assert survey.keys == sorted(survey.keys)
 
     def test_survey_retains_under_100_bytes_per_permutation(self):
-        # a permutation is held as one bytes key, and the class levels
+        # a permutation is held as one bytes key, and the class records
         # and the children's members are dropped once the map ends;
         # a member that kept a tuple and its edges cell besides its key
         # took 228 bytes at n = 7

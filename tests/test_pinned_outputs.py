@@ -18,8 +18,10 @@ import pytest
 
 from permcm import Permutation, classify, cover_ideal, graph_from_permutation, vertex_splittable_test
 import permcm.classes
+from permcm import cli
 from permcm.cli import main
 from bruteforce import all_graphs, serial_permutation_classes
+from test_classes import _cm_failing_on_p4
 
 # (argv, exit code, SHA-256 of stdout)
 PINNED = [
@@ -248,11 +250,16 @@ def test_pooled_stdout_digest(monkeypatch, caps, argv, digest):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sweeps_in_one_process_drop_their_levels(jobs):
+def test_sweeps_in_one_process_drop_their_levels(monkeypatch, jobs):
     # a survey, a verify and a survey again in one process: each sweep
-    # builds the class levels it maps and drops them once its map ends,
-    # so each prints its pinned bytes and leaves the levels of 0 and 1
-    # points alone, and no expanded children
+    # builds the class records it maps and drops them once its map ends,
+    # so each prints its pinned bytes and leaves no records and no
+    # expanded children; a verify whose class fails, and is expanded
+    # member by member, leaves none either
+    def assert_dropped():
+        assert permcm.classes.class_records.cache_info().currsize == 0
+        assert permcm.classes._expand_child.cache_info().currsize == 0
+
     for argv in [("survey", "--n", "6"), ("verify", "cm", "--n", "6"),
                  ("survey", "--n", "6", "--format", "json")]:
         out = io.StringIO()
@@ -260,8 +267,10 @@ def test_sweeps_in_one_process_drop_their_levels(jobs):
             got = main([*argv, "--jobs", jobs])
         assert got == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == _SERIAL[argv]
-        assert len(permcm.classes._LEVELS) == 2
-        assert permcm.classes._expand_child.cache_info().currsize == 0
+        assert_dropped()
+    monkeypatch.setitem(cli._CHECKS, "cm", _cm_failing_on_p4)
+    assert cli.run_verify("cm", 6, jobs=int(jobs)).discrepancies
+    assert_dropped()
 
 
 def test_n7_sweep_pins_are_the_benchmark_golden_digests():
