@@ -21,9 +21,6 @@ c = independence_complex(g)
 print(f"facets of the complex: {c.facet_sets()}")
 print(f"reduced homology: {reduced_homology_ranks(c)}  (rank 1 in dim 1: a circle)")
 
-lk, dl = c.link((1,)), c.deletion((1,))
-print(f"link of vertex 1: {lk.facet_sets()}, deletion: {dl.facet_sets()}")
-
 # Reisner's criterion: homology of every link vanishes below top degree.
 print(f"Cohen-Macaulay (Reisner): {reisner_cm_test(c)}")
 

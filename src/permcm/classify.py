@@ -454,10 +454,16 @@ class GraphFacts:
         return _shedding_walk(h, alive, self.order, first)
 
     @cached_property
+    def gap_lemma(self) -> bool | None:
+        """``gap_witness_check`` of the stripped graph, whether or not
+        the graph is Gorenstein: for a caller that selects its own."""
+        return gap_witness_check(self.stripped[0])
+
+    @property
     def gap_witness(self) -> bool | None:
-        """``gap_witness_check`` of the stripped graph; None unless the
-        graph is Gorenstein and the check applies."""
-        return gap_witness_check(self.stripped[0]) if self.gorenstein else None
+        """``gap_lemma``; None unless the graph is Gorenstein and the
+        check applies."""
+        return self.gap_lemma if self.gorenstein else None
 
 
 @dataclass(frozen=True)

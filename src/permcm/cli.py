@@ -38,6 +38,7 @@ from .classify import (
     verify_shedding_certificate,
 )
 from .complexes import (
+    SimplicialComplex,
     hilbert_data,
     hochster_betti_table,
     is_vertex_decomposable,
@@ -105,15 +106,17 @@ def _check_cm(f: GraphFacts) -> dict | None:
     }
 
 
+def _oracle_gorenstein(comp: SimplicialComplex) -> bool:
+    """Gorenstein by the ring: Reisner CM and Hochster type 1.  An
+    isolated vertex cones the complex, which keeps both."""
+    return reisner_cm_test(comp) and hochster_betti_table(comp).type == 1
+
+
 def _check_goren(f: GraphFacts) -> dict | None:
     if f.g.isolated_vertices():
         return None
     structural = f.gorenstein
-    comp = f.complex
-    cm = reisner_cm_test(comp)
-    lhs = False
-    if cm:
-        lhs = hochster_betti_table(comp).type == 1
+    lhs = _oracle_gorenstein(f.complex)
     ok = lhs == structural
     return {
         "ok": ok,
@@ -257,9 +260,13 @@ def _check_shed(f: GraphFacts) -> dict | None:
 
 
 def _check_gap(f: GraphFacts) -> dict | None:
-    result = f.gap_witness
+    # the graphs are selected by the ring, not by the structural flag,
+    # so a wrong flag cannot hide a graph that fails the lemma
+    if not _oracle_gorenstein(f.complex):
+        return None
+    result = f.gap_lemma
     if result is None:
-        return None  # not Gorenstein, or alpha < 2: nothing claimed
+        return None  # alpha < 2: nothing claimed
     return {
         "ok": result,
         "predicates": {"gap_witness": result},

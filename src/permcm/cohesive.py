@@ -121,8 +121,10 @@ def _orient(adj: Sequence[int]) -> list[int] | None:
     Gamma-forcing from one edge: a->b forces a->c for every neighbour c
     of a that is not adjacent to b, and c->b for every neighbour c of b
     that is not adjacent to a.  A prime graph has one implication class,
-    so the forcing must reach every edge without being forced both ways;
-    otherwise the graph is not a comparability graph and None is returned.
+    so the forcing must reach every edge without being forced both ways.
+    An edge forced both ways means the graph is not a comparability graph,
+    and None is returned; an edge never reached means the graph was not
+    prime, and ``RuntimeError`` is raised.
     """
     a = next(v for v, nbrs in enumerate(adj) if nbrs)
     b = (adj[a] & -adj[a]).bit_length()
@@ -146,7 +148,9 @@ def _orient(adj: Sequence[int]) -> list[int] | None:
                 out[z] |= by
                 stack.append((z, y))
     if 2 * sum(m.bit_count() for m in out) != sum(m.bit_count() for m in adj):
-        return None
+        # only a graph that is not prime leaves edges unforced, and only
+        # prime quotients come here: this is a bug, not an answer
+        raise RuntimeError("forcing from one edge left edges unoriented")
     return out
 
 

@@ -118,42 +118,12 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    @property
-    def dim(self) -> int | None:
-        if not self.facets:
-            return None
-        return max(m.bit_count() for m in self.facets) - 1
-
     def facet_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(vertices_of(m) for m in self.facets))
-
-    def has_face(self, face: Iterable[int] | int) -> bool:
-        f = face if isinstance(face, int) else mask_of(face)
-        return any(f & m == f for m in self.facets)
 
     def faces(self) -> set[int]:
         """All faces as masks (the empty face included, unless void)."""
         return _faces(self.facets)
-
-    def link(self, face: Iterable[int] | int) -> "SimplicialComplex":
-        f = face if isinstance(face, int) else mask_of(face)
-        if not self.has_face(f):
-            raise ValueError("link of a non-face")
-        lk = tuple(sorted(m & ~f for m in self.facets if m & f == f))
-        return SimplicialComplex(self.vertices & ~f, lk)
-
-    def deletion(self, face: Iterable[int] | int) -> "SimplicialComplex":
-        """The faces not containing ``face``: a facet containing it is
-        replaced by its subsets missing one vertex of it.  Only a vertex
-        leaves the ambient set; the empty face gives the void complex."""
-        f = face if isinstance(face, int) else mask_of(face)
-        if not self.has_face(f):
-            raise ValueError("deletion of a non-face")
-        drop = [1 << (v - 1) for v in vertices_of(f)]
-        kept = [m for m in self.facets if m & f != f]
-        kept += [m & ~b for m in self.facets if m & f == f for b in drop]
-        ambient = self.vertices & ~f if len(drop) == 1 else self.vertices
-        return SimplicialComplex(ambient, _maximalize(kept))
 
     @cached_property
     def _flag(self) -> "_FlagTables | None":

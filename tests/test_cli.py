@@ -15,7 +15,12 @@ from permcm import cli
 from permcm.classes import class_records
 from permcm.cli import main, render_survey, run_verify, survey_rows
 from permcm.graphs import graph_from_permutation, inversions
-from bruteforce import csv_writer_survey, inversion_edges_cell, survey_members
+from bruteforce import (
+    csv_writer_survey,
+    inversion_edges_cell,
+    serial_permutation_classes,
+    survey_members,
+)
 
 
 def _json_oracle(survey) -> str:
@@ -186,6 +191,20 @@ class TestVerifyCommand:
             code, out, _ = run(capsys, "verify", theorem, "--n", str(n))
             doc = json.loads(out)
             assert code == 0 and doc["discrepancies"] == [], (theorem, doc)
+
+    def test_the_ring_selects_the_structurally_gorenstein_graphs(self):
+        # the gap sweep selects by the ring; on every class with n <= 7,
+        # isolated vertices included (the goren sweep skips those, and
+        # an isolated vertex cones the complex), Reisner CM and Hochster
+        # type 1 hold exactly where the structural flag does
+        classes = [c for n in range(1, 8) for c in serial_permutation_classes(n)]
+        positives = 0
+        for members in classes:
+            f = cli._facts(members[0])
+            ring = cli._oracle_gorenstein(f.complex)
+            assert ring == f.gorenstein, members[0]
+            positives += ring
+        assert len(classes) == 969 and positives == 19
 
     def test_unknown_theorem_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -20,6 +20,7 @@ from permcm import (
     path_graph,
     verify_cohesive_order,
 )
+from permcm.cohesive import _orient
 from permcm.graphs import mask_of, vbit, vertices_of
 from bruteforce import (
     all_graphs,
@@ -115,6 +116,12 @@ class TestFind:
 
     def test_c6_has_none(self):
         assert find_cohesive_order(cycle_graph(6)) is None
+
+    def test_orienting_a_graph_that_is_not_prime_raises(self):
+        # forcing from one edge of 2K_2 never reaches the other edge; only
+        # prime quotients are oriented, so that is a bug, not a rejection
+        with pytest.raises(RuntimeError):
+            _orient(disjoint_edges(2).adj)
 
 
 class TestRecognitionOracle:

@@ -29,7 +29,6 @@ from permcm import (
 )
 from permcm.caps import get_cap
 from permcm.complexes import _canonical, _flag_tables, _reisner_key, _series_coef, exact_rank
-from permcm.graphs import vertices_of
 from bruteforce import (
     _face_sets,
     _neighbourhood_meets,
@@ -81,61 +80,11 @@ class TestConstruction:
         void = SimplicialComplex.from_faces({1, 2}, [])
         irrelevant = SimplicialComplex.from_faces({1, 2}, [()])
         assert void.is_void and not irrelevant.is_void
-        assert void.dim is None and irrelevant.dim == -1
+        assert void.faces() == set() and irrelevant.faces() == {0}
 
     def test_facets_antichain(self):
         c = SimplicialComplex.from_faces({1, 2, 3}, [(1, 2), (1,), (3,)])
         assert c.facet_sets() == ((1, 2), (3,))
-
-
-class TestLinkDeletion:
-    def test_link_in_full_simplex(self):
-        c = independence_complex(graph_from_edges(4, []))
-        lk, dl = c.link((1,)), c.deletion((1,))
-        assert lk.facet_sets() == ((2, 3, 4),)
-        assert dl.facet_sets() == ((2, 3, 4),)
-
-    def test_four_cycle_vertex(self):
-        c = independence_complex(disjoint_edges(2))
-        lk, dl = c.link((1,)), c.deletion((1,))
-        assert lk.facet_sets() == ((3,), (4,))
-        assert dl.facet_sets() == ((2, 3), (2, 4))
-
-    def test_three_points_vertex(self):
-        c = independence_complex(complete_graph(3))
-        lk, dl = c.link((1,)), c.deletion((1,))
-        assert lk.facet_sets() == ((),)
-        assert dl.facet_sets() == ((2,), (3,))
-
-    def test_non_face_rejected(self):
-        c = independence_complex(complete_graph(3))
-        with pytest.raises(ValueError):
-            c.link((1, 2))
-
-    def test_edge_deletion_in_two_simplex(self):
-        c = SimplicialComplex.from_faces({1, 2, 3}, [(1, 2, 3)])
-        dl = c.deletion((1, 2))
-        assert dl.facet_sets() == ((1, 3), (2, 3))
-        assert dl.vertices == c.vertices
-
-    def test_empty_face_deletion_is_void(self):
-        c = SimplicialComplex.from_faces({1, 2, 3}, [(1, 2, 3)])
-        assert c.deletion(()).is_void
-
-    def test_vertex_deletion_drops_the_vertex(self):
-        # a vertex's deletion is the complex with the vertex removed from
-        # every facet and from the ambient set
-        for c in sweep_complexes(5):
-            for v in range(1, c.vertices.bit_length() + 1):
-                b = 1 << (v - 1)
-                expected = SimplicialComplex.from_faces(
-                    c.vertices & ~b, [vertices_of(m & ~b) for m in c.facets])
-                assert c.deletion((v,)) == expected
-
-    def test_ambient_shrinks(self):
-        c = independence_complex(disjoint_edges(2))
-        lk, dl = c.link((1,)), c.deletion((1,))
-        assert lk.vertices == dl.vertices == 0b1110
 
 
 class TestHomology:

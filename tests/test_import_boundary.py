@@ -14,8 +14,9 @@ from substitution trees (``permcm.classes``); it keeps one memo keyed
 by live graphs, the independence facts of ``permcm.invariants``; it
 keeps one process pool, in ``permcm.cli``, and one reader of the CPU
 count; it keeps every one-field dataclass to a type that checks its
-value; and it keeps every private helper of the package read somewhere
-in it.
+value; it keeps every private helper of the package read somewhere
+in it; and it keeps every ``verify`` check comparing an oracle with a
+theorem.
 """
 
 import ast
@@ -250,3 +251,37 @@ def test_every_private_helper_is_read():
             if read[d.name] <= _names_read(d)[d.name]]
     assert len(defs) > 20  # the scan sees the helpers
     assert not dead, f"private helpers nothing reads: {dead}"
+
+
+def test_every_check_reads_an_oracle_and_a_theorem():
+    """Each ``_check_*`` of the CLI reads an oracle (a name from
+    ``permcm.complexes`` or ``permcm.ideals``, the facts' ``complex``,
+    ``is_chordal`` or ``verify_shedding_certificate``) and a theorem-side
+    fact (any other attribute of the facts but the graph ``g``).
+
+    The scan sees names, not what they decide: ``_check_hilb`` passes it
+    only formally until the Hilbert series has a theorem side that reads
+    the cohesive order, and ``_check_nearly`` and ``_check_bicm`` only
+    until nearly Gorenstein and bi-CM have oracles that read the ring.
+    """
+    from permcm.cli import _CHECKS
+
+    oracles = {name for target, name in _imports("cli") if target in ("complexes", "ideals")}
+    oracles |= {"is_chordal", "verify_shedding_certificate"}
+    wanted = {check.__name__ for check in _CHECKS.values()}
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    checks, found = set(), []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in wanted):
+            continue
+        checks.add(fn.name)
+        facts = fn.args.args[0].arg
+        read = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == facts}
+        names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        if not (names & oracles or "complex" in read):
+            found.append(f"{fn.name} reads no oracle")
+        if not read - {"g", "complex"}:
+            found.append(f"{fn.name} reads no theorem-side fact")
+    assert checks == wanted and len(checks) == 10
+    assert not found, found

@@ -235,6 +235,10 @@ PINNED_POOLED = [
     # held as a tuple of its key, its edges cell and its class's row dict
     ("", ("survey", "--n", "8", "--format", "json", "--jobs", "2"),
      "d2adf6a82cc3b8c195172486f9a1933d41c0bfab1810da681cee7a6d25a8b927"),
+    # the gap sweep past its cap, recorded while it still selected its
+    # graphs by the structural Gorenstein flag instead of by the ring
+    ("gap=9", ("verify", "gap", "--n", "9", "--jobs", "2"),
+     "a6fec64be05dc247e65c38e4beafebb5567c142a6c3ae9e268560854de6def20"),
 ]
 
 
