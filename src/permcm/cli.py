@@ -7,7 +7,8 @@ build is empty.  A sweep checks one member of each isomorphism class
 (``permcm.classes``) and weights its result by the class size, so the
 counts are those of all n! labelled graphs.
 Exit codes: 0 success, 1 a theorem/oracle discrepancy (or a shed
-request on a non-CM graph), 2 usage or parse errors.
+request on an input that is not a CM permutation graph), 2 usage or
+parse errors.
 
 Outputs are deterministic: identical invocations produce byte-identical
 bytes, and parallel sweeps merge worker results in canonical order.
@@ -67,9 +68,14 @@ from .invariants import independence_invariants
 #
 # Each check takes the facts of one inversion graph, labelled as built
 # from its permutation, and returns None (skipped: the statement does not
-# apply) or a dict with "ok", "predicates" and, when not ok, a
-# human-readable "detail".  Oracle predicates read only the graph, its
+# apply) or its ``_result``.  Oracle predicates read only the graph, its
 # maximal independent sets or its complex, never a theorem-side fact.
+
+def _result(ok: bool, detail: str | None, /, **predicates: bool) -> dict:
+    """A check's result: ``ok``, its named predicates in the order given,
+    and ``detail``, a human-readable account that is None when ok."""
+    return {"ok": ok, "predicates": predicates, "detail": detail}
+
 
 def _check_vd(f: GraphFacts) -> dict | None:
     comp = f.complex
@@ -77,33 +83,18 @@ def _check_vd(f: GraphFacts) -> dict | None:
     theorem_cm = f.cm
     unmixed_vd = independence_invariants(f.g)[2] and is_vertex_decomposable(comp)
     ok = oracle_cm == theorem_cm == unmixed_vd
-    return {
-        "ok": ok,
-        "predicates": {"reisner_cm": oracle_cm, "cm_partition": theorem_cm,
-                       "unmixed_and_vd": unmixed_vd},
-        "detail": None if ok else (
-            f"reisner={oracle_cm} partition={theorem_cm} unmixed+vd={unmixed_vd}"
-        ),
-    }
+    return _result(
+        ok, None if ok else f"reisner={oracle_cm} partition={theorem_cm} unmixed+vd={unmixed_vd}",
+        reisner_cm=oracle_cm, cm_partition=theorem_cm, unmixed_and_vd=unmixed_vd)
 
 
 def _check_cm(f: GraphFacts) -> dict | None:
     oracle_cm = reisner_cm_test(f.complex)
     unmixed = independence_invariants(f.g)[2]
-    _, parts = f.cm_partitions
-    count = len(parts)  # 0, 1, or 2 meaning "at least 2"
-    if oracle_cm:
-        ok = count == 1
-    elif unmixed:
-        ok = count != 1
-    else:
-        ok = True
-    return {
-        "ok": ok,
-        "predicates": {"oracle_cm": oracle_cm, "unmixed": unmixed,
-                       "unique_partition": count == 1},
-        "detail": None if ok else f"cm={oracle_cm} unmixed={unmixed} partitions={count}",
-    }
+    count = len(f.cm_partitions[1])  # 0, 1, or 2 meaning "at least 2"
+    ok = count == 1 if oracle_cm else (not unmixed or count != 1)
+    return _result(ok, None if ok else f"cm={oracle_cm} unmixed={unmixed} partitions={count}",
+                   oracle_cm=oracle_cm, unmixed=unmixed, unique_partition=count == 1)
 
 
 def _oracle_gorenstein(comp: SimplicialComplex) -> bool:
@@ -118,11 +109,8 @@ def _check_goren(f: GraphFacts) -> dict | None:
     structural = f.gorenstein
     lhs = _oracle_gorenstein(f.complex)
     ok = lhs == structural
-    return {
-        "ok": ok,
-        "predicates": {"oracle_gorenstein": lhs, "disjoint_edges": structural},
-        "detail": None if ok else f"cm_and_type1={lhs} disjoint_edges={structural}",
-    }
+    return _result(ok, None if ok else f"cm_and_type1={lhs} disjoint_edges={structural}",
+                   oracle_gorenstein=lhs, disjoint_edges=structural)
 
 
 def _facets_form_path(facets: tuple[tuple[int, ...], ...], n: int) -> bool:
@@ -142,23 +130,18 @@ def _check_nearly(f: GraphFacts) -> dict | None:
     # reads the ring can check them.
     if g.isolated_vertices():
         return None
-    flags = f.structure
     nearly = f.nearly_gorenstein
     facets = f.complex.facet_sets()
     points = g.n >= 3 and len(facets) == g.n and all(len(s) == 1 for s in facets)
     path = g.n >= 3 and _facets_form_path(facets, g.n)
     ok = nearly == (points or path)
-    # the facet shapes must correspond respectively
-    if nearly and flags.is_complete and not points:
-        ok = False
-    if nearly and flags.is_path_complement and not path:
-        ok = False
-    return {
-        "ok": ok,
-        "predicates": {"nearly_structural": nearly, "facet_points": points,
-                       "facet_path": path},
-        "detail": None if ok else f"nearly={nearly} points={points} path={path}",
-    }
+    if nearly:
+        # the facet shapes must correspond respectively
+        flags = f.structure
+        if (flags.is_complete and not points) or (flags.is_path_complement and not path):
+            ok = False
+    return _result(ok, None if ok else f"nearly={nearly} points={points} path={path}",
+                   nearly_structural=nearly, facet_points=points, facet_path=path)
 
 
 def _check_ainv(f: GraphFacts) -> dict | None:
@@ -179,12 +162,8 @@ def _check_ainv(f: GraphFacts) -> dict | None:
             detail = f"hilbert a={hd.a} formula={a}"
         elif not window_ok:
             detail = f"a={a} but window agreement={hd.hilbertian}"
-    return {
-        "ok": ok and formula_ok and window_ok,
-        "predicates": {"reg_equals_im": ok, "cm": cm,
-                       "a_formula": formula_ok, "hilbertian_window": window_ok},
-        "detail": detail,
-    }
+    return _result(ok and formula_ok and window_ok, detail, reg_equals_im=ok, cm=cm,
+                   a_formula=formula_ok, hilbertian_window=window_ok)
 
 
 def _check_bicm(f: GraphFacts) -> dict | None:
@@ -200,27 +179,18 @@ def _check_bicm(f: GraphFacts) -> dict | None:
         and is_chordal(complement(g))
     )
     ok = lhs == oracle
-    return {
-        "ok": ok,
-        "predicates": {"cm_and_im1": lhs, "oracle_bicm": oracle},
-        "detail": None if ok else f"cm∧im=1 is {lhs}, oracle {oracle}",
-    }
+    return _result(ok, None if ok else f"cm∧im=1 is {lhs}, oracle {oracle}",
+                   cm_and_im1=lhs, oracle_bicm=oracle)
 
 
 def _check_hilb(f: GraphFacts) -> dict | None:
     hd = hilbert_data(f.complex)
     identity_ok = (hd.a < 0) == hd.hilbertian
     cm = f.cm
-    formula_ok = True
-    if cm:
-        formula_ok = f.a_invariant[1] == hd.hilbertian
+    formula_ok = not cm or f.a_invariant[1] == hd.hilbertian
     ok = identity_ok and formula_ok
-    return {
-        "ok": ok,
-        "predicates": {"a_window_identity": identity_ok, "cm": cm,
-                       "formula_hilbertian": formula_ok},
-        "detail": None if ok else f"a={hd.a} window={hd.hilbertian}",
-    }
+    return _result(ok, None if ok else f"a={hd.a} window={hd.hilbertian}",
+                   a_window_identity=identity_ok, cm=cm, formula_hilbertian=formula_ok)
 
 
 def _check_covs(f: GraphFacts) -> dict | None:
@@ -231,12 +201,8 @@ def _check_covs(f: GraphFacts) -> dict | None:
     linear = linear_quotients_order(ideal) is not None
     cm = f.cm
     ok = splittable == linear == cm
-    return {
-        "ok": ok,
-        "predicates": {"vertex_splittable": splittable, "linear_quotients": linear,
-                       "cm": cm},
-        "detail": None if ok else f"split={splittable} lq={linear} cm={cm}",
-    }
+    return _result(ok, None if ok else f"split={splittable} lq={linear} cm={cm}",
+                   vertex_splittable=splittable, linear_quotients=linear, cm=cm)
 
 
 def _check_shed(f: GraphFacts) -> dict | None:
@@ -246,17 +212,10 @@ def _check_shed(f: GraphFacts) -> dict | None:
         # from the bare graph, so the public extraction path is exercised
         cert = extract_shedding_order(f.g)
     except ClaimFailureError as exc:
-        return {
-            "ok": False,
-            "predicates": {"certificate_verified": False},
-            "detail": f"claim failure: {exc}",
-        }
-    verified = verify_shedding_certificate(f.g, cert)
-    return {
-        "ok": verified,
-        "predicates": {"certificate_verified": verified},
-        "detail": None if verified else "certificate failed independent re-check",
-    }
+        return _result(False, f"claim failure: {exc}", certificate_verified=False)
+    ok = verify_shedding_certificate(f.g, cert)
+    return _result(ok, None if ok else "certificate failed independent re-check",
+                   certificate_verified=ok)
 
 
 def _check_gap(f: GraphFacts) -> dict | None:
@@ -264,14 +223,11 @@ def _check_gap(f: GraphFacts) -> dict | None:
     # so a wrong flag cannot hide a graph that fails the lemma
     if not _oracle_gorenstein(f.complex):
         return None
-    result = f.gap_lemma
-    if result is None:
+    ok = f.gap_lemma
+    if ok is None:
         return None  # alpha < 2: nothing claimed
-    return {
-        "ok": result,
-        "predicates": {"gap_witness": result},
-        "detail": None if result else "some neighbourhood-deleted graph is not 2K_2",
-    }
+    return _result(ok, None if ok else "some neighbourhood-deleted graph is not 2K_2",
+                   gap_witness=ok)
 
 
 _CHECKS = {
@@ -382,19 +338,12 @@ def _map_classes(fn: Callable[[int, Record], object], n: int, jobs: int) -> list
     pooled = [k for k in range(step) if k % workers]
     with ProcessPoolExecutor(max_workers=workers - 1) as pool:
         mapped = pool.map(_class_slice, repeat(fn), repeat(n), pooled, repeat(step))
-        # a thread of this process reads the pool's results and takes the
-        # GIL for each pipe read; while this process maps, each take waits
-        # up to one switch interval, and a worker whose result fills the
-        # pipe waits with it, so the interval is cut meanwhile
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(interval / 10)
         try:
             own = _class_slice(fn, n, 0, workers)
         except BaseException:
             pool.shutdown(cancel_futures=True)  # the slices not started yet
             raise
         finally:
-            sys.setswitchinterval(interval)
             drop_levels()
         parts = list(mapped)
     out = [None] * (len(own) + sum(map(len, parts)))

@@ -13,8 +13,10 @@ from math import factorial
 
 from permcm import cli
 from permcm.classes import class_records
+from permcm.classify import GraphFacts
 from permcm.cli import main, render_survey, run_verify, survey_rows
 from permcm.graphs import graph_from_permutation, inversions
+from permcm.invariants import InvariantSet
 from bruteforce import (
     csv_writer_survey,
     inversion_edges_cell,
@@ -456,6 +458,94 @@ def test_every_predicate_fires_at_n6(monkeypatch, theorem):
     counts = run_verify(theorem, 6).counts
     assert reported
     assert reported - set(counts) == NEVER_FIRES[theorem]
+
+
+def test_nearly_sweep_recognises_only_the_gated_classes(monkeypatch):
+    # the nearly check reads the structure flags only for a graph it
+    # calls nearly Gorenstein, so recognition runs only where the flag's
+    # edge-count gate sends it: classes with no isolated vertex and
+    # C(n,2) or C(n,2) - n + 1 edges
+    module = sys.modules["permcm.classify"]
+    original = module.recognize_structure
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(module, "recognize_structure", counted)
+    n = 6
+    result = run_verify("nearly", n)
+    full = n * (n - 1) // 2
+    gated = [g for g in (graph_from_permutation(members[0])
+                         for members in serial_permutation_classes(n))
+             if not g.isolated_vertices() and g.edge_count() in (full, full - n + 1)]
+    assert len(calls) == len(gated) == 14
+    assert result.ok
+
+
+# (theorem, permutation, cached fact preset, its value, result): each
+# check on the facts of an inversion graph with one theorem-side fact
+# forced wrong, recorded before the checks built their results through
+# one helper.  The ``shed`` check reads no fact that forces its failure.
+FORCED_FAILURES = [
+    ("vd", (2, 1), "cm", False,
+     {"ok": False,
+      "predicates": {"reisner_cm": True, "cm_partition": False, "unmixed_and_vd": True},
+      "detail": "reisner=True partition=False unmixed+vd=True"}),
+    ("cm", (2, 1), "cm_partitions", (False, ()),
+     {"ok": False,
+      "predicates": {"oracle_cm": True, "unmixed": True, "unique_partition": False},
+      "detail": "cm=True unmixed=True partitions=0"}),
+    ("goren", (2, 1), "gorenstein", False,
+     {"ok": False,
+      "predicates": {"oracle_gorenstein": True, "disjoint_edges": False},
+      "detail": "cm_and_type1=True disjoint_edges=False"}),
+    ("nearly", (3, 2, 1), "nearly_gorenstein", False,
+     {"ok": False,
+      "predicates": {"nearly_structural": False, "facet_points": True, "facet_path": False},
+      "detail": "nearly=False points=True path=False"}),
+    ("nearly", (3, 1, 2), "nearly_gorenstein", True,
+     {"ok": False,
+      "predicates": {"nearly_structural": True, "facet_points": False, "facet_path": False},
+      "detail": "nearly=True points=False path=False"}),
+    ("ainv", (2, 1), "a_invariant", (5, False),
+     {"ok": False,
+      "predicates": {"reg_equals_im": True, "cm": True, "a_formula": False,
+                     "hilbertian_window": True},
+      "detail": "hilbert a=0 formula=5"}),
+    ("ainv", (2, 1), "invariants", InvariantSet(1, 1, True, 1, 2),
+     {"ok": False,
+      "predicates": {"reg_equals_im": False, "cm": True, "a_formula": True,
+                     "hilbertian_window": True},
+      "detail": "betti reg=1 im=2"}),
+    ("bicm", (2, 1), "cm", False,
+     {"ok": False,
+      "predicates": {"cm_and_im1": False, "oracle_bicm": True},
+      "detail": "cm∧im=1 is False, oracle True"}),
+    ("hilb", (2, 1), "a_invariant", (0, True),
+     {"ok": False,
+      "predicates": {"a_window_identity": True, "cm": True, "formula_hilbertian": False},
+      "detail": "a=0 window=False"}),
+    ("covs", (2, 1), "cm", False,
+     {"ok": False,
+      "predicates": {"vertex_splittable": True, "linear_quotients": True, "cm": False},
+      "detail": "split=True lq=True cm=False"}),
+    ("gap", (2, 1, 4, 3), "gap_lemma", False,
+     {"ok": False,
+      "predicates": {"gap_witness": False},
+      "detail": "some neighbourhood-deleted graph is not 2K_2"}),
+]
+
+
+@pytest.mark.parametrize("theorem,perm,fact,value,expected", FORCED_FAILURES,
+                         ids=[f"{t}-{fact}" for t, _, fact, _, _ in FORCED_FAILURES])
+def test_forced_failure_result(theorem, perm, fact, value, expected):
+    f = GraphFacts(graph_from_permutation(perm), order=tuple(range(1, len(perm) + 1)))
+    f.__dict__[fact] = value  # the cached property's slot
+    res = cli._CHECKS[theorem](f)
+    assert res == expected
+    assert list(res["predicates"]) == list(expected["predicates"])
 
 
 class TestShedCommand:

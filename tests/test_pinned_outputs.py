@@ -10,13 +10,18 @@ a digest mismatch.
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from permcm import Permutation, classify, cover_ideal, graph_from_permutation, vertex_splittable_test
+from permcm import (
+    Permutation, classify, cover_ideal, graph_from_edges, graph_from_permutation,
+    vertex_splittable_test,
+)
 import permcm.classes
 from permcm import cli
 from permcm.cli import main
@@ -275,6 +280,32 @@ def test_sweeps_in_one_process_drop_their_levels(monkeypatch, jobs):
     monkeypatch.setitem(cli._CHECKS, "cm", _cm_failing_on_p4)
     assert cli.run_verify("cm", 6, jobs=int(jobs)).discrepancies
     assert_dropped()
+
+
+def _load_gallery(monkeypatch):
+    """``perfbench/gallery.py``, loaded by path and read-only (no bytecode
+    is written beside it): the benchmark's graphs are built there from
+    plain edge lists, outside the package."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gallery.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gallery", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_classify_mix_reports_are_the_benchmark_golden_digests(monkeypatch):
+    # the digest the benchmark takes of each gallery graph's report
+    gallery = _load_gallery(monkeypatch)
+    keys = gallery.pool_keys()
+    got = {}
+    for key in keys:
+        item = gallery.pool_item(key)
+        report = classify(graph_from_edges(item["n"], item["edges"])).to_dict()
+        text = json.dumps(report, indent=2, sort_keys=True)
+        got[key] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert len(keys) == 100
+    assert got == GOLDEN["classify"]
 
 
 def test_n7_sweep_pins_are_the_benchmark_golden_digests():
