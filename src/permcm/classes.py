@@ -50,13 +50,6 @@ def _reverse_complement(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(top - v for v in reversed(p))
 
 
-def _symmetries(p: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The orbit of ``p`` under inverse and reverse-complement: four
-    permutations whose inversion graphs are isomorphic."""
-    inv = _inverse(p)
-    return {p, inv, _reverse_complement(p), _reverse_complement(inv)}
-
-
 def _prime_forms(q: tuple[int, ...], codes: tuple[Code, ...]) -> tuple[tuple, ...]:
     """The four (quotient, child codes in quotient order) pairs of the
     prime node with quotient ``q`` and child codes ``codes`` by
@@ -85,7 +78,7 @@ def simple_orbits(k: int) -> tuple[tuple[int, ...], ...]:
     one or all of them holds an interval of values.  A depth-first
     search drops a prefix as soon as a window ending at its last
     position does; the symmetries keep simplicity, so each orbit is
-    kept at its least member.
+    kept at its least member: the least quotient of its ``_prime_forms``.
     """
     simple, p, used = [], [], [False] * (k + 1)
 
@@ -111,7 +104,7 @@ def simple_orbits(k: int) -> tuple[tuple[int, ...], ...]:
                 used[v] = False
 
     grow()
-    return tuple(q for q in simple if q == min(_symmetries(q)))
+    return tuple(q for q in simple if q == min(_prime_forms(q, ((),) * k))[0])
 
 
 def _inflate(q: tuple[int, ...], blocks: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -164,24 +157,25 @@ def _sum_records(levels: list[list[Record]], m: int, kind: int) -> list[Record]:
 
 def _prime_records(levels: list[list[Record]], m: int) -> list[Record]:
     """The classes of S_m whose root is prime: one simple permutation of
-    each orbit, with each assignment of smaller classes to its points.
-    Its size is the number of distinct forms times the sizes of its
-    children, and its representative is the inflation of its quotient."""
-    found: dict[Code, Record] = {}
+    each orbit, with each assignment of smaller classes to its points
+    that is its class's code (its first form is the least).  Its size is
+    the number of distinct forms times the sizes of its children, and
+    its representative is its quotient inflated by theirs.  Each
+    candidate decides alone whether it is its class's record."""
+    out = []
     for k in range(4, m + 1):
         for q in simple_orbits(k):
             for cuts in combinations(range(1, m), k - 1):
                 widths = [b - a for a, b in zip((0,) + cuts, cuts + (m,))]
                 for children in product(*(levels[w] for w in widths)):
                     forms = _prime_forms(q, tuple(code for code, _, _ in children))
-                    code = (2,) + min(forms)
-                    if code not in found:
-                        found[code] = (
-                            code,
+                    if forms[0] == min(forms):
+                        out.append((
+                            (2,) + forms[0],
                             len(set(forms)) * prod(size for _, size, _ in children),
                             _inflate(q, [rep for _, _, rep in children]),
-                        )
-    return list(found.values())
+                        ))
+    return out
 
 
 @lru_cache(maxsize=1)

@@ -459,12 +459,6 @@ class GraphFacts:
         the graph is Gorenstein: for a caller that selects its own."""
         return gap_witness_check(self.stripped[0])
 
-    @property
-    def gap_witness(self) -> bool | None:
-        """``gap_lemma``; None unless the graph is Gorenstein and the
-        check applies."""
-        return self.gap_lemma if self.gorenstein else None
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -546,7 +540,7 @@ def classify(g: Graph, with_oracle: bool = True) -> ClassificationReport:
         witnesses = {
             "clique_partitions": [[list(b) for b in p] for p in parts],
             "shedding": facts.shedding.to_dict() if facts.shedding else None,
-            "gap_witness": facts.gap_witness,
+            "gap_witness": facts.gap_lemma if gorenstein else None,
         }
     if cm_flag:
         a, hilbertian = facts.a_invariant

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -265,6 +266,80 @@ def maximal_chains(up: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         if not above & vbit(v):  # a minimal element
             walk([], v)
     return tuple(sorted(out))
+
+
+def _cover_pairs(order: Sequence[int], below: dict[int, set[int]]) -> list[tuple[int, int]]:
+    """The pairs u < v of the partial order on ``order`` with strict
+    down-sets ``below`` that have nothing strictly between them."""
+    return [(u, v) for v in order for u in below[v]
+            if not any(u in below[w] for w in below[v])]
+
+
+def order_reference(g: Graph, order: Sequence[int]) -> dict:
+    """The independence facts, the CM flag and the Hilbert data of g,
+    read off its cohesive order ``order`` alone: no set is enumerated
+    and no complex is built.
+
+    Under a cohesive order, Q ("earlier and non-adjacent") is a partial
+    order whose chains are the independent sets and whose maximal
+    chains, the paths of its cover pairs from a minimal element to a
+    maximal one, are the maximal independent sets.  So alpha is the
+    longest such path, the graph is unmixed when the shortest is as
+    long, the number of paths is the number of sets, and the f-vector
+    counts Q's chains by size.  P ("earlier and adjacent") is a partial
+    order whose maximal chains are the maximal cliques, and a partition
+    into alpha maximal cliques is a perfect matching of P's cover pairs
+    from its non-maximal elements to its non-minimal ones.  A bipartite
+    graph with exactly one perfect matching has a vertex of degree 1,
+    whose one edge is forced, so the partition is unique exactly when
+    peeling such vertices matches every element.
+    """
+    earlier = {v: order[:i] for i, v in enumerate(order)}
+    q_below = {v: {u for u in earlier[v] if not g.has_edge(u, v)} for v in order}
+    p_below = {v: {u for u in earlier[v] if g.has_edge(u, v)} for v in order}
+
+    longest, shortest, paths = {}, {}, {}
+    q_covers = _cover_pairs(order, q_below)
+    for v in order:
+        lower = [u for u, w in q_covers if w == v]
+        longest[v] = 1 + max((longest[u] for u in lower), default=0)
+        shortest[v] = 1 + min((shortest[u] for u in lower), default=0)
+        paths[v] = sum(paths[u] for u in lower) or 1
+    tops = [v for v in order if not any(u == v for u, _ in q_covers)]
+    alpha = max(longest[v] for v in tops)
+    unmixed = min(shortest[v] for v in tops) == alpha
+
+    chains = {}  # chains[v][s]: the chains of Q of size s with top v
+    for v in order:
+        chains[v] = [0, 1] + [sum(chains[u][s - 1] for u in q_below[v]) for s in range(2, alpha + 1)]
+    f = tuple([1] + [sum(chains[v][s] for v in order) for s in range(1, alpha + 1)])
+    # h(t) = sum_s f_s t^s (1 - t)^(alpha - s)
+    h = [0] * (alpha + 1)
+    for s, fs in enumerate(f):
+        for j in range(alpha - s + 1):
+            h[s + j] += fs * (-1) ** j * comb(alpha - s, j)
+    a = max((j for j, hj in enumerate(h) if hj), default=0) - alpha
+
+    edges = set(_cover_pairs(order, p_below))
+    left, right = {u for u, _ in edges}, {v for _, v in edges}
+    while edges:
+        degree = Counter(x for e in edges for x in ((0, e[0]), (1, e[1])))
+        forced = next((e for e in sorted(edges) if degree[0, e[0]] == 1 or degree[1, e[1]] == 1), None)
+        if forced is None:
+            break  # nothing is forced: no perfect matching, or more than one
+        left.discard(forced[0])
+        right.discard(forced[1])
+        edges = {e for e in edges if e[0] != forced[0] and e[1] != forced[1]}
+    unique = not (left or right or edges)
+
+    return {
+        "alpha": alpha, "tau": g.n - alpha, "unmixed": unmixed,
+        "sets": sum(paths[v] for v in tops), "cm": unmixed and unique,
+        "f": f, "a": a,
+        # the Hilbert function and polynomial agree at every t >= 1 and
+        # differ at t = 0 by the reduced Euler characteristic
+        "hilbertian": sum((-1) ** s * fs for s, fs in enumerate(f)) == 0,
+    }
 
 
 def fraction_rank(rows) -> int:
@@ -586,8 +661,6 @@ def summed_hilbert_function(hd: HilbertData) -> tuple[int, ...]:
 
 def hilbert_function_from_f(f: tuple[int, ...], m: int) -> int:
     """Direct count of degree-m monomials supported on faces."""
-    from math import comb
-
     if m == 0:
         return 1
     return sum(f[k + 1] * comb(m - 1, k) for k in range(len(f) - 1))

@@ -16,7 +16,7 @@ from permcm import Permutation, graph_from_permutation
 from permcm.graphs import inversions
 from permcm import cli
 import permcm.classes
-from permcm.classes import _symmetries, class_members, class_records, simple_orbits
+from permcm.classes import _inflate, _prime_forms, class_members, class_records, simple_orbits
 from bruteforce import (
     brute_canonical,
     canonical_code,
@@ -135,6 +135,19 @@ class TestGeneratedClasses:
         # the edgeless graph's class, of the identity alone, comes first
         assert records[0][1:] == (1, tuple(range(1, n + 1)))
 
+    def test_prime_representatives_inflate_their_code(self):
+        # a prime record comes from the candidate that is its code, so
+        # its representative is the code's quotient inflated by the
+        # children's representatives, in the code's order
+        reps = {}
+        for n in range(1, 9):
+            records = class_records(n)
+            primes = [(code, rep) for code, _, rep in records if code[:1] == (2,)]
+            assert len(primes) == len({code for code, _ in primes})
+            for (_, q, codes), rep in primes:
+                assert rep == _inflate(q, [reps[c] for c in codes])
+            reps.update((code, rep) for code, _, rep in records)
+
     def test_records_are_kept_without_their_lower_levels(self):
         # from cold caches, S_8 is built and held alone: while its
         # records are referenced, dropping what the sweeps keep frees
@@ -162,7 +175,7 @@ class TestGeneratedClasses:
         # permutations, and the orbits together hold all of them
         for k, count in enumerate(SIMPLE_COUNTS, 1):
             least = simple_orbits(k)
-            orbits = [_symmetries(q) for q in least]
+            orbits = [{form[0] for form in _prime_forms(q, ((),) * k)} for q in least]
             members = [p for orbit in orbits for p in orbit]
             assert len(members) == len(set(members)) == count
             assert all(_brute_is_simple(p) for p in members)

@@ -752,6 +752,29 @@ class TestReisnerFlagPath:
         assert len(built) == 1 and not cold
 
 
+    def test_the_face_walk_reads_the_homology_memo(self, cold, monkeypatch):
+        # above the cap, Reisner takes each face's link from the facets;
+        # Ind(4K_2), the boundary of the 4-dimensional cross-polytope,
+        # has 81 faces but links of only five shapes, so the kernel runs
+        # once per shape and every other face is a memo hit
+        import importlib
+
+        complexes = importlib.import_module("permcm.complexes")
+        lookup = complexes._homology_of_key
+        looked_up = []
+
+        def counted(key):
+            looked_up.append(key)
+            return lookup(key)
+
+        monkeypatch.setattr(complexes, "_homology_of_key", counted)
+        monkeypatch.setenv("PERMCM_CAPS", "hochster=7")
+        c = independence_complex(disjoint_edges(4))
+        assert reisner_cm_test(c) and cold
+        assert len(looked_up) == len(c.faces()) == 81
+        assert len(complexes._HOMOLOGY_CACHE) == 5
+
+
 def walk_agrees(c):
     """The face-by-face fallback agrees with the recursive vertex-link
     walk it replaced; returns the verdict."""

@@ -10,6 +10,8 @@ from permcm import (
     disjoint_edges,
     graph_from_edges,
     graph_from_permutation,
+    hilbert_data,
+    independence_complex,
     independence_invariants,
     matching_invariants,
     maximal_independent_sets,
@@ -21,9 +23,13 @@ from bruteforce import (
     brute_matching_number,
     brute_maximal_independent_sets,
     brute_minimal_vertex_covers,
+    order_reference,
     pairwise_matching_relations,
     serial_permutation_classes,
 )
+from permcm.classes import class_records
+from permcm.classify import GraphFacts
+from permcm.cohesive import find_cohesive_order
 from permcm.graphs import mask_of, vertices_of
 from permcm.invariants import _matching_relations
 
@@ -179,3 +185,39 @@ class TestInvariantSet:
         g = graph_from_edges(4, [(1, 2), (1, 3), (1, 4)])  # star
         inv = compute_invariants(g)
         assert not inv.unmixed  # {2,3,4} and {1}
+
+
+def _package_facts(g, order):
+    """What ``order_reference`` reads off a cohesive order, by the
+    package's routes: the memo's sets, the clique-partition search and
+    the complex's Hilbert data."""
+    alpha, tau, unmixed, covers = independence_invariants(g)
+    hd = hilbert_data(independence_complex(g))
+    return {
+        "alpha": alpha, "tau": tau, "unmixed": unmixed, "sets": len(covers),
+        "cm": GraphFacts(g, order).cm, "f": hd.f, "a": hd.a, "hilbertian": hd.hilbertian,
+    }
+
+
+class TestOrderReference:
+    def test_every_class_up_to_eight(self):
+        # each class's representative, under its inversion labelling,
+        # whose identity order is cohesive
+        verdicts = set()
+        for n in range(1, 9):
+            for _, _, rep in class_records(n):
+                g = graph_from_permutation(Permutation(rep))
+                order = tuple(range(1, n + 1))
+                facts = _package_facts(g, order)
+                assert order_reference(g, order) == facts
+                verdicts.add((facts["unmixed"], facts["cm"], facts["hilbertian"]))
+        assert {(True, True, True), (True, False, False), (False, False, False)} <= verdicts
+
+    def test_every_permutation_up_to_six(self):
+        # and under the order recognition finds, which is another one
+        for n in range(1, 7):
+            for p in permutations(range(1, n + 1)):
+                g = graph_from_permutation(Permutation(p))
+                facts = _package_facts(g, tuple(range(1, n + 1)))
+                for order in (tuple(range(1, n + 1)), find_cohesive_order(g)):
+                    assert order_reference(g, order) == facts
