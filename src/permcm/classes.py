@@ -93,7 +93,11 @@ def simple_orbits(k: int) -> tuple[tuple[int, ...], ...]:
                 continue
             lo = hi = v
             for i in range(j - 1, stop, -1):
-                lo, hi = min(lo, p[i]), max(hi, p[i])
+                x = p[i]
+                if x < lo:
+                    lo = x
+                elif x > hi:
+                    hi = x
                 if hi - lo == j - i:
                     break
             else:

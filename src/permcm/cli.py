@@ -21,7 +21,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, repeat
@@ -29,7 +28,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .caps import check_cap, env_overrides
-from .classes import Record, _inverse, class_members, class_records, drop_levels
+from .classes import _inverse, class_members, class_records, drop_levels
 from .classify import (
     ClaimFailureError,
     GraphFacts,
@@ -298,13 +297,6 @@ def _edge_bytes(p: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> bytes
     return bytes([i for i, (u, v) in enumerate(pairs, 1) if pos[v] < pos[u]])
 
 
-def _class_slice(fn: Callable[[int, Record], object], n: int, start: int, step: int) -> list:
-    """``fn(position, record)`` of every ``step``-th class record of S_n
-    from ``start``, each with its position among the records."""
-    records = class_records(n)
-    return [fn(k, records[k]) for k in range(start, len(records), step)]
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set where the
     platform has one (``taskset``, a cpuset), else all of the host's."""
@@ -313,57 +305,45 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_classes(fn: Callable[[int, Record], object], n: int, jobs: int) -> list:
-    """``fn(position, record)`` of each class record of S_n
-    (``class_records``), in record order: the one pool of both sweeps.
+def _map_classes(fn: Callable[[int, int, int], object], n: int, jobs: int) -> list:
+    """``fn(n, start, step)`` of each strided slice of the class records
+    of S_n (``class_records``), the records at ``start``, ``start`` +
+    ``step``, ...: the one pool of both sweeps.  The slices cover every
+    record position once, and each sweep reduces its slices' results.
 
-    With ``workers`` = min(jobs, usable CPUs) above one, this process
-    maps every ``workers``-th record itself, and a process pool of
-    ``workers`` - 1 forked workers maps the others, in strided slices of
-    step 4 * ``workers``, four tasks per worker; the results are
-    interleaved back into record order.  The pool's slices are submitted
+    With ``workers`` = min(jobs, usable CPUs) one, this process maps the
+    one slice of step 1.  Above one, it maps the slice of every
+    ``workers``-th record itself, and a process pool of ``workers`` - 1
+    forked workers maps the others, in slices of step 4 * ``workers``,
+    four tasks per worker; this process's result comes first, then the
+    pool's in order of their start.  The pool's slices are submitted
     before this process maps its own (a forked pool starts all its
     workers at the first submit), so the workers are forked before any
     record exists: each builds the records itself and none holds a copy
-    of this process's.  Once this process has mapped its share, it drops
-    the records (``drop_levels``): a later sweep builds them again.
+    of this process's.  Once this process has mapped its slice, it drops
+    the records (``drop_levels``): a later sweep builds them again.  A
+    serial map imports no process pool.
     """
     workers = min(jobs, _usable_cpus())
     if workers == 1:
         try:
-            return _class_slice(fn, n, 0, 1)
+            return [fn(n, 0, 1)]
         finally:
             drop_levels()
+    from concurrent.futures import ProcessPoolExecutor
+
     step = 4 * workers
     pooled = [k for k in range(step) if k % workers]
     with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        mapped = pool.map(_class_slice, repeat(fn), repeat(n), pooled, repeat(step))
+        mapped = pool.map(fn, repeat(n), pooled, repeat(step))
         try:
-            own = _class_slice(fn, n, 0, workers)
+            own = fn(n, 0, workers)
         except BaseException:
             pool.shutdown(cancel_futures=True)  # the slices not started yet
             raise
         finally:
             drop_levels()
-        parts = list(mapped)
-    out = [None] * (len(own) + sum(map(len, parts)))
-    out[::workers] = own
-    for start, part in zip(pooled, parts):
-        out[start::step] = part
-    return out
-
-
-def _check_class(check: Callable[[GraphFacts], dict | None], n: int, position: int,
-                 record: Record) -> list[tuple]:
-    """The weighted tally of one class of S_n: ``(size, representative,
-    result)`` of ``check``, or, when the representative fails, ``(1,
-    member, result)`` of each member, with its labels (``position`` is
-    not read)."""
-    code, size, rep = record
-    result = check(_facts(rep))
-    if result is not None and not result["ok"]:
-        return [(1, p, check(_facts(p))) for p in class_members(code, n)]
-    return [(size, rep, result)]
+        return [own, *mapped]
 
 
 def _discrepancy(perm: tuple[int, ...], res: dict) -> dict:
@@ -377,26 +357,27 @@ def _discrepancy(perm: tuple[int, ...], res: dict) -> dict:
     }
 
 
-def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
-    """Sweep all of S_n for one theorem/oracle pair.
+def _verify_slice(check: Callable[[GraphFacts], dict | None], n: int, start: int,
+                  step: int) -> tuple[dict[str, list[int]], int, int, list[dict]]:
+    """The tally of ``check`` over every ``step``-th class record of S_n
+    from ``start``: ``(counts, checked, skipped, discrepancies)``.
 
-    Each isomorphism class (``class_records``) is checked once, at its
-    representative, through ``_map_classes``, and its result weighted
-    by the class size: every check is an isomorphism invariant.  A class
-    whose representative fails is checked member by member, with labels,
-    where it is mapped (``_check_class``), so here the tallies are only
-    summed.  ``counts`` keeps the order in which the class records first
-    hold each predicate; ``verify`` prints it sorted.  Discrepancies are
-    sorted by their edges.
+    Each class is checked at its representative and weighted by its
+    size, or, when the representative fails, checked member by member,
+    with labels.  ``counts`` maps each predicate that held to its
+    weighted count and the position of the record where it first held,
+    in the order the slice first meets them.
     """
-    if theorem not in _CHECKS:
-        raise ValueError(f"unknown theorem id {theorem!r}")
-    _check_sweep_args(n, jobs)
-    check_cap(theorem, n, "sweep")
-    counts: dict[str, int] = {}
+    records = class_records(n)
+    counts: dict[str, list[int]] = {}
     discrepancies = []
     checked = skipped = 0
-    for tally in _map_classes(partial(_check_class, _CHECKS[theorem], n), n, jobs):
+    for k in range(start, len(records), step):
+        code, size, rep = records[k]
+        result = check(_facts(rep))
+        tally = [(size, rep, result)]
+        if result is not None and not result["ok"]:
+            tally = [(1, p, check(_facts(p))) for p in class_members(code, n)]
         for weight, perm, res in tally:
             if res is None:
                 skipped += weight
@@ -404,9 +385,43 @@ def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
             checked += weight
             for name, value in res["predicates"].items():
                 if value:
-                    counts[name] = counts.get(name, 0) + weight
+                    counts.setdefault(name, [0, k])[0] += weight
             if not res["ok"]:
                 discrepancies.append(_discrepancy(perm, res))
+    return counts, checked, skipped, discrepancies
+
+
+def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
+    """Sweep all of S_n for one theorem/oracle pair.
+
+    Each isomorphism class (``class_records``) is checked once, at its
+    representative, and its result weighted by the class size: every
+    check is an isomorphism invariant.  ``_map_classes`` folds each
+    slice of the records into one tally where it maps it
+    (``_verify_slice``), so here the tallies are only added up.
+    ``counts`` lists the predicates in the order the records first hold
+    them: by the position of that record, then by the predicate's rank
+    in its slice's tally, which follows the predicates in the record;
+    ``verify`` prints it sorted.  Discrepancies are sorted by their
+    edges.
+    """
+    if theorem not in _CHECKS:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    _check_sweep_args(n, jobs)
+    check_cap(theorem, n, "sweep")
+    counts: dict[str, int] = {}
+    first: dict[str, tuple[int, int]] = {}
+    discrepancies = []
+    checked = skipped = 0
+    for part, part_checked, part_skipped, part_discrepancies in _map_classes(
+            partial(_verify_slice, _CHECKS[theorem]), n, jobs):
+        checked += part_checked
+        skipped += part_skipped
+        discrepancies += part_discrepancies
+        for rank, (name, (weight, position)) in enumerate(part.items()):
+            counts[name] = counts.get(name, 0) + weight
+            # a record lies in one slice: ranks break ties within it only
+            first[name] = min(first.get(name, (position, rank)), (position, rank))
     # an inversion set fixes its permutation: no two records tie
     discrepancies.sort(key=itemgetter("edges"))
     return SweepResult(
@@ -416,7 +431,7 @@ def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
         distinct_graphs=checked + skipped,
         checked=checked,
         skipped=skipped,
-        counts=counts,
+        counts={name: counts[name] for name in sorted(counts, key=first.__getitem__)},
         discrepancies=discrepancies,
     )
 
@@ -444,16 +459,22 @@ def _survey_row(f: GraphFacts) -> tuple:
             f.gorenstein, f.nearly_gorenstein, f.bicm, hilbertian, a, inv.induced_matching)
 
 
-def _survey_class(n: int, position: int, record: Record) -> tuple[tuple, list[bytes]]:
-    """The row of one class of S_n, from its representative, and the key
-    of each of its members, expanded from its tree: the member's edge
-    bytes, a zero byte, then ``position``, the class's place in record
-    order, in as few big-endian bytes as it needs."""
-    code, _, rep = record
+def _survey_slice(n: int, start: int, step: int) -> tuple[slice, list[tuple], list[bytes]]:
+    """The rows of every ``step``-th class record of S_n from ``start``,
+    each from its class's representative, with the slice of record order
+    they fill, and the key of each member of those classes, expanded
+    from its tree: the member's edge bytes, a zero byte, then its
+    class's position in record order, in as few big-endian bytes as it
+    needs."""
+    records = class_records(n)
     pairs = _pair_table(n)[0]
-    tag = b"\0" + position.to_bytes((position.bit_length() + 7) // 8, "big")
-    return (_survey_row(_facts(rep)),
-            [_edge_bytes(p, pairs) + tag for p in class_members(code, n)])
+    rows, keys = [], []
+    for k in range(start, len(records), step):
+        code, _, rep = records[k]
+        rows.append(_survey_row(_facts(rep)))
+        tag = b"\0" + k.to_bytes((k.bit_length() + 7) // 8, "big")
+        keys += [_edge_bytes(p, pairs) + tag for p in class_members(code, n)]
+    return slice(start, None, step), rows, keys
 
 
 class Survey(NamedTuple):
@@ -469,19 +490,23 @@ def survey_rows(n: int, jobs: int = 1) -> Survey:
     """The survey of S_n: one row per isomorphism class, and one key per
     permutation, in order of its inversion graph's edge tuple.
 
-    Every column but ``edges`` is an isomorphism invariant, so
-    ``_map_classes`` computes the row of each class once, at its
-    representative, with its members' keys (``_survey_class``).  No byte
-    of a key before its zero byte is 0, so the keys sort as the edge
-    tuples do, whatever follows.  A member is held as its key alone:
-    ``render_survey`` reads its ``edges`` cell and its class's row off it.
+    Every column but ``edges`` is an isomorphism invariant, so each
+    slice that ``_map_classes`` maps computes the row of each of its
+    classes once, at its representative, with its members' keys
+    (``_survey_slice``); here the rows are put back in record order.  No
+    byte of a key before its zero byte is 0, so the keys sort as the
+    edge tuples do, whatever follows.  A member is held as its key
+    alone: ``render_survey`` reads its ``edges`` cell and its class's
+    row off it.
     """
     _check_sweep_args(n, jobs)
     check_cap("survey", n, "survey")
-    rows, keys = [], []
-    for row, members in _map_classes(partial(_survey_class, n), n, jobs):
-        rows.append(row)
-        keys += members
+    parts = _map_classes(_survey_slice, n, jobs)
+    rows: list[tuple] = [None] * sum(len(part_rows) for _, part_rows, _ in parts)
+    keys = []
+    for where, part_rows, part_keys in parts:
+        rows[where] = part_rows
+        keys += part_keys
     keys.sort()
     return Survey(n, rows, keys)
 

@@ -6,6 +6,7 @@ scan of S_n, and every class-sweep document against the labelled sweep
 of ``bruteforce.py``, which checks all n! graphs one by one.
 """
 
+import concurrent.futures
 import tracemalloc
 from functools import lru_cache
 from itertools import permutations
@@ -87,23 +88,28 @@ def _recording_pool(events: list):
     return RecordingPool
 
 
-def _same(position, record):
-    return position, record
+def _with_positions(n, start, step):
+    """Every ``step``-th class record of S_n from ``start``, each with
+    its position."""
+    records = class_records(n)
+    return [(k, records[k]) for k in range(start, len(records), step)]
 
 
 class TestChunkedClasses:
     @pytest.mark.parametrize("n", range(9))
     def test_chunks_assemble_the_serial_classes(self, monkeypatch, n):
-        # the pool of the sweeps maps strided slices of the records and
-        # interleaves their results back: at every pool width, slices
-        # empty or not, the records come in order, each with its
-        # position, and expanded they are the classes of the serial
-        # scan, in the same order
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _recording_pool([]))
+        # the pool of the sweeps maps strided slices of the records: at
+        # every pool width, slices empty or not, they cover every record
+        # position exactly once, each with its record, and expanded the
+        # records are the classes of the serial scan, in the same order
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _recording_pool([]))
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
         records = class_records(n)
         for jobs in (1, 2, 3, 8):
-            assert cli._map_classes(_same, n, jobs) == list(enumerate(records))
+            slices = cli._map_classes(_with_positions, n, jobs)
+            assert len(slices) == 1 + 4 * (jobs - 1)
+            covered = [pair for part in slices for pair in part]
+            assert sorted(covered) == list(enumerate(records))
         classes = sorted(sorted(class_members(code, n)) for code, _, _ in records)
         assert classes == serial_permutation_classes(n)
 
@@ -215,16 +221,17 @@ class TestPooledSweep:
                 return build(*args)
             return wrapper
 
-        class_slice = cli._class_slice
+        def sliced(fn):
+            def wrapper(*args):
+                if not in_pool():
+                    events.append("parent slice")
+                return fn(*args)
+            return wrapper
 
-        def sliced(*args):
-            if not in_pool():
-                events.append("parent slice")
-            return class_slice(*args)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _recording_pool(events))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _recording_pool(events))
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
-        monkeypatch.setattr(cli, "_class_slice", sliced)
+        for name in ("_survey_slice", "_verify_slice"):
+            monkeypatch.setattr(cli, name, sliced(getattr(cli, name)))
         for name in ("_sum_records", "_prime_records"):
             monkeypatch.setattr(permcm.classes, name, recorded(getattr(permcm.classes, name)))
         sweeps = [
@@ -273,18 +280,33 @@ def _edge_count_check(f):
     return {"ok": True, "predicates": {f"edges={f.g.edge_count()}": True}, "detail": None}
 
 
+def _two_counts_check(f):
+    """``_edge_count_check`` with the count held twice, the second time
+    under a name that sorts first: both first hold in the same record."""
+    m = f.g.edge_count()
+    return {"ok": True, "predicates": {f"edges={m}": True, f"edge count {m}": True},
+            "detail": None}
+
+
 def test_counts_list_predicates_in_record_order(monkeypatch):
-    # every class holds one predicate, its edge count: counts lists them
-    # as the class records' representatives first hold them, and the
-    # document equals the labelled sweep's
-    monkeypatch.setitem(cli._CHECKS, "cm", _edge_count_check)
-    for n in range(7):
-        result = cli.run_verify("cm", n)
-        assert result.to_dict() == labelled_verify("cm", n, _edge_count_check)
-        first_met = {}
-        for _, _, rep in class_records(n):
-            first_met.setdefault(f"edges={len(inversions(rep))}", None)
-        assert list(result.counts) == list(first_met)
+    # every class holds its edge count, once or twice: at every pool
+    # width counts lists the predicates as the class records'
+    # representatives first hold them, two of one record in the order
+    # the record gives them, and the document equals the labelled sweep's
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _recording_pool([]))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    for check in (_edge_count_check, _two_counts_check):
+        monkeypatch.setitem(cli._CHECKS, "cm", check)
+        for n in range(7):
+            expected = labelled_verify("cm", n, check)
+            first_met = {}
+            for _, _, rep in class_records(n):
+                for name in check(cli._facts(rep))["predicates"]:
+                    first_met.setdefault(name, None)
+            for jobs in (1, 2, 3, 8):
+                result = cli.run_verify("cm", n, jobs=jobs)
+                assert result.to_dict() == expected
+                assert list(result.counts) == list(first_met)
 
 
 def _cm_failing_on_p4(f):

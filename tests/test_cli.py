@@ -154,6 +154,30 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "vd", "--n", "9")
         assert code == 2 and "cap" in err
 
+    def test_verify_peak_is_the_records_build(self, monkeypatch):
+        # each slice folds its classes' results into one tally, so the
+        # records are a sweep's peak; a list of one result per class,
+        # kept until the map ended, took the traced peak to 1.7 times
+        # the records' build at n = 8
+        import gc
+        import tracemalloc
+        from permcm.classes import drop_levels
+
+        monkeypatch.setenv("PERMCM_CAPS", "nearly=8")
+        peaks = []
+        for sweep in (lambda: class_records(8), lambda: run_verify("nearly", 8)):
+            drop_levels()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                sweep()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        drop_levels()
+        build, verify = peaks
+        assert verify <= 1.1 * build, (verify, build)
+
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMCM_CAPS", "gap=3")
         code, _, err = run(capsys, "verify", "gap", "--n", "4")
@@ -371,7 +395,9 @@ class TestSurveyFastPaths:
 
         def mapped(*args):
             calls.append(bool(running))
-            return map_classes(*args)
+            slices = map_classes(*args)
+            calls.append(len(slices))
+            return slices
 
         def rows_while_running(*args, **kwargs):
             running.append(True)
@@ -385,7 +411,8 @@ class TestSurveyFastPaths:
         monkeypatch.setattr(cli, "_map_classes", mapped)
         monkeypatch.setattr(cli, "survey_rows", rows_while_running)
         assert run(capsys, "survey", "--n", "5", "--jobs", "2")[0] == 0
-        assert calls == [True]
+        # one result per slice: the parent's, and four per forked worker
+        assert calls == [True, 1 + 4 * (min(2, cli._usable_cpus()) - 1)]
         assert [(type(s), type(s.rows), type(s.keys)) for s in returned] == [
             (cli.Survey, list, list)]
         assert len(returned[0].keys) == 120 and returned[0].keys == sorted(returned[0].keys)
@@ -736,7 +763,7 @@ class TestDeterminism:
     def test_pool_has_at_most_one_worker_per_cpu_and_chunk(self, monkeypatch):
         # a forked pool starts every worker it is allowed at once, so a
         # large --jobs is checked with a fake pool that maps serially
-        import permcm.cli
+        import concurrent.futures
 
         workers, tasks = [], []
 
@@ -755,8 +782,8 @@ class TestDeterminism:
                 tasks.append(len(calls))
                 return [fn(*args) for args in calls]
 
-        monkeypatch.setattr(permcm.cli, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(permcm.cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         # the pool is forked before the records exist, so its size is
         # bounded by the CPUs alone: the parent is one of the three
         # processes, and each maps four slices
@@ -767,7 +794,7 @@ class TestDeterminism:
     def test_pool_width_reads_the_cpu_affinity(self, monkeypatch):
         # under taskset -c 0 the host may have 8 CPUs, but this process
         # runs on one: a second process would share it, so none is forked
-        import permcm.cli
+        import concurrent.futures
 
         def no_pool(max_workers):
             raise AssertionError(f"pool of {max_workers} forked on one CPU")
@@ -775,9 +802,24 @@ class TestDeterminism:
         serial = run_verify("vd", 5).to_dict()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(permcm.cli, "ProcessPoolExecutor", no_pool)
-        assert permcm.cli._usable_cpus() == 1
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert cli._usable_cpus() == 1
         assert run_verify("vd", 5, jobs=2).to_dict() == serial
+
+    def test_serial_sweep_imports_no_process_pool(self):
+        # the pool is imported where the map forks it, so a serial
+        # sweep never loads concurrent.futures
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        code = ("import sys\n"
+                "from permcm.cli import main\n"
+                "rc = main(['verify', 'cm', '--n', '5'])\n"
+                "print(rc, 'concurrent.futures' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         # where the platform has no affinity call, the host's count
@@ -814,16 +856,16 @@ class TestDeterminism:
         # the parent's own slices fail at once while the one worker is
         # still on its first slice: the error propagates, and the slices
         # not handed to the worker yet are cancelled, not run
-        from concurrent.futures import ProcessPoolExecutor
+        import concurrent.futures
 
         futures = []
 
-        class RecordingPool(ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def submit(self, *args, **kwargs):
                 futures.append(super().submit(*args, **kwargs))
                 return futures[-1]
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="parent share"):
             cli._map_classes(partial(_fail_in_parent, os.getpid()), 5, 2)
@@ -831,9 +873,9 @@ class TestDeterminism:
         assert any(f.cancelled() for f in futures)
 
 
-def _fail_in_parent(parent: int, position: int, record):
-    """``record`` after a pause in a worker; an error in ``parent``."""
+def _fail_in_parent(parent: int, n: int, start: int, step: int):
+    """``start`` after a pause in a worker; an error in ``parent``."""
     if os.getpid() == parent:
         raise RuntimeError("parent share failed")
     time.sleep(0.1)
-    return record
+    return start
