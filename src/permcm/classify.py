@@ -178,18 +178,10 @@ def _peel(cur: Graph, j: int) -> Graph | None:
     return smaller
 
 
-def _shedding_walk(
-    cur: Graph,
-    alive: int,
-    order: Sequence[int],
-    first: tuple[bool, tuple[tuple[tuple[int, ...], ...], ...]] | None = None,
-) -> SheddingCertificate:
+def _shedding_walk(cur: Graph, alive: int, order: Sequence[int]) -> SheddingCertificate:
     """The walk of ``extract_shedding_order`` on ``cur``, the subgraph
     induced on ``alive``, recorded in the input's labels; ``order`` is a
-    cohesive order of the input.  ``first``, when given, is
-    ``cm_by_clique_partition`` of ``cur`` itself, already known, and
-    stands for the first step's."""
-    order = tuple(v for v in order if alive & vbit(v))
+    cohesive order of the input."""
     steps: list[ShedStep] = []
 
     while cur.edge_count() > 0:
@@ -197,8 +189,7 @@ def _shedding_walk(
         step_order = tuple(v for v in order if alive & vbit(v))
         ranks = _ranks(alive, step_order)
         up = comparability_poset(cur, ranks)
-        cm, parts = first or cm_by_clique_partition(cur, ranks)
-        first = None
+        cm, parts = cm_by_clique_partition(cur, ranks)
         if not (cm or steps):  # the input's CM test
             raise ValueError("shedding orders exist only for Cohen-Macaulay inputs")
         if len(parts) != 1:
@@ -243,7 +234,7 @@ def _shedding_walk(
 
     return SheddingCertificate(
         order=tuple(s.shedding_vertex for s in steps),
-        cohesive_order=order,
+        cohesive_order=steps[0].order if steps else (),
         steps=tuple(steps),
         remaining=vertices_of(alive),
     )
@@ -449,9 +440,7 @@ class GraphFacts:
         h, alive = self.stripped
         if not (h.n and self.cm):
             return None
-        # with nothing stripped, the walk's first CM test is the graph's own
-        first = self.cm_partitions if h is self.g else None
-        return _shedding_walk(h, alive, self.order, first)
+        return _shedding_walk(h, alive, self.order)
 
     @cached_property
     def gap_lemma(self) -> bool | None:

@@ -21,6 +21,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, repeat
@@ -358,18 +359,17 @@ def _discrepancy(perm: tuple[int, ...], res: dict) -> dict:
 
 
 def _verify_slice(check: Callable[[GraphFacts], dict | None], n: int, start: int,
-                  step: int) -> tuple[dict[str, list[int]], int, int, list[dict]]:
+                  step: int) -> tuple[Counter, int, int, list[dict]]:
     """The tally of ``check`` over every ``step``-th class record of S_n
     from ``start``: ``(counts, checked, skipped, discrepancies)``.
 
     Each class is checked at its representative and weighted by its
     size, or, when the representative fails, checked member by member,
-    with labels.  ``counts`` maps each predicate that held to its
-    weighted count and the position of the record where it first held,
-    in the order the slice first meets them.
+    with labels.  ``counts`` is the weighted count of each predicate
+    that held.
     """
     records = class_records(n)
-    counts: dict[str, list[int]] = {}
+    counts = Counter()
     discrepancies = []
     checked = skipped = 0
     for k in range(start, len(records), step):
@@ -385,7 +385,7 @@ def _verify_slice(check: Callable[[GraphFacts], dict | None], n: int, start: int
             checked += weight
             for name, value in res["predicates"].items():
                 if value:
-                    counts.setdefault(name, [0, k])[0] += weight
+                    counts[name] += weight
             if not res["ok"]:
                 discrepancies.append(_discrepancy(perm, res))
     return counts, checked, skipped, discrepancies
@@ -399,29 +399,22 @@ def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
     check is an isomorphism invariant.  ``_map_classes`` folds each
     slice of the records into one tally where it maps it
     (``_verify_slice``), so here the tallies are only added up.
-    ``counts`` lists the predicates in the order the records first hold
-    them: by the position of that record, then by the predicate's rank
-    in its slice's tally, which follows the predicates in the record;
-    ``verify`` prints it sorted.  Discrepancies are sorted by their
-    edges.
+    ``counts`` lists the predicates by name and the discrepancies are
+    sorted by their edges.
     """
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem!r}")
     _check_sweep_args(n, jobs)
     check_cap(theorem, n, "sweep")
-    counts: dict[str, int] = {}
-    first: dict[str, tuple[int, int]] = {}
+    counts = Counter()
     discrepancies = []
     checked = skipped = 0
     for part, part_checked, part_skipped, part_discrepancies in _map_classes(
             partial(_verify_slice, _CHECKS[theorem]), n, jobs):
+        counts += part
         checked += part_checked
         skipped += part_skipped
         discrepancies += part_discrepancies
-        for rank, (name, (weight, position)) in enumerate(part.items()):
-            counts[name] = counts.get(name, 0) + weight
-            # a record lies in one slice: ranks break ties within it only
-            first[name] = min(first.get(name, (position, rank)), (position, rank))
     # an inversion set fixes its permutation: no two records tie
     discrepancies.sort(key=itemgetter("edges"))
     return SweepResult(
@@ -431,7 +424,7 @@ def run_verify(theorem: str, n: int, jobs: int = 1) -> SweepResult:
         distinct_graphs=checked + skipped,
         checked=checked,
         skipped=skipped,
-        counts={name: counts[name] for name in sorted(counts, key=first.__getitem__)},
+        counts=dict(sorted(counts.items())),
         discrepancies=discrepancies,
     )
 

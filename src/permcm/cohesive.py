@@ -322,13 +322,13 @@ def maximal_clique_partitions(
             return False
         if len(chosen) >= r:
             return False
-        col, candidates = 0, None
+        candidates = None
         probe = uncovered
         while probe:
             low = probe & -probe
             cand = [c for c in cliques if c & low and not c & ~uncovered]
             if candidates is None or len(cand) < len(candidates):
-                col, candidates = low, cand
+                candidates = cand
                 if not cand:
                     break
             probe ^= low
@@ -340,4 +340,5 @@ def maximal_clique_partitions(
         return False
 
     search(g.full_mask, [])
-    return tuple(sorted(set(results)))
+    # each branch takes another clique over one vertex: no partition twice
+    return tuple(sorted(results))

@@ -56,10 +56,17 @@ also carries its ambient vertex set, which may be larger than the union
 of its facets; ambient-only vertices do not change homology but do
 matter for Betti tables and depth.
 
-Homology is computed by canonical form (the facet list after an
-order-preserving relabelling of the used vertices) and memoised
-globally, which is what makes the exhaustive sweeps cheap: independence
-complexes of induced subgraphs repeat massively across a sweep.
+Homology is memoised once per path.  On a flag complex within the
+``hochster`` cap, the tables keep the homology of each folded set for
+their complex (``_FlagTables.by_fold``), and the homology of a
+component across complexes by its 1-skeleton (``_SKELETON_CACHE``):
+these are the memos the sweeps and ``classify`` read back.  The global
+memo of canonical forms (``_HOMOLOGY_CACHE``, keyed by the facet list
+after an order-preserving relabelling of the used vertices) serves
+``reduced_homology_ranks`` and the face walk, above the ``hochster``
+cap or on a complex that is not flag, where the links of one complex
+repeat; the flag path only fills it, once per skeleton it has not met
+before.
 """
 
 from __future__ import annotations

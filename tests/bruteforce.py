@@ -912,7 +912,7 @@ def labelled_sweep(per_graph, n: int) -> list[tuple[tuple, tuple[int, ...], dict
 def labelled_verify(theorem: str, n: int, check) -> dict:
     """The document of ``verify <theorem> --n <n>``, one graph per
     permutation, with ``check`` as the theorem's check; ``counts`` lists
-    the predicates in the order the sweep first meets them."""
+    the predicates by name."""
     counts: dict[str, int] = {}
     discrepancies = []
     checked = skipped = 0
@@ -934,7 +934,7 @@ def labelled_verify(theorem: str, n: int, check) -> dict:
         "theorem": theorem, "n": n,
         "total_permutations": len(results), "distinct_graphs": len(results),
         "checked": checked, "skipped": skipped,
-        "counts": counts, "discrepancies": discrepancies,
+        "counts": dict(sorted(counts.items())), "discrepancies": discrepancies,
     }
 
 

@@ -280,33 +280,20 @@ def _edge_count_check(f):
     return {"ok": True, "predicates": {f"edges={f.g.edge_count()}": True}, "detail": None}
 
 
-def _two_counts_check(f):
-    """``_edge_count_check`` with the count held twice, the second time
-    under a name that sorts first: both first hold in the same record."""
-    m = f.g.edge_count()
-    return {"ok": True, "predicates": {f"edges={m}": True, f"edge count {m}": True},
-            "detail": None}
-
-
-def test_counts_list_predicates_in_record_order(monkeypatch):
-    # every class holds its edge count, once or twice: at every pool
-    # width counts lists the predicates as the class records'
-    # representatives first hold them, two of one record in the order
-    # the record gives them, and the document equals the labelled sweep's
+def test_counts_list_predicates_by_name(monkeypatch):
+    # every class holds its edge count: at every pool width counts lists
+    # the predicates by name ("edges=10" before "edges=2"), and the
+    # document equals the labelled sweep's
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _recording_pool([]))
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
-    for check in (_edge_count_check, _two_counts_check):
-        monkeypatch.setitem(cli._CHECKS, "cm", check)
-        for n in range(7):
-            expected = labelled_verify("cm", n, check)
-            first_met = {}
-            for _, _, rep in class_records(n):
-                for name in check(cli._facts(rep))["predicates"]:
-                    first_met.setdefault(name, None)
-            for jobs in (1, 2, 3, 8):
-                result = cli.run_verify("cm", n, jobs=jobs)
-                assert result.to_dict() == expected
-                assert list(result.counts) == list(first_met)
+    monkeypatch.setitem(cli._CHECKS, "cm", _edge_count_check)
+    for n in range(7):
+        expected = labelled_verify("cm", n, _edge_count_check)
+        names = sorted(f"edges={m}" for m in range(n * (n - 1) // 2 + 1))
+        for jobs in (1, 2, 3, 8):
+            result = cli.run_verify("cm", n, jobs=jobs)
+            assert result.to_dict() == expected
+            assert list(result.counts) == names
 
 
 def _cm_failing_on_p4(f):

@@ -356,5 +356,5 @@ class TestPartitions:
             for p in permutations(range(1, n + 1)):
                 g = graph_from_permutation(Permutation(p))
                 for r in range(1, n + 1):
-                    mine = set(maximal_clique_partitions(g, r=r, limit=None))
-                    assert mine == brute(g, r)
+                    mine = maximal_clique_partitions(g, r=r, limit=None)
+                    assert mine == tuple(sorted(brute(g, r)))
